@@ -318,6 +318,8 @@ def run_suite(config: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     summary = {
         "rows": len(rows),
         "failures": sum(1 for r in rows if r.error),
+        "errors": {f"{r.instance_id}/{r.algorithm}/w={r.w}/seed={r.seed}": r.error
+                   for r in rows if r.error},
         "all_within_bounds": all(r.within_bound for r in rows),
         "by_algorithm": {k: {kk: (None if isinstance(vv, float) and not math.isfinite(vv)
                                   else vv) for kk, vv in v.items()}
@@ -356,6 +358,7 @@ def rows_to_json(rows: list[ResultRow]) -> str:
         "seed": r.seed, "cost": _fmt(r.cost), "opt_cost": _fmt(r.opt_cost),
         "ratio": _fmt(r.ratio), "bound_value": _fmt(r.bound_value),
         "within_bound": r.within_bound, "tolerance_budget": _fmt(r.tolerance_budget),
+        "error": r.error,
     } for r in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

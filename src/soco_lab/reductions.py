@@ -38,20 +38,24 @@ class ConvexBody:
     data: dict
 
     def contains(self, p, tol: float = 1e-8) -> bool:
-        p = np.asarray(p, dtype=float)
+        return bool(self.contains_stack(np.asarray(p, dtype=float)[None, :], tol)[0])
+
+    def contains_stack(self, pts, tol: float = 1e-8) -> np.ndarray:
+        """Membership of each row of a stack of points of shape (N, dim)."""
+        pts = np.asarray(pts, dtype=float)
         d = self.data
         if self.variant == "halfspace":
-            return float(d["a"] @ p) <= d["b"] + tol
+            return pts @ d["a"] <= d["b"] + tol
         if self.variant == "hyperplane":
-            return abs(float(d["a"] @ p) - d["b"]) <= tol
+            return np.abs(pts @ d["a"] - d["b"]) <= tol
         if self.variant in ("box", "interval"):
-            return bool(np.all(p >= d["lo"] - tol) and np.all(p <= d["hi"] + tol))
+            return np.all((pts >= d["lo"] - tol) & (pts <= d["hi"] + tol), axis=1)
         if self.variant == "ball":
-            return float(np.linalg.norm(p - d["center"])) <= d["r"] + tol
+            return np.linalg.norm(pts - d["center"], axis=1) <= d["r"] + tol
         if self.variant == "zero_plane":
-            return abs(float(p[-1])) <= tol
+            return np.abs(pts[:, -1]) <= tol
         if self.variant == "epigraph":
-            return float(p[-1]) >= d["cost"](p[:-1]) - tol
+            return pts[:, -1] >= d["cost"].values(pts[:, :-1]) - tol
         raise ValueError(f"unknown body variant {self.variant!r}")
 
     def project(self, p) -> Point:
@@ -287,9 +291,9 @@ def cbc_to_indicator_instance(instance: CbcInstance, penalty: float = PENALTY) -
 
         def fn(x, _b=body):
             x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                return 0.0 if _b.contains(x) else penalty
-            return np.array([0.0 if _b.contains(p) else penalty for p in x])
+            inside = _b.contains_stack(np.atleast_2d(x))
+            values = np.where(inside, 0.0, penalty)
+            return values[0] if x.ndim == 1 else values
 
         return HittingCost(fn, anchor, 0.0, None, "indicator", {"variant": body.variant})
 

@@ -12,10 +12,19 @@ free variables of a small optimization solved by one of three backends:
                    (any costs, d <= 2),
   descent          gradient descent on the stacked free variables
                    (smooth costs, any d).
+
+Each lattice DP stage is a min-plus product of the value table with the
+movement cost.  When the movement separates by coordinate (``norm_l1`` and
+``rectified_linear`` in any d, ``norm_l2`` and ``norm_linf`` in 1-D) it is
+a forward and a backward prefix-min per lattice axis, O(G) for G lattice
+points.  ``sq_l2_half`` and 2-D ``norm_l2``/``norm_linf`` take the dense
+O(G^2) product, row-blocked on large lattices.  Every path breaks ties to
+the lowest flat lattice index (ij order, last axis fastest).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,7 +65,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(a, b, k) for a, b, k in zip(self.lo, self.hi, self.n)]
@@ -223,8 +232,65 @@ def solve_quadratic_chain(problem: WindowProblem) -> WindowSolution:
 _DENSE_TRANSITION_LIMIT = 2 * 10 ** 7
 
 
+def _axis_prices(movement: MovementCost, dim: int) -> list[tuple[float, float]] | None:
+    """Per-axis (up, down) unit prices when the movement separates by
+    coordinate, else None.  Moving from x_j to x_i along an axis costs
+    up * (x_i - x_j) when x_i > x_j and down * (x_j - x_i) otherwise."""
+    if movement.kind == "norm_l1" or (
+            dim == 1 and movement.kind in ("norm_l2", "norm_linf")):
+        return [(1.0, 1.0)] * dim
+    if movement.kind == "rectified_linear":
+        beta = np.broadcast_to(np.asarray(movement.params["beta"], dtype=float), (dim,))
+        return [(float(b), 0.0) for b in beta]
+    return None
+
+
+def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float,
+                    down: float) -> tuple[np.ndarray, np.ndarray]:
+    """min over j of value[j] + the axis price of x_j -> x_i, along axis 0.
+
+    The forward pass covers j <= i, the backward pass j >= i.  Forward
+    records need strict <, backward records <=, and the forward candidate
+    wins ties, so the argmin is the lowest attaining j.
+    """
+    n = x.shape[0]
+    x = x.reshape((n,) + (1,) * (value.ndim - 1))
+    idx = np.arange(n).reshape(x.shape)
+    rec = np.ones(value.shape, dtype=bool)
+
+    key = value - up * x
+    run = np.minimum.accumulate(key, axis=0)
+    rec[1:] = key[1:] < run[:-1]
+    fwd_arg = np.maximum.accumulate(np.where(rec, idx, 0), axis=0)
+    fwd = run + up * x
+
+    key = (value + down * x)[::-1]
+    run = np.minimum.accumulate(key, axis=0)
+    rec[1:] = key[1:] <= run[:-1]
+    bwd_arg = (n - 1 - np.maximum.accumulate(np.where(rec, idx, 0), axis=0))[::-1]
+    bwd = run[::-1] - down * x
+
+    take_bwd = bwd < fwd
+    return np.where(take_bwd, bwd, fwd), np.where(take_bwd, bwd_arg, fwd_arg)
+
+
+def _separable_minplus(value: np.ndarray, grid: Grid,
+                       prices: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Min-plus for a coordinate-separable movement: one prefix-min pass per
+    axis, the last axis first, so the back-pointer composes in ij order."""
+    axes = grid.axes()
+    if grid.dim == 1:
+        return _prefix_minplus(value, axes[0], *prices[0])
+    n0, n1 = grid.n
+    inner, a1 = _prefix_minplus(value.reshape(n0, n1).T, axes[1], *prices[1])
+    best, a0 = _prefix_minplus(inner.T, axes[0], *prices[0])
+    arg = a0 * n1 + a1[np.arange(n1), a0]
+    return best.ravel(), arg.ravel()
+
+
 class _GridEval:
-    """Caches hitting-cost tables and movement transition matrices per grid."""
+    """Caches hitting-cost tables, and dense movement transition matrices for
+    the movements that do not separate by coordinate, per grid."""
 
     def __init__(self):
         self._costs: dict = {}
@@ -253,6 +319,9 @@ class _GridEval:
     def minplus(self, value: np.ndarray, movement: MovementCost,
                 grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         """(best value, argmin prev index) of value[j] + c(p_i, p_j) per i."""
+        prices = _axis_prices(movement, grid.dim)
+        if prices is not None:
+            return _separable_minplus(value, grid, prices)
         trans = self.transition(movement, grid)
         pts = grid.points()
         if trans is not None:

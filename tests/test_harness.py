@@ -108,6 +108,7 @@ def test_json_rows_match_csv_rows():
     for obj, line in zip(as_json, as_csv):
         assert obj["instance_id"] == line.split(",")[0]
         assert obj["ratio"] == line.split(",")[6]
+        assert obj["error"] == ""
 
 
 def test_floats_use_twelve_significant_digits():
@@ -129,6 +130,9 @@ def test_failures_recorded_in_row_not_raised():
     assert rows[0].error and not rows[0].within_bound
     assert not summary["all_within_bounds"]
     assert summary["failures"] == 1
+    assert summary["errors"] == {"broken/greedy/w=1/seed=1": rows[0].error}
+    assert json.loads(rows_to_json(rows))[0]["error"] == rows[0].error
+    assert rows_to_csv(rows) == CSV_HEADER + "\nbroken,greedy,1,1,nan,nan,nan,nan,false,nan\n"
 
 
 def test_added_algorithm_does_not_perturb_rows():

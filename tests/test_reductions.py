@@ -55,8 +55,12 @@ BODIES = [
 ]
 
 
-@pytest.mark.parametrize("body", BODIES, ids=lambda b: b.variant + b.data.get(
-    "cost", type("x", (), {"family_tag": ""})).family_tag)
+def body_id(body):
+    return body.variant + body.data.get(
+        "cost", type("x", (), {"family_tag": ""})).family_tag
+
+
+@pytest.mark.parametrize("body", BODIES, ids=body_id)
 def test_projection_membership_and_idempotence(body, rng):
     for _ in range(100):
         p = rng.uniform(-4, 4, size=2)
@@ -66,6 +70,34 @@ def test_projection_membership_and_idempotence(body, rng):
         assert np.max(np.abs(again - proj)) <= 1e-8
         if body.contains(p, tol=0.0):
             assert np.array_equal(body.project(p), p)
+
+
+def reference_contains(body, p, tol):
+    """Per-point membership, written out variant by variant."""
+    d = body.data
+    if body.variant in ("halfspace", "hyperplane"):
+        gap = float(d["a"] @ p) - d["b"]
+        return gap <= tol if body.variant == "halfspace" else abs(gap) <= tol
+    if body.variant in ("box", "interval"):
+        return bool(np.all(p >= d["lo"] - tol) and np.all(p <= d["hi"] + tol))
+    if body.variant == "ball":
+        return float(np.linalg.norm(p - d["center"])) <= d["r"] + tol
+    if body.variant == "zero_plane":
+        return abs(float(p[-1])) <= tol
+    return float(p[-1]) >= d["cost"](p[:-1]) - tol
+
+
+@pytest.mark.parametrize("body", BODIES + [interval(-0.7, 1.3)], ids=body_id)
+def test_stacked_membership_matches_scalar(body, rng):
+    # random points plus a 0.1-step lattice, whose points sit on the
+    # boundaries of every body here up to rounding
+    lattice = Grid.make(-4.0, 4.0, 81, dim=body.dim).points()
+    pts = np.vstack([rng.uniform(-4, 4, size=(200, body.dim)), lattice])
+    stacked = body.contains_stack(pts, 1e-8)
+    assert stacked.shape == (pts.shape[0],)
+    assert stacked.tolist() == [body.contains(p, 1e-8) for p in pts]
+    assert stacked.tolist() == [reference_contains(body, p, 1e-8) for p in pts]
+    assert 0 < stacked.sum() < pts.shape[0]
 
 
 def test_wedge_projection_example():

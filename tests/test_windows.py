@@ -20,7 +20,7 @@ from soco_lab import (
     solve_quadratic_chain,
     window_objective,
 )
-from soco_lab.windows import SolverError, UnsupportedProblemError
+from soco_lab.windows import SolverError, UnsupportedProblemError, _GridEval
 
 
 def quad_instance(T=10, m=2.0, seed=0):
@@ -168,6 +168,51 @@ def test_blocked_minplus_matches_dense(monkeypatch):
     assert np.array_equal(blocked.free_points, dense.free_points)
 
 
+SEPARABLE_CASES = [("norm_l1", 1), ("rectified_linear", 1), ("norm_l2", 1),
+                   ("norm_linf", 1), ("norm_l1", 2), ("rectified_linear", 2)]
+
+
+@given(st.sampled_from(SEPARABLE_CASES), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_separable_minplus_matches_dense(case, integer_valued, seed):
+    # the prefix-min kernel against the dense reference pairwise(pts, pts) + v;
+    # integer values on a unit lattice give exact ties, where the lowest
+    # flat index must win exactly as numpy's argmin picks it
+    kind, dim = case
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 12, dim)
+    if integer_valued:
+        grid = Grid.make(np.zeros(dim), n - 1.0, n, dim=dim)
+        beta = rng.integers(1, 4, dim).astype(float)
+        value = rng.integers(0, 4, grid.size).astype(float)
+    else:
+        lo = rng.uniform(-3, 0, dim)
+        grid = Grid.make(lo, lo + rng.uniform(0.5, 4, dim), n, dim=dim)
+        beta = rng.uniform(0.2, 3, dim)
+        value = rng.normal(size=grid.size)
+    movement = movement_cost(kind, beta=beta if kind == "rectified_linear" else None)
+    cache = _GridEval()
+    best, arg = cache.minplus(value, movement, grid)
+    assert not cache._moves
+    pts = grid.points()
+    dense = movement.pairwise(pts, pts) + value[None, :]
+    ref = dense.min(axis=1)
+    assert np.max(np.abs(best - ref)) <= 1e-12
+    assert np.max(np.abs(dense[np.arange(grid.size), arg] - ref)) <= 1e-12
+    if integer_valued:
+        assert np.array_equal(arg, dense.argmin(axis=1))
+
+
+def _zero_on(targets):
+    """Hitting cost that is 0 on the given points and 5 elsewhere."""
+    targets = np.asarray(targets, dtype=float)
+
+    def fn(x):
+        gap = np.abs(np.asarray(x, dtype=float)[..., None, :] - targets).max(axis=-1)
+        return np.where((gap < 1e-9).any(axis=-1), 0.0, 5.0)
+
+    return HittingCost(fn, as_point(targets[0]))
+
+
 def test_grid_dp_tie_breaks_to_lowest_index():
     # flat hitting cost + ramp movement: every lattice point at or below the
     # left anchor costs zero, so the solver must pick the lowest index.
@@ -178,6 +223,14 @@ def test_grid_dp_tie_breaks_to_lowest_index():
     sol = solve_grid_dp(wp, Grid.make(0.0, 2.0, 5, dim=1))
     assert sol.free_points[0, 0] == pytest.approx(0.0)
     assert sol.objective == 0.0
+    # 2-D l1: the corner (1, 1) is reached at cost 2 through either (0, 1)
+    # (flat index 1) or (1, 0) (flat index 2); the back-pointer takes (0, 1).
+    wp = WindowProblem(0, 3, as_point([0.0, 0.0]), None,
+                       (_zero_on([[0.0, 1.0], [1.0, 0.0]]), _zero_on([[1.0, 1.0]])),
+                       movement_cost("norm_l1"))
+    sol = solve_grid_dp(wp, Grid.make([0.0, 0.0], [1.0, 1.0], [2, 2], dim=2))
+    assert np.array_equal(sol.free_points, [[0.0, 1.0], [1.0, 1.0]])
+    assert sol.objective == 2.0
 
 
 def test_descent_matches_exact_single_var():
