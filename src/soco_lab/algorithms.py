@@ -5,6 +5,8 @@ at most w, pin ("anchor") the decision at each window boundary to the
 revealed minimizer, and solve each window's interior exactly.  Anchors
 decouple the windows, so each run is a sequence of independent small
 solves, each reading only the costs inside its own prediction window.
+Every anchored run is ``oracle.constrained_offline`` on its anchor set,
+the one routine that solves the segments and stitches them together.
 
   greedy    w = 1: always pick the current minimizer.
   sfhc(h)   anchors at timesteps congruent to h modulo w.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .model import Instance, Trajectory, evaluate_total_cost
 from .oracle import constrained_offline
-from .windows import WindowProblem, WindowSolver, build_window, solver_for
+from .windows import WindowProblem, WindowSolver, solver_for
 
 
 @dataclass(frozen=True)
@@ -68,25 +70,11 @@ def phase_segments(T: int, w: int, h: int) -> list[tuple[int, int]]:
     return segments
 
 
-def _assemble(instance: Instance, segments, solver: WindowSolver) -> Trajectory:
-    """Solve each segment and stitch the full decision sequence."""
-    T = instance.horizon
-    points = np.empty((T, instance.dim))
-    for a, b in segments:
-        problem = build_window(instance, a, b)
-        sol = solver(problem)
-        for i, t in enumerate(problem.free_times()):
-            points[t - 1] = sol.free_points[i]
-        if b <= T:
-            points[b - 1] = instance.hitting[b - 1].minimizer
-    return evaluate_total_cost(instance, points)
-
-
 def run_sfhc(instance: Instance, w: int, h: int,
              solver: WindowSolver | None = None) -> Trajectory:
     """Phase-h subroutine: anchored at every timestep congruent to h mod w."""
-    solver = solver or solver_for(instance)
-    return _assemble(instance, phase_segments(instance.horizon, w, h), solver)
+    anchors = AnchorSet.phase(h, w, instance.horizon)
+    return constrained_offline(instance, anchors, solver).trajectory
 
 
 def run_greedy(instance: Instance) -> Trajectory:
@@ -156,7 +144,6 @@ def run_rsfhc_b(instance: Instance, w: int, rng: np.random.Generator,
     online with prediction window w.
     """
     anchors = gen_anchor_sequence(w, instance.horizon, rng)
-    solver = solver or solver_for(instance)
     return constrained_offline(instance, anchors, solver).trajectory
 
 

@@ -23,7 +23,7 @@ from .adversary import (
     transcript_to_spec,
 )
 from .families import StronglyConvex, estimate_condition_constants, instance_from_spec
-from .harness import ExperimentConfig, rows_to_csv, rows_to_json, run_suite, sweep_and_report
+from .harness import ExperimentConfig, format_rows, run_suite, sweep_and_report
 from .model import movement_cost
 from .oracle import offline_optimal, offline_optimal_grid, offline_optimal_quadratic
 from .reductions import (
@@ -48,23 +48,21 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _cmd_run(args) -> int:
+def _cmd_rows(args) -> int:
+    """``run`` writes the rows to --out or stdout, ``sweep`` writes them and
+    a summary file next to them; both print the summary to stderr and exit
+    nonzero iff a requested bound check failed."""
     raw = _load_json(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         raw["seeds"] = {"master": args.seed, "count": len(raw.get("seeds", [1]))
                         if isinstance(raw.get("seeds"), list) else
                         raw.get("seeds", {}).get("count", 1)}
     config = ExperimentConfig.from_dict(raw)
-    rows, summary = run_suite(config)
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _emit(text, args.out)
-    sys.stderr.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0 if summary["all_within_bounds"] else 1
-
-
-def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_dict(_load_json(args.config))
-    _, summary = sweep_and_report(config, args.out, fmt=args.format)
+    if args.command == "sweep":
+        _, summary = sweep_and_report(config, args.out, fmt=args.format)
+    else:
+        rows, summary = run_suite(config)
+        _emit(format_rows(rows, args.format), args.out)
     sys.stderr.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0 if summary["all_within_bounds"] else 1
 
@@ -165,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_cmd_rows)
 
     p = sub.add_parser("sweep", help="run a config, write rows + JSON summary")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_rows)
 
     p = sub.add_parser("oracle", help="offline optimum of an instance file")
     p.add_argument("--instance", required=True)
@@ -191,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=60)
     p.add_argument("--m", type=float, default=2.0)
     p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--samples", type=int, default=0,
-                   help="reserved for Monte Carlo subsampling inside policies")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=241)
     p.add_argument("--inflation", type=float, default=3.0)

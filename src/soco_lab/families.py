@@ -219,11 +219,6 @@ def make_instance(family: FamilyParams, path, start=None) -> Instance:
     raise ValueError(f"unknown family params {family!r}")
 
 
-def analytic_constants(instance: Instance) -> tuple[float | None, float]:
-    """(lam, eta) as declared by the instance and its movement kind."""
-    return instance.lam, instance.movement.eta
-
-
 def estimate_condition_constants(instance: Instance, domain_radius: float,
                                  samples: int, rng: np.random.Generator,
                                  ) -> tuple[float, float]:

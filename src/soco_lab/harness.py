@@ -3,9 +3,10 @@
 A config names instances (fixed or generated), algorithms with window
 ranges, seeds, an oracle, and the bound checks to assert.  Each
 (instance, algorithm, w, seed) combination becomes one result row; rows
-are computed by a worker pool but always emitted in config order, and all
-randomness is derived from the row key, so adding an algorithm never
-perturbs existing rows and reruns are byte-identical.
+are computed one after another in config order, and all randomness is
+derived from the row key, so adding an algorithm never perturbs existing
+rows and reruns are byte-identical.  The rows of one (instance, seed)
+share its built instance, lattice, window solver and offline optimum.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,10 +165,13 @@ _FAMILIES = {"polyhedral": Polyhedral, "strongly_convex": StronglyConvex,
              "glb": Glb, "ripple": Ripple}
 
 
-def _build_instance(spec: dict, seed: int) -> tuple[str, Instance]:
-    instance_id = spec.get("id") or spec.get("name") or "instance"
+def _instance_id(spec: dict) -> str:
+    return spec.get("id") or spec.get("name") or "instance"
+
+
+def _build_instance(spec: dict, instance_id: str, seed: int) -> Instance:
     if "instance" in spec:
-        return instance_id, instance_from_spec(spec["instance"])
+        return instance_from_spec(spec["instance"])
     gen = spec["generate"]
     fam_cls = _FAMILIES[gen["family"]]
     fam_params = gen.get("params", {})
@@ -182,7 +185,7 @@ def _build_instance(spec: dict, seed: int) -> tuple[str, Instance]:
     if gen.get("snap_to_grid"):
         g = gen["snap_to_grid"]
         grid = Grid.make(g["lo"], g["hi"], g["n"], dim=int(gen.get("d", 1)))
-    return instance_id, generate_oblivious_instance(
+    return generate_oblivious_instance(
         family, path_model, int(gen["T"]), int(gen.get("d", 1)), rng, grid=grid)
 
 
@@ -205,19 +208,6 @@ def _run_algorithm(name: str, instance: Instance, w: int, phase: int,
     if name == "afhc":
         return algs.run_afhc(instance, w, solver).total
     raise ValueError(f"unknown algorithm {name!r}")
-
-
-def _oracle_cost(instance: Instance, oracle_spec: dict,
-                 grid: Grid | None) -> tuple[float, bool]:
-    """(opt cost, used_grid flag)."""
-    method = oracle_spec.get("method", "auto")
-    if method == "exact_quadratic":
-        return offline_optimal_quadratic(instance).cost, False
-    if method == "grid":
-        return offline_optimal_grid(instance, grid).cost, True
-    if instance.family_tag == "strongly_convex":
-        return offline_optimal_quadratic(instance).cost, False
-    return offline_optimal_grid(instance, grid).cost, True
 
 
 def _grid_lipschitz(instance: Instance, grid: Grid) -> float:
@@ -246,61 +236,84 @@ def _select_check(checks, algorithm: str, w: int):
     return None, "algorithm"
 
 
-def _compute_row(task, config: ExperimentConfig) -> ResultRow:
-    inst_spec, algo_spec, w, seed = task
+def _prepare(spec: dict, instance_id: str, seed: int,
+             config: ExperimentConfig) -> dict:
+    """The instance, lattice and window solver shared by the rows of one
+    (instance, seed); the offline optimum is added on first use."""
+    instance = _build_instance(spec, instance_id, seed)
+    grid = None
+    if config.oracle.get("grid"):
+        g = config.oracle["grid"]
+        grid = Grid.make(g["lo"], g["hi"], g["n"], dim=instance.dim)
+    elif instance.dim <= 2:
+        grid = default_grid(instance)
+    return {"instance": instance, "grid": grid, "solver": WindowSolver(grid)}
+
+
+def _opt_and_budget(instance: Instance, oracle_spec: dict,
+                    grid: Grid | None) -> tuple[float, float]:
+    """Offline optimum, and the ratio's tolerance budget for lattice snapping."""
+    method = oracle_spec.get("method", "auto")
+    if method == "exact_quadratic" or (
+            method != "grid" and instance.family_tag == "strongly_convex"):
+        return offline_optimal_quadratic(instance).cost, 1e-8
+    opt = offline_optimal_grid(instance, grid).cost
+    budget = 1e-8
+    if grid is not None:
+        snap = max(grid.snap(h.minimizer)[1] for h in instance.hitting)
+        snap = max(snap, grid.snap(instance.start)[1])
+        if snap > 0:
+            budget += snap * _grid_lipschitz(instance, grid) / max(opt, 1e-12)
+    return opt, budget
+
+
+def _compute_row(spec: dict, algo_spec: dict, w: int, seed: int,
+                 config: ExperimentConfig, prepared: dict) -> ResultRow:
+    """One row; ``prepared`` maps seed -> the shared state of this instance."""
+    instance_id = _instance_id(spec)
     algorithm = algo_spec["name"]
     try:
-        instance_id, instance = _build_instance(inst_spec, seed)
-        grid = None
-        if config.oracle.get("grid"):
-            g = config.oracle["grid"]
-            grid = Grid.make(g["lo"], g["hi"], g["n"], dim=instance.dim)
-        elif instance.dim <= 2:
-            grid = default_grid(instance)
-        solver = WindowSolver(grid)
+        if seed not in prepared:
+            prepared[seed] = _prepare(spec, instance_id, seed, config)
+        shared = prepared[seed]
         bound_fn, cost_kind = _select_check(config.checks, algorithm, w)
-        cost = _run_algorithm(algorithm, instance, w, int(algo_spec.get("phase", 0)),
-                              seed, solver, cost_kind)
-        opt, used_grid = _oracle_cost(instance, config.oracle, grid)
+        cost = _run_algorithm(algorithm, shared["instance"], w,
+                              int(algo_spec.get("phase", 0)), seed, shared["solver"],
+                              cost_kind)
+        if "oracle" not in shared:
+            try:
+                shared["oracle"] = _opt_and_budget(shared["instance"], config.oracle,
+                                                   shared["grid"])
+            except Exception as exc:  # every row of this (instance, seed) fails alike
+                shared["oracle"] = exc
+        if isinstance(shared["oracle"], Exception):
+            raise shared["oracle"]
+        opt, budget = shared["oracle"]
         report = competitive_ratio(cost, opt)
-        budget = 1e-8
-        if used_grid and grid is not None:
-            snap = max(grid.snap(h.minimizer)[1] for h in instance.hitting)
-            snap = max(snap, grid.snap(instance.start)[1])
-            if snap > 0:
-                budget += snap * _grid_lipschitz(instance, grid) / max(opt, 1e-12)
         if bound_fn is None:
             bound_value, within = math.inf, True
         else:
-            bound_value = bound_fn(instance, w)
+            bound_value = bound_fn(shared["instance"], w)
             within = bool(report.ratio <= bound_value + budget)
         return ResultRow(instance_id, algorithm, w, seed, cost, opt,
                          report.ratio, bound_value, within, budget)
     except Exception as exc:  # per-run failures stay in-row
-        return ResultRow(inst_spec.get("id", "instance"), algorithm, w, seed,
+        return ResultRow(instance_id, algorithm, w, seed,
                          math.nan, math.nan, math.nan, math.nan, False, math.nan,
                          error=f"{type(exc).__name__}: {exc}")
 
 
-def _tasks(config: ExperimentConfig):
-    for inst_spec in config.instances:
-        for algo_spec in config.algorithms:
-            ws = algo_spec.get("w", [1])
-            ws = ws if isinstance(ws, list) else [ws]
-            for w in ws:
-                for seed in config.seeds:
-                    yield (inst_spec, algo_spec, int(w), int(seed))
-
-
 def run_suite(config: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Execute every row; returns (rows in config order, summary)."""
-    tasks = list(_tasks(config))
-    threads = int(os.environ.get("SOCO_LAB_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _compute_row(t, config), tasks))
-    else:
-        rows = [_compute_row(t, config) for t in tasks]
+    rows = []
+    for spec in config.instances:
+        prepared: dict = {}
+        for algo_spec in config.algorithms:
+            ws = algo_spec.get("w", [1])
+            for w in (ws if isinstance(ws, list) else [ws]):
+                for seed in config.seeds:
+                    rows.append(_compute_row(spec, algo_spec, int(w), int(seed),
+                                             config, prepared))
 
     by_algo: dict[str, dict] = {}
     for row in rows:
@@ -363,13 +376,17 @@ def rows_to_json(rows: list[ResultRow]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def format_rows(rows: list[ResultRow], fmt: str = "csv") -> str:
+    """The rows file text: CSV with the fixed header, or JSON."""
+    return rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
+
+
 def sweep_and_report(config: ExperimentConfig, out_path: str,
                      fmt: str = "csv") -> tuple[list[ResultRow], dict]:
     """Run the suite and write the rows file plus a JSON summary next to it."""
     rows, summary = run_suite(config)
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     with open(out_path, "w") as fh:
-        fh.write(text)
+        fh.write(format_rows(rows, fmt))
     root, _ = os.path.splitext(out_path)
     with open(root + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

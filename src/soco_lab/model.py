@@ -7,7 +7,7 @@ consecutive decisions.  The total cost of a decision sequence x_1..x_T is
     sum_t f_t(x_t) + c(x_t, x_{t-1}),   with x_0 the fixed start point.
 
 Points are plain 1-D numpy float arrays, frozen read-only at construction
-so instances can be shared across concurrent workers.
+so instances can be shared across rows, runs and solvers.
 """
 
 from __future__ import annotations
@@ -64,17 +64,20 @@ class MovementCost:
     kind: str
     eta: float
     symmetric: bool
-    fn: Callable[[np.ndarray, np.ndarray], float]
     params: dict = field(default_factory=dict)
 
     def __call__(self, x, y) -> float:
-        return float(self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+        return float(self.of_difference(np.asarray(x, dtype=float)
+                                        - np.asarray(y, dtype=float)))
 
     def pairwise(self, new_pts: np.ndarray, old_pts: np.ndarray) -> np.ndarray:
         """Matrix C[i, j] = c(new_pts[i], old_pts[j]) for stacked point sets."""
         new_pts = np.atleast_2d(np.asarray(new_pts, dtype=float))
         old_pts = np.atleast_2d(np.asarray(old_pts, dtype=float))
-        diff = new_pts[:, None, :] - old_pts[None, :, :]
+        return self.of_difference(new_pts[:, None, :] - old_pts[None, :, :])
+
+    def of_difference(self, diff: np.ndarray) -> np.ndarray:
+        """c(x, y) from the differences x - y stacked on the last axis."""
         if self.kind == "norm_l1":
             return np.abs(diff).sum(axis=-1)
         if self.kind == "norm_l2":
@@ -84,8 +87,7 @@ class MovementCost:
         if self.kind == "sq_l2_half":
             return 0.5 * (diff * diff).sum(axis=-1)
         if self.kind == "rectified_linear":
-            beta = np.asarray(self.params["beta"], dtype=float)
-            return (beta * np.maximum(diff, 0.0)).sum(axis=-1)
+            return (self.params["beta"] * np.maximum(diff, 0.0)).sum(axis=-1)
         raise ValueError(f"unknown movement kind {self.kind!r}")
 
 
@@ -97,25 +99,17 @@ def movement_cost(kind: str, beta=None) -> MovementCost:
     rectified_linear:               c(x, y) = beta . (x - y)^+, eta = 1,
                                     asymmetric (charges increases only).
     """
-    if kind == "norm_l1":
-        return MovementCost(kind, 1.0, True, lambda x, y: np.abs(x - y).sum())
-    if kind == "norm_l2":
-        return MovementCost(kind, 1.0, True, lambda x, y: math.sqrt(((x - y) ** 2).sum()))
-    if kind == "norm_linf":
-        return MovementCost(kind, 1.0, True, lambda x, y: np.abs(x - y).max())
+    if kind in ("norm_l1", "norm_l2", "norm_linf"):
+        return MovementCost(kind, 1.0, True)
     if kind == "sq_l2_half":
-        return MovementCost(kind, 2.0, True, lambda x, y: 0.5 * ((x - y) ** 2).sum())
+        return MovementCost(kind, 2.0, True)
     if kind == "rectified_linear":
         if beta is None:
             raise ValueError("rectified_linear movement requires beta")
         b = _frozen(np.atleast_1d(np.asarray(beta, dtype=float)))
         if np.any(b <= 0):
             raise ValueError("beta must be positive componentwise")
-        return MovementCost(
-            kind, 1.0, False,
-            lambda x, y, _b=b: (_b * np.maximum(x - y, 0.0)).sum(),
-            params={"beta": b},
-        )
+        return MovementCost(kind, 1.0, False, params={"beta": b})
     raise ValueError(f"unknown movement kind {kind!r}; expected one of {MOVEMENT_KINDS}")
 
 
@@ -153,12 +147,9 @@ class HittingCost:
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on a stack of points of shape (N, d)."""
         pts = np.asarray(pts, dtype=float)
-        try:
-            out = np.asarray(self.fn(pts), dtype=float)
-            if out.shape == (pts.shape[0],):
-                return out
-        except Exception:
-            pass
+        out = np.asarray(self.fn(pts), dtype=float)
+        if out.shape == (pts.shape[0],):
+            return out
         return np.array([float(self.fn(p)) for p in pts])
 
 
@@ -209,7 +200,7 @@ class Trajectory:
 
 
 def evaluate_total_cost(instance: Instance, points) -> Trajectory:
-    """Score a decision sequence under the instance, step by step.
+    """Score a decision sequence under the instance.
 
     ``points`` must have exactly T entries of dimension d.  The movement
     at t = 1 is charged against the fixed start point.
@@ -223,13 +214,9 @@ def evaluate_total_cost(instance: Instance, points) -> Trajectory:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
 
-    hit = np.empty(instance.horizon)
-    move = np.empty(instance.horizon)
-    prev = instance.start
-    for t in range(instance.horizon):
-        hit[t] = instance.hitting[t](pts[t])
-        move[t] = instance.movement(pts[t], prev)
-        prev = pts[t]
+    hit = np.array([cost(p) for cost, p in zip(instance.hitting, pts)])
+    move = instance.movement.of_difference(
+        np.diff(pts, axis=0, prepend=instance.start[None, :]))
     total = float(np.sum(hit + move))
     return Trajectory(_frozen(pts), _frozen(hit), _frozen(move), total)
 

@@ -1,26 +1,28 @@
 """Exact and brute-force offline optima used as ground truth.
 
-Three routes: a closed-form tridiagonal solve for the quadratic family, a
-full-horizon lattice dynamic program with backpointers for anything in
-d <= 2, and an anchor-constrained optimum computed either segment by
-segment (anchors decouple the horizon) or as a monolithic constrained
-lattice program.  Reported costs always re-evaluate the reported
-trajectory, so they are attained, not just claimed.
+Every optimum is a window solve from ``windows`` over the whole horizon or
+over the segments between anchors: the closed-form tridiagonal solve for
+the quadratic family, the lattice DP (``solve_grid_dp``) over the window
+(0, T+1) for anything in d <= 2, and an anchor-constrained optimum
+computed either segment by segment (anchors decouple the horizon) or as
+one lattice DP with the anchor stages pinned.  Reported costs always
+re-evaluate the reported trajectory, so they are attained, not just
+claimed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Instance, Trajectory, evaluate_total_cost
+from .model import HittingCost, Instance, Trajectory, evaluate_total_cost
 from .windows import (
     Grid,
     WindowSolver,
-    _GridEval,
     build_window,
     default_grid,
+    solve_grid_dp,
     solve_quadratic_chain,
     solver_for,
 )
@@ -44,9 +46,25 @@ def offline_optimal_quadratic(instance: Instance) -> OracleResult:
     return OracleResult(traj.total, traj, "exact_quadratic")
 
 
+def _pinned(cost: HittingCost, grid: Grid) -> HittingCost:
+    """``cost`` at the lattice point nearest its snapped minimizer, +inf
+    at every other point."""
+    snapped, _ = grid.snap(cost.minimizer)
+    pts = grid.points()
+    target = pts[int(np.argmin(((pts - snapped) ** 2).sum(axis=1)))]
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return cost(x) if np.array_equal(x, target) else np.inf
+        return np.where((x == target).all(axis=1), cost.values(x), np.inf)
+
+    return replace(cost, fn=fn)
+
+
 def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
                          anchors=None) -> OracleResult:
-    """Exact minimum over the lattice by forward DP with backpointers.
+    """Exact minimum over the lattice: the grid DP over the whole horizon.
 
     With ``anchors`` (sorted 1-based timesteps), the state at each anchor t
     is pinned to the snapped minimizer v_t and the output trajectory carries
@@ -59,38 +77,17 @@ def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
         raise ValueError(
             f"grid has {grid.size} points (> 1e6); reduce n per dimension "
             f"(currently {grid.n})")
+    T = instance.horizon
     anchor_steps = set()
     if anchors is not None:
-        anchor_steps = {int(t) for t in anchors if 1 <= int(t) <= instance.horizon}
+        anchor_steps = {int(t) for t in anchors if 1 <= int(t) <= T}
+    problem = build_window(instance, 0, T + 1)
+    if anchor_steps:
+        problem = replace(problem, costs=tuple(
+            _pinned(h, grid) if t in anchor_steps else h
+            for t, h in enumerate(problem.costs, start=1)))
 
-    pts = grid.points()
-    cache = _GridEval()
-    start_snap, _ = grid.snap(instance.start)
-
-    def pin(values: np.ndarray, t: int) -> np.ndarray:
-        if t not in anchor_steps:
-            return values
-        snapped, _ = grid.snap(instance.hitting[t - 1].minimizer)
-        mask = np.full(grid.size, np.inf)
-        j = int(np.argmin(((pts - snapped) ** 2).sum(axis=1)))
-        mask[j] = 0.0
-        return values + mask
-
-    T = instance.horizon
-    value = instance.movement.pairwise(pts, start_snap[None, :])[:, 0]
-    value = pin(value + cache.cost_table(instance.hitting[0], grid), 1)
-    back = np.empty((T, grid.size), dtype=np.int64)
-    back[0] = -1
-    for t in range(2, T + 1):
-        stage, back[t - 1] = cache.minplus(value, instance.movement, grid)
-        value = pin(stage + cache.cost_table(instance.hitting[t - 1], grid), t)
-
-    last = int(np.argmin(value))
-    idx = [last]
-    for t in range(T - 1, 0, -1):
-        idx.append(int(back[t, idx[-1]]))
-    idx.reverse()
-    points = pts[idx].copy()
+    points = solve_grid_dp(problem, grid).free_points
     for t in anchor_steps:
         points[t - 1] = instance.hitting[t - 1].minimizer
     traj = evaluate_total_cost(instance, points)
@@ -128,16 +125,14 @@ def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None
     if times[-1] > T:
         raise ValueError("anchors beyond the horizon")
     if method == "monolithic":
-        res = offline_optimal_grid(instance, solver.grid if solver else None,
-                                   anchors=times)
-        return OracleResult(res.cost, res.trajectory, "grid_dp", res.resolution)
+        return offline_optimal_grid(instance, solver.grid if solver else None,
+                                    anchors=times)
     if method != "segments":
         raise ValueError(f"unknown method {method!r}")
 
     solver = solver or solver_for(instance)
     points = np.empty((T, instance.dim))
     tags = set()
-    snap = 0.0
     segments = list(zip(times, times[1:]))
     if times[-1] < T:
         segments.append((times[-1], T + 1))
@@ -145,9 +140,7 @@ def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None
         problem = build_window(instance, a, b)
         sol = solver(problem)
         tags.add(sol.solver_tag)
-        snap = max(snap, sol.snap_distance)
-        for i, t in enumerate(problem.free_times()):
-            points[t - 1] = sol.free_points[i]
+        points[a:a + problem.free_count] = sol.free_points
         if b <= T:
             points[b - 1] = instance.hitting[b - 1].minimizer
     traj = evaluate_total_cost(instance, points)

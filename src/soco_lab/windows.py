@@ -9,7 +9,8 @@ free variables of a small optimization solved by one of three backends:
   exact_quadratic  closed-form tridiagonal solve (quadratic costs,
                    half-squared-l2 movement),
   grid_dp          stage-wise dynamic programming over a uniform lattice
-                   (any costs, d <= 2),
+                   (any costs, d <= 2); the full-horizon lattice oracle
+                   is this DP over the window (0, T+1),
   descent          gradient descent on the stacked free variables
                    (smooth costs, any d).
 
@@ -98,15 +99,21 @@ def _lattice(grid: Grid) -> np.ndarray:
     return pts
 
 
-def default_grid(instance: Instance, n: int = 201) -> Grid:
-    """Lattice covering the start point and all minimizers with 2x-span margin."""
-    anchors = np.vstack([instance.minimizers(), instance.start[None, :]])
+def _margin_grid(anchors: np.ndarray, n: int, nonnegative: bool = False) -> Grid:
+    """Lattice over the bounding box of the stacked ``anchors``, widened on
+    every side by twice its largest span (at least 1)."""
     lo, hi = anchors.min(axis=0), anchors.max(axis=0)
     span = max(float((hi - lo).max()), 1.0)
     lo, hi = lo - 2.0 * span, hi + 2.0 * span
-    if instance.family_tag == "glb":
+    if nonnegative:
         lo = np.maximum(lo, 0.0)
-    return Grid.make(lo, hi, n, dim=instance.dim)
+    return Grid.make(lo, hi, n, dim=anchors.shape[1])
+
+
+def default_grid(instance: Instance, n: int = 201) -> Grid:
+    """Lattice covering the start point and all minimizers with 2x-span margin."""
+    return _margin_grid(np.vstack([instance.minimizers(), instance.start[None, :]]), n,
+                        nonnegative=instance.family_tag == "glb")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +179,14 @@ def build_window(instance: Instance, tau1: int, tau2: int,
 def window_objective(problem: WindowProblem, free_points) -> float:
     """Evaluate the window cost at an assignment of the free variables."""
     free = np.asarray(free_points, dtype=float).reshape(problem.free_count, problem.dim)
-    chain = [problem.left_anchor, *free]
+    chain = [problem.left_anchor, free]
     if problem.right_anchor is not None:
         chain.append(problem.right_anchor)
+    chain = np.vstack(chain)
+    moves = problem.movement.of_difference(np.diff(chain, axis=0))
     total = 0.0
-    for i, cost in enumerate(problem.costs):
-        total += cost(chain[i + 1]) + problem.movement(chain[i + 1], chain[i])
+    for cost, point, move in zip(problem.costs, chain[1:], moves):
+        total += cost(point) + move
     return float(total)
 
 
@@ -456,10 +465,8 @@ def solver_for(instance: Instance, grid: Grid | None = None, n: int = 201) -> Wi
 
 
 def grid_for_problem(problem: WindowProblem, n: int = 201) -> Grid:
+    """Lattice covering the window's anchors and minimizers with 2x-span margin."""
     anchors = [problem.left_anchor] + [c.minimizer for c in problem.costs]
     if problem.right_anchor is not None:
         anchors.append(problem.right_anchor)
-    arr = np.stack(anchors)
-    lo, hi = arr.min(axis=0), arr.max(axis=0)
-    span = max(float((hi - lo).max()), 1.0)
-    return Grid.make(lo - 2 * span, hi + 2 * span, n, dim=problem.dim)
+    return _margin_grid(np.stack(anchors), n)

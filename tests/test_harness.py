@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from soco_lab import harness
 from soco_lab.harness import (
     BOUNDS,
     CSV_HEADER,
@@ -16,7 +17,7 @@ from soco_lab.harness import (
     splitmix64,
     sweep_and_report,
 )
-from soco_lab import make_strongly_convex
+from soco_lab import make_strongly_convex, offline_optimal_grid
 
 
 def quad_config(seeds=(1, 2), ws=(2, 4), checks=("greedy_bound", "prediction_bound")):
@@ -148,11 +149,60 @@ def test_added_algorithm_does_not_perturb_rows():
         assert after[k] == v
 
 
-def test_worker_pool_preserves_rows(monkeypatch):
-    serial = rows_to_csv(run_suite(quad_config())[0])
-    monkeypatch.setenv("SOCO_LAB_THREADS", "4")
-    pooled = rows_to_csv(run_suite(quad_config())[0])
-    assert pooled == serial
+def test_failed_row_labelled_by_spec_name():
+    rows, summary = run_suite(ExperimentConfig.from_dict({
+        "instances": [{"name": "named-bad",
+                       "generate": {"family": "strongly_convex",
+                                    "params": {"m": -1.0}, "T": 4, "d": 1}}],
+        "algorithms": [{"name": "greedy"}],
+        "seeds": [1],
+    }))
+    assert rows[0].instance_id == "named-bad"
+    assert list(summary["errors"]) == ["named-bad/greedy/w=1/seed=1"]
+
+
+def lattice_config(seeds=(1,)):
+    """One 1-D polyhedral instance with all six algorithms: 15 rows a seed."""
+    return ExperimentConfig.from_dict({
+        "instances": [{"id": "poly", "generate": {
+            "family": "polyhedral", "params": {"alpha": 1.0, "p": 1},
+            "path": {"model": "random_walk", "step": 0.5}, "T": 12, "d": 1}}],
+        "algorithms": [{"name": "greedy"}, {"name": "sfhc", "w": [2, 3, 4]},
+                       {"name": "dsfhc", "w": [2, 3, 4]},
+                       {"name": "rsfhc-a", "w": [2, 3, 4]},
+                       {"name": "rsfhc-b", "w": [4, 6]},
+                       {"name": "afhc", "w": [2, 3, 4]}],
+        "seeds": list(seeds),
+        "checks": ["greedy_bound", "prediction_bound"],
+    })
+
+
+def test_oracle_runs_once_per_instance_and_seed(monkeypatch):
+    calls = []
+
+    def counting(instance, grid=None):
+        calls.append(instance)
+        return offline_optimal_grid(instance, grid)
+
+    monkeypatch.setattr(harness, "offline_optimal_grid", counting)
+    rows, summary = run_suite(lattice_config())
+    assert len(rows) == 15 and summary["failures"] == 0
+    assert len(calls) == 1
+    assert {r.opt_cost for r in rows} == {offline_optimal_grid(calls[0]).cost}
+
+
+def test_oracle_failure_lands_in_every_row_of_its_instance(monkeypatch):
+    calls = []
+
+    def failing(instance, grid=None):
+        calls.append(instance)
+        raise RuntimeError("lattice exhausted")
+
+    monkeypatch.setattr(harness, "offline_optimal_grid", failing)
+    rows, summary = run_suite(lattice_config(seeds=(1, 2)))
+    assert len(rows) == 30 and len(calls) == 2
+    assert all(r.error == "RuntimeError: lattice exhausted" for r in rows)
+    assert summary["failures"] == 30
 
 
 def test_bound_registry_values():

@@ -15,6 +15,7 @@ from soco_lab import (
     movement_cost,
     padded_movement,
 )
+from soco_lab.windows import build_window, window_objective
 
 ALL_KINDS = ["norm_l1", "norm_l2", "norm_linf", "sq_l2_half", "rectified_linear"]
 
@@ -112,6 +113,23 @@ def test_movement_triangle_inequality_sampled(kind, rng):
     for _ in range(500):
         x, y, z = rng.uniform(-5, 5, size=(3, 2))
         assert c(x, z) <= c.eta * (c(x, y) + c(y, z)) + 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_scored_movement_equals_step_loop(kind, d, rng):
+    # total-cost and window scoring price all steps in one call; the per-step
+    # loop of scalar calls is the reference, to the bit
+    c = _movement(kind, d)
+    zero = HittingCost(lambda x: 0.0, as_point(np.zeros(d)))
+    start = rng.uniform(-3, 3, size=d)
+    pts = rng.uniform(-3, 3, size=(9, d)) * 10.0 ** rng.uniform(-4, 4, size=(9, d))
+    inst = Instance(d, 9, start, (zero,) * 9, c)
+    prev = np.vstack([start, pts[:-1]])
+    loop = [c(x, y) for x, y in zip(pts, prev)]
+    assert evaluate_total_cost(inst, pts).per_step_movement.tolist() == loop
+    problem = build_window(inst, 0, 10)
+    assert window_objective(problem, pts) == sum(loop)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
