@@ -7,6 +7,12 @@ point, and a quantized observation of that decision is disclosed back to
 the adversary.  The adversary can therefore adapt future costs to the
 learner's past, but never to decisions it has not yet seen.
 
+The anchored learners draw the anchor set of their offline counterpart
+(``AnchorSet.phase`` or ``gen_anchor_sequence``) at reset and, when a
+window's first timestep arrives, solve it with ``oracle.solve_segment`` on
+the costs revealed so far: against an oblivious adversary an online run
+equals the offline run of ``algorithms``.
+
 Also here: oblivious instance generators, a phase-tracking "spike" stress
 policy, Monte Carlo estimates of randomized-anchor hit probabilities, and
 the stake-ahead investment games that isolate the renewal argument.
@@ -21,8 +27,9 @@ import numpy as np
 
 from .families import FamilyParams, make_instance
 from .model import HittingCost, Instance, MovementCost, Point, as_point, evaluate_total_cost
-from .windows import Grid, WindowProblem, WindowSolver
-from .algorithms import gap_support, gen_anchor_sequence, phase_segments
+from .windows import Grid, WindowSolver
+from .oracle import anchor_segments, solve_segment
+from .algorithms import AnchorSet, gap_support, gen_anchor_sequence
 
 
 class ProtocolError(RuntimeError):
@@ -116,32 +123,26 @@ class GameShell:
 class _PlannedLearner:
     """Solves each anchored segment when its first timestep arrives."""
 
-    def __init__(self):
-        self._plan: dict[int, np.ndarray] = {}
-
     def reset(self, shell: GameShell, w: int, rng: np.random.Generator | None = None):
-        self.shell, self.w = shell, w
-        self._plan = {}
+        T = shell.horizon
+        self.shell = shell
+        self._plan = np.empty((T, shell.dim))
         self._solver = WindowSolver()
-        self._segments = {a + 1: (a, b) for a, b in self.segments(shell.horizon, w, rng)}
+        self._segments = {a + 1: (a, b)
+                          for a, b in anchor_segments(self.anchors(T, w, rng), T)}
 
-    def segments(self, T, w, rng):  # pragma: no cover - abstract
+    def anchors(self, T, w, rng) -> AnchorSet:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def decide(self, t: int, costs: Sequence[HittingCost]) -> np.ndarray:
         if t in self._segments:
             a, b = self._segments[t]
-            cap = min(b, self.shell.horizon)
-            left = self.shell.start if a == 0 else costs[a - 1].minimizer
-            right = costs[b - 1].minimizer if b <= self.shell.horizon else None
-            problem = WindowProblem(a, b, left, right,
-                                    tuple(costs[a:cap]), self.shell.movement)
-            sol = self._solver(problem)
-            for i, s in enumerate(problem.free_times()):
-                self._plan[s] = sol.free_points[i]
-            if b <= self.shell.horizon:
-                self._plan[b] = costs[b - 1].minimizer
-        return self._plan[t]
+            shell, cap = self.shell, min(b, self.shell.horizon)
+            revealed = Instance(shell.dim, cap, shell.start, tuple(costs[:cap]),
+                                shell.movement)
+            _, decisions = solve_segment(revealed, a, b, self._solver)
+            self._plan[a:cap] = decisions
+        return self._plan[t - 1]
 
 
 class GreedyLearner:
@@ -154,22 +155,17 @@ class GreedyLearner:
 
 class SfhcLearner(_PlannedLearner):
     def __init__(self, h: int):
-        super().__init__()
         self.h = h
 
-    def segments(self, T, w, rng):
-        return phase_segments(T, w, self.h)
+    def anchors(self, T, w, rng):
+        return AnchorSet.phase(self.h, w, T)
 
 
 class RsfhcBLearner(_PlannedLearner):
     """Randomized anchors drawn once at reset from the (w/2, w-1] gap law."""
 
-    def segments(self, T, w, rng):
-        anchors = gen_anchor_sequence(w, T, rng).members
-        segs = list(zip(anchors, anchors[1:]))
-        if anchors[-1] < T:
-            segs.append((anchors[-1], anchors[-1] + w - 1))
-        return segs
+    def anchors(self, T, w, rng):
+        return gen_anchor_sequence(w, T, rng)
 
 
 class DsfhcLearner:

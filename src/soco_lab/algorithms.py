@@ -5,15 +5,20 @@ at most w, pin ("anchor") the decision at each window boundary to the
 revealed minimizer, and solve each window's interior exactly.  Anchors
 decouple the windows, so each run is a sequence of independent small
 solves, each reading only the costs inside its own prediction window.
-Every anchored run is ``oracle.constrained_offline`` on its anchor set,
-the one routine that solves the segments and stitches them together.
+An algorithm here only draws its anchor set; every anchored run is
+``oracle.constrained_offline`` on it, which turns anchors into windows with
+``anchor_segments`` and solves each with ``solve_segment``, the same solve
+the online learners of ``adversary`` make.
 
   greedy    w = 1: always pick the current minimizer.
   sfhc(h)   anchors at timesteps congruent to h modulo w.
   dsfhc     pointwise average of the w phase subroutines.
   rsfhc-a   one phase subroutine sampled uniformly at random.
   rsfhc-b   anchors at randomized gaps drawn from (w/2, w-1].
-  afhc      unanchored fixed-horizon baseline (no synchronization).
+  afhc      unanchored fixed-horizon baseline (no synchronization): its
+            windows come from ``anchor_segments`` too, but each starts at
+            the previous window's end point and has no right anchor, so it
+            keeps its own chaining loop.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, Trajectory, evaluate_total_cost
-from .oracle import constrained_offline
+from .oracle import anchor_segments, constrained_offline
 from .windows import WindowProblem, WindowSolver, solver_for
 
 
@@ -32,16 +37,13 @@ class AnchorSet:
     """Sorted anchor timesteps, either a phase grid or an explicit sequence."""
 
     members: tuple[int, ...]
-    form: str                 # "phase" | "explicit"
-    w: int | None = None
-    h: int | None = None
 
     @classmethod
     def phase(cls, h: int, w: int, T: int) -> "AnchorSet":
         """Timesteps {k : k = h (mod w), 0 <= k <= T}."""
         if w < 1 or not 0 <= h < w:
             raise ValueError("need w >= 1 and 0 <= h < w")
-        return cls(tuple(k for k in range(T + 1) if k % w == h), "phase", w, h)
+        return cls(tuple(k for k in range(T + 1) if k % w == h))
 
     @classmethod
     def explicit(cls, times) -> "AnchorSet":
@@ -51,23 +53,7 @@ class AnchorSet:
             raise ValueError("explicit anchor sequence must start at 0")
         if any(b - a < 2 for a, b in zip(times, times[1:])):
             raise ValueError("explicit anchor gaps must be >= 2")
-        return cls(times, "explicit")
-
-
-def phase_segments(T: int, w: int, h: int) -> list[tuple[int, int]]:
-    """Window boundaries (a, b) for phase h; the final b may exceed T.
-
-    Every segment has b - a <= w, so the decision at any interior timestep
-    t in (a, b] reads costs no later than a + w <= t + w - 1: the run is
-    realizable online with prediction window w.
-    """
-    if w < 1 or not 0 <= h < w:
-        raise ValueError("need w >= 1 and 0 <= h < w")
-    anchors = [0] + [k for k in range(1, T + 1) if k % w == h]
-    segments = list(zip(anchors, anchors[1:]))
-    if anchors[-1] < T:
-        segments.append((anchors[-1], anchors[-1] + w))
-    return segments
+        return cls(times)
 
 
 def run_sfhc(instance: Instance, w: int, h: int,
@@ -151,8 +137,9 @@ def run_afhc(instance: Instance, w: int,
              solver: WindowSolver | None = None) -> Trajectory:
     """Unanchored fixed-horizon baseline, averaged over the w phases.
 
-    Each subroutine solves its length-w windows from its own current point
-    with no terminal constraint; the committed point is the phase average.
+    Each subroutine solves the windows of its phase anchor set from its own
+    current point with no terminal constraint (so not with ``solve_segment``,
+    which pins both ends); the committed point is the phase average.
     """
     if w < 1:
         raise ValueError("w must be >= 1")
@@ -162,15 +149,12 @@ def run_afhc(instance: Instance, w: int,
     for h in range(w):
         points = np.empty((T, instance.dim))
         current = instance.start
-        for a, b in phase_segments(T, w, h):
-            cap = min(b, T)
+        for a, b in anchor_segments(AnchorSet.phase(h, w, T), T):
             problem = WindowProblem(a, b, current, None,
-                                    tuple(instance.hitting[a:cap]), instance.movement)
-            sol = solver(problem)
-            for i, t in enumerate(problem.free_times()):
-                points[t - 1] = sol.free_points[i]
-            if cap > a:
-                current = sol.free_points[-1]
+                                    tuple(instance.hitting[a:min(b, T)]),
+                                    instance.movement)
+            points[a:min(b, T)] = solver(problem).free_points
+            current = points[min(b, T) - 1]
         per_phase.append(points)
     if w == 1:
         return evaluate_total_cost(instance, per_phase[0])

@@ -1,4 +1,4 @@
-"""Exact and brute-force offline optima used as ground truth.
+"""Exact and brute-force offline optima, and the anchored-segment solve.
 
 Every optimum is a window solve from ``windows`` over the whole horizon or
 over the segments between anchors: the closed-form tridiagonal solve for
@@ -8,6 +8,13 @@ computed either segment by segment (anchors decouple the horizon) or as
 one lattice DP with the anchor stages pinned.  Reported costs always
 re-evaluate the reported trajectory, so they are attained, not just
 claimed.
+
+``anchor_segments`` is the one place anchors become windows, and
+``solve_segment`` the one solve of a window between anchors: the offline
+runs of ``algorithms`` call them through ``constrained_offline``, and the
+online learners of ``adversary`` call ``solve_segment`` on the costs
+revealed so far, so an online run and its offline counterpart are the same
+computation.
 """
 
 from __future__ import annotations
@@ -102,14 +109,35 @@ def offline_optimal(instance: Instance, grid: Grid | None = None) -> OracleResul
     return offline_optimal_grid(instance, grid)
 
 
-def _anchor_list(anchors) -> list[int]:
+def anchor_segments(anchors, T: int) -> list[tuple[int, int]]:
+    """Windows (a, b] between consecutive anchors, then (last, T+1).
+
+    ``anchors`` is an ``AnchorSet`` or an iterable of timesteps; 0 (the
+    start point) is always an anchor and negative entries are ignored.  The
+    final window is added only when the last anchor is before T.  If every
+    gap is at most w, the decision at any timestep t in (a, b] reads costs
+    no later than min(b, T) <= a + w <= t + w - 1, so the run is realizable
+    online with prediction window w.
+    """
     members = getattr(anchors, "members", anchors)
-    times = sorted({int(t) for t in members})
-    if not times or times[0] != 0:
-        times = [0] + [t for t in times if t > 0]
-    if any(b - a < 1 for a, b in zip(times, times[1:])):
-        raise ValueError("anchor gaps must be >= 1")
-    return times
+    times = sorted({0} | {t for t in map(int, members) if t > 0})
+    if times[-1] > T:
+        raise ValueError("anchors beyond the horizon")
+    segments = list(zip(times, times[1:]))
+    if times[-1] < T:
+        segments.append((times[-1], T + 1))
+    return segments
+
+
+def solve_segment(instance: Instance, a: int, b: int,
+                  solver: WindowSolver) -> tuple[str, np.ndarray]:
+    """Solver tag and decisions for timesteps a+1 .. min(b, T) of the window
+    (a, b]: the solved interior, then the anchor v_b when b <= T."""
+    problem = build_window(instance, a, b)
+    sol = solver(problem)
+    if problem.right_anchor is None:
+        return sol.solver_tag, sol.free_points
+    return sol.solver_tag, np.vstack([sol.free_points, problem.right_anchor])
 
 
 def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None = None,
@@ -120,29 +148,21 @@ def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None
     (anchors decouple them); ``method="monolithic"`` runs the constrained
     lattice program as a cross-check.  Anchor gaps of 1 are permitted.
     """
-    times = _anchor_list(anchors)
     T = instance.horizon
-    if times[-1] > T:
-        raise ValueError("anchors beyond the horizon")
+    segments = anchor_segments(anchors, T)
     if method == "monolithic":
         return offline_optimal_grid(instance, solver.grid if solver else None,
-                                    anchors=times)
+                                    anchors=[b for _, b in segments if b <= T])
     if method != "segments":
         raise ValueError(f"unknown method {method!r}")
 
     solver = solver or solver_for(instance)
     points = np.empty((T, instance.dim))
     tags = set()
-    segments = list(zip(times, times[1:]))
-    if times[-1] < T:
-        segments.append((times[-1], T + 1))
     for a, b in segments:
-        problem = build_window(instance, a, b)
-        sol = solver(problem)
-        tags.add(sol.solver_tag)
-        points[a:a + problem.free_count] = sol.free_points
-        if b <= T:
-            points[b - 1] = instance.hitting[b - 1].minimizer
+        tag, decisions = solve_segment(instance, a, b, solver)
+        points[a:min(b, T)] = decisions
+        tags.add(tag)
     traj = evaluate_total_cost(instance, points)
     method_tag = tags.pop() if len(tags) == 1 else "mixed"
     resolution = float(solver.grid.spacing().max()) if (

@@ -194,12 +194,9 @@ class CbcInstance:
 def cbc_cost(instance: CbcInstance, points) -> float:
     """Total movement of a feasible visiting sequence."""
     pts = np.asarray(points, dtype=float).reshape(len(instance.bodies), instance.dim)
-    prev = instance.start
-    total = 0.0
-    for p in pts:
-        total += instance.movement(p, prev)
-        prev = p
-    return float(total)
+    moves = instance.movement.of_difference(
+        np.diff(pts, axis=0, prepend=instance.start[None, :]))
+    return float(np.sum(moves))
 
 
 def duplicate_cbc_instance(instance: CbcInstance, w: int) -> CbcInstance:

@@ -14,6 +14,9 @@ free variables of a small optimization solved by one of three backends:
   descent          gradient descent on the stacked free variables
                    (smooth costs, any d).
 
+A solver returns the free points and its tag, not their objective: callers
+score what they keep with ``model.evaluate_total_cost``.
+
 Each lattice DP stage is a min-plus product of the value table with the
 movement cost.  When the movement separates by coordinate (``norm_l1`` and
 ``rectified_linear`` in any d, ``norm_l2`` and ``norm_linf`` in 1-D) it is
@@ -139,17 +142,11 @@ class WindowProblem:
     def free_count(self) -> int:
         return len(self.costs) - (1 if self.right_anchor is not None else 0)
 
-    def free_times(self) -> range:
-        """Timesteps of the free variables."""
-        return range(self.tau1 + 1, self.tau1 + 1 + self.free_count)
-
 
 @dataclass(frozen=True, eq=False)
 class WindowSolution:
-    free_points: np.ndarray  # (free_count, d)
-    objective: float
+    free_points: np.ndarray  # (free_count, d): timesteps tau1+1, tau1+2, ...
     solver_tag: str
-    snap_distance: float = 0.0
 
 
 def build_window(instance: Instance, tau1: int, tau2: int,
@@ -177,7 +174,10 @@ def build_window(instance: Instance, tau1: int, tau2: int,
 
 
 def window_objective(problem: WindowProblem, free_points) -> float:
-    """Evaluate the window cost at an assignment of the free variables."""
+    """Evaluate the window cost at an assignment of the free variables.
+
+    Solvers do not report it; ``solve_descent`` watches it for divergence.
+    """
     free = np.asarray(free_points, dtype=float).reshape(problem.free_count, problem.dim)
     chain = [problem.left_anchor, free]
     if problem.right_anchor is not None:
@@ -211,7 +211,7 @@ def solve_quadratic_chain(problem: WindowProblem) -> WindowSolution:
             "exact chain solve needs quadratic costs and sq_l2_half movement")
     F, d = problem.free_count, problem.dim
     if F == 0:
-        return WindowSolution(np.empty((0, d)), window_objective(problem, []), "exact_quadratic")
+        return WindowSolution(np.empty((0, d)), "exact_quadratic")
 
     m = np.array([problem.costs[i].params["m"] for i in range(F)])
     v = np.stack([problem.costs[i].minimizer for i in range(F)])
@@ -233,7 +233,7 @@ def solve_quadratic_chain(problem: WindowProblem) -> WindowSolution:
         ab[1, :] = diag
         ab[2, :-1] = -1.0
         free = solve_banded((1, 1), ab, rhs)
-    return WindowSolution(free, window_objective(problem, free), "exact_quadratic")
+    return WindowSolution(free, "exact_quadratic")
 
 
 #: Largest dense transition matrix kept in memory (entries); bigger grids
@@ -352,9 +352,9 @@ def solve_grid_dp(problem: WindowProblem, grid: Grid,
                   cache: _GridEval | None = None) -> WindowSolution:
     """Exact optimum over the lattice via stage-wise dynamic programming.
 
-    Anchors are snapped to the nearest lattice point for the search; the
-    reported objective re-evaluates the chosen free points against the true
-    anchors.  Ties go to the lowest flat lattice index.
+    Anchors are snapped to the nearest lattice point for the search (an
+    anchor outside the lattice raises ValueError); the free points returned
+    are lattice points.  Ties go to the lowest flat lattice index.
     """
     if problem.dim > 2:
         raise UnsupportedProblemError("grid DP supports d <= 2")
@@ -362,14 +362,11 @@ def solve_grid_dp(problem: WindowProblem, grid: Grid,
         raise ValueError("grid dimension does not match problem")
     cache = cache or _GridEval()
     F, d = problem.free_count, problem.dim
-    left_snap, snap_l = grid.snap(problem.left_anchor)
-    snap = snap_l
+    left_snap, _ = grid.snap(problem.left_anchor)
     if problem.right_anchor is not None:
-        right_snap, snap_r = grid.snap(problem.right_anchor)
-        snap = max(snap, snap_r)
+        right_snap, _ = grid.snap(problem.right_anchor)
     if F == 0:
-        return WindowSolution(np.empty((0, d)), window_objective(problem, []),
-                              "grid_dp", snap)
+        return WindowSolution(np.empty((0, d)), "grid_dp")
 
     pts = grid.points()
     value = problem.movement.pairwise(pts, left_snap[None, :])[:, 0]
@@ -390,8 +387,7 @@ def solve_grid_dp(problem: WindowProblem, grid: Grid,
     for s in range(F - 1, 0, -1):
         idx.append(int(back[s, idx[-1]]))
     idx.reverse()
-    free = pts[idx]
-    return WindowSolution(free, window_objective(problem, free), "grid_dp", snap)
+    return WindowSolution(pts[idx], "grid_dp")
 
 
 def solve_descent(problem: WindowProblem, step: float = 0.05,
@@ -403,7 +399,7 @@ def solve_descent(problem: WindowProblem, step: float = 0.05,
         raise UnsupportedProblemError("descent solve needs differentiable costs")
     F, d = problem.free_count, problem.dim
     if F == 0:
-        return WindowSolution(np.empty((0, d)), window_objective(problem, []), "descent")
+        return WindowSolution(np.empty((0, d)), "descent")
 
     anchored = problem.right_anchor is not None
     y = np.stack([problem.costs[i].minimizer for i in range(F)]).astype(float)
@@ -431,7 +427,7 @@ def solve_descent(problem: WindowProblem, step: float = 0.05,
         if worse >= 10 or not np.isfinite(new_obj):
             raise SolverError("descent diverged: objective rose 10 consecutive steps")
         obj = new_obj
-    return WindowSolution(y, window_objective(problem, y), "descent")
+    return WindowSolution(y, "descent")
 
 
 class WindowSolver:
@@ -439,12 +435,8 @@ class WindowSolver:
     gradient descent otherwise.  Shares lattice evaluation caches across
     calls, so reuse one solver for all windows of a run."""
 
-    def __init__(self, grid: Grid | None = None, *, descent_step: float = 0.05,
-                 descent_iters: int = 20000, descent_tol: float = 1e-9):
+    def __init__(self, grid: Grid | None = None):
         self.grid = grid
-        self.descent_step = descent_step
-        self.descent_iters = descent_iters
-        self.descent_tol = descent_tol
         self._cache = _GridEval()
 
     def __call__(self, problem: WindowProblem) -> WindowSolution:
@@ -453,15 +445,12 @@ class WindowSolver:
         if problem.dim <= 2:
             grid = self.grid or grid_for_problem(problem)
             return solve_grid_dp(problem, grid, cache=self._cache)
-        return solve_descent(problem, self.descent_step, self.descent_iters,
-                             self.descent_tol)
+        return solve_descent(problem)
 
 
-def solver_for(instance: Instance, grid: Grid | None = None, n: int = 201) -> WindowSolver:
-    """Solver preloaded with the instance's default grid."""
-    if grid is None and instance.dim <= 2:
-        grid = default_grid(instance, n=n)
-    return WindowSolver(grid)
+def solver_for(instance: Instance) -> WindowSolver:
+    """Solver preloaded with the instance's default grid (d <= 2)."""
+    return WindowSolver(default_grid(instance) if instance.dim <= 2 else None)
 
 
 def grid_for_problem(problem: WindowProblem, n: int = 201) -> Grid:

@@ -25,12 +25,15 @@ from soco_lab import (
     movement_cost,
     offline_optimal_quadratic,
     play_semi_adaptive,
+    run_dsfhc,
     run_greedy,
+    run_rsfhc_b,
     run_sfhc,
     simulate_investment_game,
     spike_adversary,
 )
 from soco_lab.adversary import (
+    DsfhcLearner,
     EstimationFailed,
     ProtocolError,
     sample_anchor_hits,
@@ -90,6 +93,28 @@ def test_oblivious_game_equals_fixed_instance_run():
     offline = run_sfhc(inst, 3, 1)
     assert transcript.learner_cost == pytest.approx(offline.total, rel=1e-12)
     assert np.allclose(transcript.learner_points, offline.points)
+
+
+@pytest.mark.parametrize("w", [4, 6])
+@pytest.mark.parametrize("name", ["dsfhc", "rsfhc-b"])
+def test_online_learner_equals_offline_run(name, w):
+    # against a fixed cost sequence the online learner makes the offline
+    # run's decisions; rsfhc-b draws its anchors from the learner seed that
+    # play_semi_adaptive derives from the game rng
+    sh = shell(T=23)
+    for seed in range(3):
+        inst = generate_oblivious_instance(StronglyConvex(2.0), RandomWalk(0.5), 23, 1,
+                                           np.random.default_rng(100 + seed))
+        if name == "dsfhc":
+            learner, offline = DsfhcLearner(), run_dsfhc(inst, w)
+        else:
+            seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=3)
+            learner = RsfhcBLearner()
+            offline = run_rsfhc_b(inst, w, np.random.default_rng(int(seeds[1])))
+        transcript = play_semi_adaptive(learner, ObliviousAdversary(inst), sh, w, PSI,
+                                        np.random.default_rng(seed))
+        assert np.array_equal(transcript.learner_points, offline.points)
+        assert transcript.learner_cost == offline.total
 
 
 def test_constant_disclosure_makes_equal_seed_runs_coincide():
@@ -294,7 +319,6 @@ def test_rsfhc_b_oblivious_mean_cost_bound():
     inst = generate_oblivious_instance(StronglyConvex(m), RandomWalk(0.6), T, 1,
                                        np.random.default_rng(14))
     opt = offline_optimal_quadratic(inst).cost
-    from soco_lab import run_rsfhc_b
     costs = [run_rsfhc_b(inst, w, np.random.default_rng(seed)).total
              for seed in range(200)]
     margin = np.array(costs) - bound * opt

@@ -7,6 +7,7 @@ from soco_lab import (
     AnchorSet,
     Grid,
     WindowSolver,
+    anchor_segments,
     constrained_offline,
     gap_support,
     gen_anchor_sequence,
@@ -17,7 +18,6 @@ from soco_lab import (
     offline_optimal_grid,
     offline_optimal_quadratic,
     padded_movement,
-    phase_segments,
     rsfhc_a_expected_cost,
     run_afhc,
     run_dsfhc,
@@ -91,13 +91,25 @@ def test_sfhc_equals_monolithic_constrained_program():
         assert traj.total == pytest.approx(mono.cost, abs=1e-9)
 
 
+def _covers_horizon_once(segments, T):
+    covered = sorted(t for a, b in segments for t in range(a + 1, min(b, T) + 1))
+    return covered == list(range(1, T + 1))
+
+
 @given(st.integers(1, 25), st.integers(1, 9), st.data())
 def test_segments_respect_prediction_window(T, w, data):
+    # phase anchors: gaps of w, so every window reads at most w costs ahead
     h = data.draw(st.integers(0, w - 1))
-    segments = phase_segments(T, w, h)
+    segments = anchor_segments(AnchorSet.phase(h, w, T), T)
     assert all(b - a <= w for a, b in segments)
-    covered = sorted(t for a, b in segments for t in range(a + 1, min(b, T) + 1))
-    assert covered == list(range(1, T + 1))
+    assert _covers_horizon_once(segments, T)
+    # randomized anchors: gaps in (w/2, w-1], and the tail is no longer
+    if w >= 4:
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        anchors = gen_anchor_sequence(w, T, np.random.default_rng(seed))
+        segments = anchor_segments(anchors, T)
+        assert all(b - a <= w - 1 for a, b in segments)
+        assert _covers_horizon_once(segments, T)
 
 
 @given(st.integers(4, 16), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))

@@ -148,6 +148,20 @@ def test_extracted_greedy_cost_never_exceeds_duplicated_run():
         assert cbc_cost(inst, ext) <= dup_cost + 1e-9
 
 
+@pytest.mark.parametrize("kind", ["norm_l1", "norm_l2", "norm_linf"])
+def test_cbc_cost_equals_step_loop(kind):
+    # the vectorized movement sum against one scalar movement call per step
+    rng = np.random.default_rng(5)
+    bodies = tuple(box([-1.0, -1.0], [1.0, 1.0]) for _ in range(12))
+    inst = CbcInstance(2, rng.uniform(-1, 1, 2), bodies, movement_cost(kind))
+    pts = rng.uniform(-1, 1, (12, 2))
+    prev, loop = inst.start, 0.0
+    for p in pts:
+        loop += inst.movement(p, prev)
+        prev = p
+    assert cbc_cost(inst, pts) == pytest.approx(loop, rel=1e-12)
+
+
 def test_greedy_projection_hand_example():
     inst = CbcInstance(1, np.zeros(1), (interval(1, 2), interval(0, 0.5)),
                        movement_cost("norm_l1"))

@@ -42,7 +42,8 @@ def test_build_window_overshoot():
     wp = build_window(inst, 8, 12)
     assert wp.free_count == 2          # timesteps 9, 10
     assert wp.right_anchor is None
-    assert list(wp.free_times()) == [9, 10]
+    assert len(wp.costs) == 2
+    assert wp.costs[0] is inst.hitting[8] and wp.costs[1] is inst.hitting[9]
 
 
 def test_build_window_zero_free():
@@ -94,9 +95,10 @@ def test_quadratic_chain_single_free_var():
 
 def test_quadratic_chain_symmetric_case():
     inst = make_strongly_convex(2.0, [[1.0], [1.0]], start=[1.0])
-    sol = solve_quadratic_chain(build_window(inst, 0, 2))
+    wp = build_window(inst, 0, 2)
+    sol = solve_quadratic_chain(wp)
     assert sol.free_points[0, 0] == pytest.approx(1.0)
-    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    assert window_objective(wp, sol.free_points) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quadratic_chain_zero_m_limit():
@@ -124,8 +126,10 @@ def test_grid_dp_matches_exact_within_spacing():
         wp = build_window(inst, a, b)
         exact = solve_quadratic_chain(wp)
         gsol = solve_grid_dp(wp, grid)
-        assert gsol.objective >= exact.objective - 1e-12
-        assert gsol.objective <= exact.objective + 0.1
+        g_obj = window_objective(wp, gsol.free_points)
+        e_obj = window_objective(wp, exact.free_points)
+        assert g_obj >= e_obj - 1e-12
+        assert g_obj <= e_obj + 0.1
         assert np.max(np.abs(gsol.free_points - exact.free_points)) <= \
             2 * grid.spacing().max()
 
@@ -134,7 +138,9 @@ def test_grid_dp_zero_free_direct_evaluation():
     inst = quad_instance(T=8)
     wp = build_window(inst, 3, 4)
     sol = solve_grid_dp(wp, default_grid(inst))
-    assert sol.objective == pytest.approx(window_objective(wp, np.empty((0, 1))))
+    assert sol.free_points.shape == (0, 1)
+    assert window_objective(wp, sol.free_points) == pytest.approx(
+        window_objective(wp, np.empty((0, 1))))
 
 
 def test_grid_dp_dominates_greedy_candidate_on_ripple():
@@ -144,7 +150,7 @@ def test_grid_dp_dominates_greedy_candidate_on_ripple():
     wp = build_window(rip, 0, 2)
     sol = solve_grid_dp(wp, grid)
     greedy_candidate = window_objective(wp, rip.hitting[0].minimizer[None, :])
-    assert sol.objective <= greedy_candidate + 1e-12
+    assert window_objective(wp, sol.free_points) <= greedy_candidate + 1e-12
 
 
 def test_grid_dp_rejects_out_of_range_anchor():
@@ -164,7 +170,8 @@ def test_blocked_minplus_matches_dense(monkeypatch):
     dense = solve_grid_dp(wp, grid)
     monkeypatch.setattr(windows_mod, "_DENSE_TRANSITION_LIMIT", 500)
     blocked = solve_grid_dp(wp, grid)
-    assert blocked.objective == pytest.approx(dense.objective, abs=1e-12)
+    assert window_objective(wp, blocked.free_points) == pytest.approx(
+        window_objective(wp, dense.free_points), abs=1e-12)
     assert np.array_equal(blocked.free_points, dense.free_points)
 
 
@@ -222,7 +229,7 @@ def test_grid_dp_tie_breaks_to_lowest_index():
                        movement_cost("rectified_linear", beta=[1.0]))
     sol = solve_grid_dp(wp, Grid.make(0.0, 2.0, 5, dim=1))
     assert sol.free_points[0, 0] == pytest.approx(0.0)
-    assert sol.objective == 0.0
+    assert window_objective(wp, sol.free_points) == 0.0
     # 2-D l1: the corner (1, 1) is reached at cost 2 through either (0, 1)
     # (flat index 1) or (1, 0) (flat index 2); the back-pointer takes (0, 1).
     wp = WindowProblem(0, 3, as_point([0.0, 0.0]), None,
@@ -230,7 +237,7 @@ def test_grid_dp_tie_breaks_to_lowest_index():
                        movement_cost("norm_l1"))
     sol = solve_grid_dp(wp, Grid.make([0.0, 0.0], [1.0, 1.0], [2, 2], dim=2))
     assert np.array_equal(sol.free_points, [[0.0, 1.0], [1.0, 1.0]])
-    assert sol.objective == 2.0
+    assert window_objective(wp, sol.free_points) == 2.0
 
 
 def test_descent_matches_exact_single_var():
@@ -242,8 +249,9 @@ def test_descent_matches_exact_single_var():
 
 def test_descent_zero_gradient_start():
     inst = make_strongly_convex(2.0, [[1.0], [1.0]], start=[1.0])
-    sol = solve_descent(build_window(inst, 0, 2))
-    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    wp = build_window(inst, 0, 2)
+    sol = solve_descent(wp)
+    assert window_objective(wp, sol.free_points) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_descent_divergence_detected():
@@ -271,9 +279,10 @@ def test_dispatch_routes_high_dimension_to_descent():
     rng = np.random.default_rng(1)
     inst = make_ripple(2.0, 0.1, 2.0, rng.uniform(-1, 1, (4, 3)),
                        start=np.zeros(3))
-    sol = WindowSolver()(build_window(inst, 0, 3))
+    wp = build_window(inst, 0, 3)
+    sol = WindowSolver()(wp)
     assert sol.solver_tag == "descent"
-    assert np.isfinite(sol.objective)
+    assert np.isfinite(window_objective(wp, sol.free_points))
 
 
 def test_solver_agreement_random_convex_windows():
@@ -293,19 +302,10 @@ def test_solver_agreement_random_convex_windows():
         m = inst.hitting[0].params["m"]
         width = float((np.asarray(grid.hi) - np.asarray(grid.lo)).max())
         budget = grid.spacing().max() * wp.free_count * (m * width + 2 * width)
-        assert abs(exact.objective - gsol.objective) <= budget
+        e_obj = window_objective(wp, exact.free_points)
+        assert abs(e_obj - window_objective(wp, gsol.free_points)) <= budget
         dsol = solve_descent(wp, step=0.05, iters=50000, tol=1e-11)
-        assert abs(exact.objective - dsol.objective) <= 1e-5
-
-
-def test_objective_reproduces_on_reevaluation():
-    inst = quad_instance(T=8, seed=5)
-    solver = WindowSolver(default_grid(inst))
-    for a, b in [(0, 3), (2, 6), (6, 10)]:
-        wp = build_window(inst, a, b)
-        sol = solver(wp)
-        assert sol.objective == pytest.approx(
-            window_objective(wp, sol.free_points), rel=1e-9)
+        assert abs(e_obj - window_objective(wp, dsol.free_points)) <= 1e-5
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
@@ -347,4 +347,5 @@ def test_overshoot_never_worse_than_anchored():
                              inst.movement)
         a_sol = solve_quadratic_chain(anchored)
         f_sol = solve_quadratic_chain(free)
-        assert f_sol.objective <= a_sol.objective + 1e-12
+        assert window_objective(free, f_sol.free_points) <= \
+            window_objective(anchored, a_sol.free_points) + 1e-12
