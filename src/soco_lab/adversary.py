@@ -397,8 +397,7 @@ class SpikeAdversary:
             diff = np.asarray(x, dtype=float) - _v
             return 0.5 * m * (diff * diff).sum(axis=-1)
 
-        cost = HittingCost(fn, as_point(v), 0.0, 0.0, "strongly_convex", {"m": m},
-                           grad=lambda x, _v=v: m * (np.asarray(x, float) - _v))
+        cost = HittingCost(fn, as_point(v), 0.0, 0.0, "strongly_convex", {"m": m})
         return cost, commit
 
     def open(self):

@@ -32,7 +32,7 @@ from .reductions import (
     duplicate_cbc_instance,
     epigraph_reduce,
 )
-from .windows import Grid, default_grid
+from .windows import Grid
 
 
 def _load_json(path: str) -> dict:
@@ -67,20 +67,16 @@ def _cmd_rows(args) -> int:
     return 0 if summary["all_within_bounds"] else 1
 
 
-def _grid_from_args(args, instance):
-    if args.grid_lo is not None:
-        return Grid.make(args.grid_lo, args.grid_hi, args.grid_n, dim=instance.dim)
-    return default_grid(instance) if instance.dim <= 2 else None
-
-
 def _cmd_oracle(args) -> int:
     instance = instance_from_spec(_load_json(args.instance))
+    grid = None if args.grid_lo is None else Grid.make(
+        args.grid_lo, args.grid_hi, args.grid_n, dim=instance.dim)
     if args.method == "exact_quadratic":
         res = offline_optimal_quadratic(instance)
     elif args.method == "grid":
-        res = offline_optimal_grid(instance, _grid_from_args(args, instance))
+        res = offline_optimal_grid(instance, grid)
     else:
-        res = offline_optimal(instance, _grid_from_args(args, instance))
+        res = offline_optimal(instance, grid)
     payload = {"cost": res.cost, "trajectory": res.trajectory.points.tolist(),
                "method": res.method}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -215,7 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "oracle" and (args.grid_lo is None) != (args.grid_hi is None):
+        parser.error("--grid-lo and --grid-hi must be given together")
     return args.fn(args)
 
 

@@ -82,6 +82,18 @@ def _default_start(dim: int) -> np.ndarray:
     return np.zeros(dim)
 
 
+def _hitting(hit, pts: np.ndarray, separable: bool) -> tuple[HittingCost, ...]:
+    """``hit(v, sel, axes)`` per minimizer v, ``sel`` selecting coordinates of
+    the family's parameters.  In d >= 2 a separable cost carries its d 1-D
+    costs, built once so lattice tables keyed by cost objects stay valid."""
+    d, whole = pts.shape[1], slice(None)
+    if d == 1 or not separable:
+        return tuple(hit(v, whole, None) for v in pts)
+    return tuple(hit(v, whole, tuple(hit(v[j:j + 1], slice(j, j + 1), None)
+                                     for j in range(d)))
+                 for v in pts)
+
+
 def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
     """Scaled-norm hitting costs with lp movement; eta = 1, lam = alpha/2."""
     if alpha <= 0:
@@ -90,7 +102,7 @@ def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
     d = pts.shape[1]
     movement = norm_movement(p)
 
-    def hit(v):
+    def hit(v, sel, axes):
         def fn(x, _v=v):
             x = np.asarray(x, dtype=float)
             diff = x - _v
@@ -102,9 +114,9 @@ def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
                 r = np.abs(diff).max(axis=-1)
             return alpha * r
         return HittingCost(fn, as_point(v), 0.0, None, "polyhedral",
-                           {"alpha": alpha, "p": p})
+                           {"alpha": alpha, "p": p}, axes)
 
-    hitting = tuple(hit(v) for v in pts)
+    hitting = _hitting(hit, pts, separable=p == 1)
     start = _default_start(d) if start is None else start
     return Instance(d, len(hitting), start, hitting, movement,
                     lam=alpha / 2.0, family_tag="polyhedral")
@@ -117,17 +129,15 @@ def make_strongly_convex(m: float, path, start=None) -> Instance:
     pts = _as_path(path)
     d = pts.shape[1]
 
-    def hit(v):
+    def hit(v, sel, axes):
         def fn(x, _v=v):
             x = np.asarray(x, dtype=float)
             diff = x - _v
             return 0.5 * m * (diff * diff).sum(axis=-1)
-        def grad(x, _v=v):
-            return m * (np.asarray(x, dtype=float) - _v)
         return HittingCost(fn, as_point(v), 0.0, 0.0, "strongly_convex",
-                           {"m": m}, grad=grad)
+                           {"m": m}, axes)
 
-    hitting = tuple(hit(v) for v in pts)
+    hitting = _hitting(hit, pts, separable=True)
     start = _default_start(d) if start is None else start
     return Instance(d, len(hitting), start, hitting, movement_cost("sq_l2_half"),
                     lam=m / 2.0, family_tag="strongly_convex")
@@ -139,6 +149,7 @@ def make_glb(e0, beta, mu, path, start=None) -> Instance:
     Requires mu > e0 componentwise so the minimizer stays exactly at v_t;
     points outside the orthant get a large finite penalty so grids stay
     in float arithmetic.  Movement is asymmetric: only increases cost.
+    On the orthant the cost is a sum of per-coordinate costs.
     """
     e0 = np.atleast_1d(np.asarray(e0, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
@@ -154,16 +165,18 @@ def make_glb(e0, beta, mu, path, start=None) -> Instance:
     if np.any(pts < 0):
         raise ValueError("glb minimizer path must be componentwise nonnegative")
 
-    def hit(v):
+    def hit(v, sel, axes):
+        e, u = e0[sel], mu[sel]
+
         def fn(x, _v=v):
             x = np.asarray(x, dtype=float)
-            val = (e0 * x).sum(axis=-1) + (mu * np.abs(x - _v)).sum(axis=-1)
+            val = (e * x).sum(axis=-1) + (u * np.abs(x - _v)).sum(axis=-1)
             feasible = (x >= -1e-12).all(axis=-1)
             return np.where(feasible, val, PENALTY)
-        return HittingCost(fn, as_point(v), float((e0 * v).sum()), None, "glb",
-                           {"e0": e0, "beta": beta, "mu": mu})
+        return HittingCost(fn, as_point(v), float((e * v).sum()), None, "glb",
+                           {"e0": e, "beta": beta[sel], "mu": u}, axes)
 
-    hitting = tuple(hit(v) for v in pts)
+    hitting = _hitting(hit, pts, separable=True)
     start = _default_start(d) if start is None else start
     start = np.asarray(start, dtype=float)
     if np.any(start < 0):
@@ -187,20 +200,17 @@ def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
     d = pts.shape[1]
     alpha = max(0.0, eps * k * k - m)
 
-    def hit(v):
+    def hit(v, sel, axes):
         def fn(x, _v=v):
             x = np.asarray(x, dtype=float)
             diff = x - _v
             quad = 0.5 * m * (diff * diff).sum(axis=-1)
             wave = eps * (1.0 - np.cos(k * diff)).sum(axis=-1)
             return quad + wave
-        def grad(x, _v=v):
-            diff = np.asarray(x, dtype=float) - _v
-            return m * diff + eps * k * np.sin(k * diff)
         return HittingCost(fn, as_point(v), 0.0, alpha, "ripple",
-                           {"m": m, "eps": eps, "k": k}, grad=grad)
+                           {"m": m, "eps": eps, "k": k}, axes)
 
-    hitting = tuple(hit(v) for v in pts)
+    hitting = _hitting(hit, pts, separable=True)
     start = _default_start(d) if start is None else start
     return Instance(d, len(hitting), start, hitting, movement_cost("sq_l2_half"),
                     lam=m / 2.0 if m > 0 else 0.0, family_tag="ripple")

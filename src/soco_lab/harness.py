@@ -241,17 +241,16 @@ def _prepare(spec: dict, instance_id: str, seed: int,
     """The instance, lattice and window solver shared by the rows of one
     (instance, seed); the offline optimum is added on first use."""
     instance = _build_instance(spec, instance_id, seed)
-    grid = None
     if config.oracle.get("grid"):
         g = config.oracle["grid"]
         grid = Grid.make(g["lo"], g["hi"], g["n"], dim=instance.dim)
-    elif instance.dim <= 2:
+    else:
         grid = default_grid(instance)
     return {"instance": instance, "grid": grid, "solver": WindowSolver(grid)}
 
 
 def _opt_and_budget(instance: Instance, oracle_spec: dict,
-                    grid: Grid | None) -> tuple[float, float]:
+                    grid: Grid) -> tuple[float, float]:
     """Offline optimum, and the ratio's tolerance budget for lattice snapping."""
     method = oracle_spec.get("method", "auto")
     if method == "exact_quadratic" or (
@@ -259,11 +258,10 @@ def _opt_and_budget(instance: Instance, oracle_spec: dict,
         return offline_optimal_quadratic(instance).cost, 1e-8
     opt = offline_optimal_grid(instance, grid).cost
     budget = 1e-8
-    if grid is not None:
-        snap = max(grid.snap(h.minimizer)[1] for h in instance.hitting)
-        snap = max(snap, grid.snap(instance.start)[1])
-        if snap > 0:
-            budget += snap * _grid_lipschitz(instance, grid) / max(opt, 1e-12)
+    snap = max(grid.snap(h.minimizer)[1] for h in instance.hitting)
+    snap = max(snap, grid.snap(instance.start)[1])
+    if snap > 0:
+        budget += snap * _grid_lipschitz(instance, grid) / max(opt, 1e-12)
     return opt, budget
 
 

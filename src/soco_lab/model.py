@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -76,6 +77,15 @@ class MovementCost:
         old_pts = np.atleast_2d(np.asarray(old_pts, dtype=float))
         return self.of_difference(new_pts[:, None, :] - old_pts[None, :, :])
 
+    def split(self, dim: int) -> tuple["MovementCost", ...] | None:
+        """The 1-D movements, one per coordinate, that sum to this one in
+        ``dim`` dimensions; None for ``norm_l2`` and ``norm_linf`` in d >= 2.
+        Equal calls return the same objects, so caches keyed by them hit."""
+        if dim == 1 or self.kind not in ("norm_l1", "sq_l2_half", "rectified_linear"):
+            return (self,) if dim == 1 else None
+        beta = np.broadcast_to(self.params.get("beta", 1.0), (dim,))
+        return tuple(_axis_movement(self.kind, float(b)) for b in beta)
+
     def of_difference(self, diff: np.ndarray) -> np.ndarray:
         """c(x, y) from the differences x - y stacked on the last axis."""
         if self.kind == "norm_l1":
@@ -113,6 +123,9 @@ def movement_cost(kind: str, beta=None) -> MovementCost:
     raise ValueError(f"unknown movement kind {kind!r}; expected one of {MOVEMENT_KINDS}")
 
 
+_axis_movement = lru_cache(maxsize=64)(movement_cost)
+
+
 def norm_movement(p) -> MovementCost:
     """Movement cost for an lp norm, p in {1, 2, inf}."""
     if p == 1:
@@ -130,7 +143,8 @@ class HittingCost:
 
     ``fn`` accepts a single point of shape (d,) or a stack of shape (N, d).
     ``convexifier_bound`` is an alpha >= 0 such that f(x) + (alpha/2)||x||^2
-    is convex, when known.  ``grad`` is supplied for smooth families only.
+    is convex, when known.  ``axes`` holds, for a cost that separates by
+    coordinate in d >= 2, the 1-D costs f_j with f(x) = sum_j f_j(x_j).
     """
 
     fn: Callable
@@ -139,7 +153,7 @@ class HittingCost:
     convexifier_bound: float | None = None
     family_tag: str = "custom"
     params: dict = field(default_factory=dict)
-    grad: Callable | None = None
+    axes: tuple["HittingCost", ...] | None = None
 
     def __call__(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))

@@ -3,11 +3,11 @@
 Every optimum is a window solve from ``windows`` over the whole horizon or
 over the segments between anchors: the closed-form tridiagonal solve for
 the quadratic family, the lattice DP (``solve_grid_dp``) over the window
-(0, T+1) for anything in d <= 2, and an anchor-constrained optimum
-computed either segment by segment (anchors decouple the horizon) or as
-one lattice DP with the anchor stages pinned.  Reported costs always
-re-evaluate the reported trajectory, so they are attained, not just
-claimed.
+(0, T+1) for anything else (per coordinate where it separates, in any d),
+and an anchor-constrained optimum computed either segment by segment
+(anchors decouple the horizon) or as one joint lattice DP with the anchor
+stages pinned.  Reported costs always re-evaluate the reported
+trajectory, so they are attained, not just claimed.
 
 ``anchor_segments`` is the one place anchors become windows, and
 ``solve_segment`` the one solve of a window between anchors: the offline
@@ -55,7 +55,8 @@ def offline_optimal_quadratic(instance: Instance) -> OracleResult:
 
 def _pinned(cost: HittingCost, grid: Grid) -> HittingCost:
     """``cost`` at the lattice point nearest its snapped minimizer, +inf
-    at every other point."""
+    at every other point.  It carries no axis costs, so a pinned window
+    takes the joint DP."""
     snapped, _ = grid.snap(cost.minimizer)
     pts = grid.points()
     target = pts[int(np.argmin(((pts - snapped) ** 2).sum(axis=1)))]
@@ -66,7 +67,7 @@ def _pinned(cost: HittingCost, grid: Grid) -> HittingCost:
             return cost(x) if np.array_equal(x, target) else np.inf
         return np.where((x == target).all(axis=1), cost.values(x), np.inf)
 
-    return replace(cost, fn=fn)
+    return replace(cost, fn=fn, axes=None)
 
 
 def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
@@ -75,15 +76,10 @@ def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
 
     With ``anchors`` (sorted 1-based timesteps), the state at each anchor t
     is pinned to the snapped minimizer v_t and the output trajectory carries
-    the exact v_t there; this is the monolithic constrained program.
+    the exact v_t there; this is the monolithic constrained program, which
+    always takes the joint DP.
     """
-    if instance.dim > 2:
-        raise ValueError("grid oracle supports d <= 2")
     grid = grid or default_grid(instance)
-    if grid.size > 10 ** 6:
-        raise ValueError(
-            f"grid has {grid.size} points (> 1e6); reduce n per dimension "
-            f"(currently {grid.n})")
     T = instance.horizon
     anchor_steps = set()
     if anchors is not None:
@@ -146,7 +142,7 @@ def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None
 
     ``method="segments"`` solves each inter-anchor window independently
     (anchors decouple them); ``method="monolithic"`` runs the constrained
-    lattice program as a cross-check.  Anchor gaps of 1 are permitted.
+    joint lattice program as a cross-check.  Anchor gaps of 1 are permitted.
     """
     T = instance.horizon
     segments = anchor_segments(anchors, T)

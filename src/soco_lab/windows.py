@@ -4,26 +4,30 @@ A window spans timesteps tau1+1 .. tau2 with the endpoint decisions pinned:
 the left anchor is the minimizer v_{tau1} (the start point when tau1 = 0)
 and the right anchor is v_{tau2} when tau2 <= T.  Windows with tau2 > T
 truncate at the horizon and leave the tail free.  Interior points are the
-free variables of a small optimization solved by one of three backends:
+free variables of a small optimization solved by one of two backends:
 
   exact_quadratic  closed-form tridiagonal solve (quadratic costs,
                    half-squared-l2 movement),
-  grid_dp          stage-wise dynamic programming over a uniform lattice
-                   (any costs, d <= 2); the full-horizon lattice oracle
-                   is this DP over the window (0, T+1),
-  descent          gradient descent on the stacked free variables
-                   (smooth costs, any d).
+  grid_dp          stage-wise dynamic programming over a uniform lattice;
+                   the full-horizon lattice oracle is this DP over the
+                   window (0, T+1).
+
+In d >= 2 a window whose costs (``HittingCost.axes``) and movement
+(``MovementCost.split``) separate by coordinate -- ``polyhedral`` p = 1,
+``glb``, ``ripple``, ``strongly_convex`` -- is solved as one 1-D window per
+lattice axis, in any d; other windows take the joint DP (d <= 2).
 
 A solver returns the free points and its tag, not their objective: callers
 score what they keep with ``model.evaluate_total_cost``.
 
 Each lattice DP stage is a min-plus product of the value table with the
-movement cost.  When the movement separates by coordinate (``norm_l1`` and
-``rectified_linear`` in any d, ``norm_l2`` and ``norm_linf`` in 1-D) it is
+movement cost.  When the movement splits into linear 1-D movements
+(``norm_l1`` and ``rectified_linear`` in any d, every norm in 1-D) it is
 a forward and a backward prefix-min per lattice axis, O(G) for G lattice
 points.  ``sq_l2_half`` and 2-D ``norm_l2``/``norm_linf`` take the dense
-O(G^2) product, row-blocked on large lattices.  Every path breaks ties to
-the lowest flat lattice index (ij order, last axis fastest).
+O(G^2) product, row-blocked on large lattices.  The joint DP breaks ties
+to the lowest flat lattice index (ij order, last axis fastest); the
+per-coordinate solve breaks them to the lowest index per coordinate.
 """
 
 from __future__ import annotations
@@ -36,10 +40,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .model import HittingCost, Instance, MovementCost, Point, as_point
-
-
-class SolverError(RuntimeError):
-    """A window solver failed to produce a usable solution."""
 
 
 class UnsupportedProblemError(ValueError):
@@ -59,6 +59,8 @@ class Grid:
         lo = tuple(np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).tolist())
         hi = tuple(np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).tolist())
         n = tuple(int(x) for x in np.broadcast_to(np.asarray(n), (dim,)).tolist())
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError("grid needs finite lo and hi")
         if any(b <= a for a, b in zip(lo, hi)) or any(k < 2 for k in n):
             raise ValueError("grid needs lo < hi and n >= 2 per dimension")
         return cls(lo, hi, n)
@@ -70,6 +72,10 @@ class Grid:
     @property
     def size(self) -> int:
         return math.prod(self.n)
+
+    def axis(self, j: int) -> "Grid":
+        """The 1-D lattice along axis j."""
+        return Grid(self.lo[j:j + 1], self.hi[j:j + 1], self.n[j:j + 1])
 
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(a, b, k) for a, b, k in zip(self.lo, self.hi, self.n)]
@@ -142,6 +148,13 @@ class WindowProblem:
     def free_count(self) -> int:
         return len(self.costs) - (1 if self.right_anchor is not None else 0)
 
+    def axis(self, j: int, movement: MovementCost) -> "WindowProblem":
+        """Coordinate j of a window whose costs separate by coordinate."""
+        right = self.right_anchor
+        return WindowProblem(self.tau1, self.tau2, self.left_anchor[j:j + 1],
+                             None if right is None else right[j:j + 1],
+                             tuple(c.axes[j] for c in self.costs), movement)
+
 
 @dataclass(frozen=True, eq=False)
 class WindowSolution:
@@ -176,7 +189,7 @@ def build_window(instance: Instance, tau1: int, tau2: int,
 def window_objective(problem: WindowProblem, free_points) -> float:
     """Evaluate the window cost at an assignment of the free variables.
 
-    Solvers do not report it; ``solve_descent`` watches it for divergence.
+    No solver reports it; tests score one solver's points against another's.
     """
     free = np.asarray(free_points, dtype=float).reshape(problem.free_count, problem.dim)
     chain = [problem.left_anchor, free]
@@ -242,16 +255,14 @@ _DENSE_TRANSITION_LIMIT = 2 * 10 ** 7
 
 
 def _axis_prices(movement: MovementCost, dim: int) -> list[tuple[float, float]] | None:
-    """Per-axis (up, down) unit prices when the movement separates by
-    coordinate, else None.  Moving from x_j to x_i along an axis costs
+    """Per-axis (up, down) unit prices when the movement splits into linear
+    1-D movements, else None.  Moving from x_j to x_i along an axis costs
     up * (x_i - x_j) when x_i > x_j and down * (x_j - x_i) otherwise."""
-    if movement.kind == "norm_l1" or (
-            dim == 1 and movement.kind in ("norm_l2", "norm_linf")):
-        return [(1.0, 1.0)] * dim
-    if movement.kind == "rectified_linear":
-        beta = np.broadcast_to(np.asarray(movement.params["beta"], dtype=float), (dim,))
-        return [(float(b), 0.0) for b in beta]
-    return None
+    axes = movement.split(dim)
+    if axes is None or any(m.kind == "sq_l2_half" for m in axes):
+        return None
+    return [(float(m.params["beta"][0]), 0.0) if m.kind == "rectified_linear"
+            else (1.0, 1.0) for m in axes]
 
 
 def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float,
@@ -354,14 +365,28 @@ def solve_grid_dp(problem: WindowProblem, grid: Grid,
 
     Anchors are snapped to the nearest lattice point for the search (an
     anchor outside the lattice raises ValueError); the free points returned
-    are lattice points.  Ties go to the lowest flat lattice index.
+    are lattice points.  A window that separates by coordinate is solved
+    per lattice axis, ties to the lowest index per coordinate; any other by
+    the joint DP (d <= 2, <= 1e6 points), ties to the lowest flat index.
     """
-    if problem.dim > 2:
-        raise UnsupportedProblemError("grid DP supports d <= 2")
     if grid.dim != problem.dim:
         raise ValueError("grid dimension does not match problem")
     cache = cache or _GridEval()
     F, d = problem.free_count, problem.dim
+    moves = problem.movement.split(d)
+    if d > 1 and moves is not None and all(c.axes is not None for c in problem.costs):
+        return WindowSolution(np.hstack([
+            solve_grid_dp(problem.axis(j, moves[j]), grid.axis(j), cache).free_points
+            for j in range(d)]), "grid_dp")
+    if d > 2:
+        raise UnsupportedProblemError(
+            f"no lattice solve for a {d}-D window that does not separate by coordinate "
+            f"({problem.costs[0].family_tag} costs, {problem.movement.kind} movement): "
+            "the joint grid DP supports d <= 2")
+    if grid.size > 10 ** 6:
+        raise ValueError(
+            f"grid has {grid.size} points (> 1e6); reduce n per dimension "
+            f"(currently {grid.n})")
     left_snap, _ = grid.snap(problem.left_anchor)
     if problem.right_anchor is not None:
         right_snap, _ = grid.snap(problem.right_anchor)
@@ -390,49 +415,9 @@ def solve_grid_dp(problem: WindowProblem, grid: Grid,
     return WindowSolution(pts[idx], "grid_dp")
 
 
-def solve_descent(problem: WindowProblem, step: float = 0.05,
-                  iters: int = 20000, tol: float = 1e-9) -> WindowSolution:
-    """Gradient descent on the stacked free variables (smooth costs only)."""
-    if problem.movement.kind != "sq_l2_half":
-        raise UnsupportedProblemError("descent solve needs sq_l2_half movement")
-    if any(c.grad is None for c in problem.costs):
-        raise UnsupportedProblemError("descent solve needs differentiable costs")
-    F, d = problem.free_count, problem.dim
-    if F == 0:
-        return WindowSolution(np.empty((0, d)), "descent")
-
-    anchored = problem.right_anchor is not None
-    y = np.stack([problem.costs[i].minimizer for i in range(F)]).astype(float)
-
-    def gradient(y):
-        g = np.empty_like(y)
-        for i in range(F):
-            prev = problem.left_anchor if i == 0 else y[i - 1]
-            g[i] = problem.costs[i].grad(y[i]) + (y[i] - prev)
-            if i + 1 < F:
-                g[i] -= y[i + 1] - y[i]
-            elif anchored:
-                g[i] -= problem.right_anchor - y[i]
-        return g
-
-    obj = window_objective(problem, y)
-    worse = 0
-    for _ in range(iters):
-        g = gradient(y)
-        if float(np.sqrt((g * g).sum())) < tol:
-            break
-        y = y - step * g
-        new_obj = window_objective(problem, y)
-        worse = worse + 1 if new_obj > obj else 0
-        if worse >= 10 or not np.isfinite(new_obj):
-            raise SolverError("descent diverged: objective rose 10 consecutive steps")
-        obj = new_obj
-    return WindowSolution(y, "descent")
-
-
 class WindowSolver:
-    """Dispatching solver: exact for quadratic chains, grid DP for d <= 2,
-    gradient descent otherwise.  Shares lattice evaluation caches across
+    """Dispatching solver: exact for quadratic chains, the grid DP for all
+    other windows, in any d.  Shares lattice evaluation caches across
     calls, so reuse one solver for all windows of a run."""
 
     def __init__(self, grid: Grid | None = None):
@@ -442,15 +427,13 @@ class WindowSolver:
     def __call__(self, problem: WindowProblem) -> WindowSolution:
         if _is_quadratic(problem):
             return solve_quadratic_chain(problem)
-        if problem.dim <= 2:
-            grid = self.grid or grid_for_problem(problem)
-            return solve_grid_dp(problem, grid, cache=self._cache)
-        return solve_descent(problem)
+        grid = self.grid or grid_for_problem(problem)
+        return solve_grid_dp(problem, grid, cache=self._cache)
 
 
 def solver_for(instance: Instance) -> WindowSolver:
-    """Solver preloaded with the instance's default grid (d <= 2)."""
-    return WindowSolver(default_grid(instance) if instance.dim <= 2 else None)
+    """Solver preloaded with the instance's default grid, any d."""
+    return WindowSolver(default_grid(instance))
 
 
 def grid_for_problem(problem: WindowProblem, n: int = 201) -> Grid:

@@ -225,6 +225,13 @@ def test_convexifiable_averaging_bound_ripple():
             assert lhs <= (1 / w) * (1 + alpha / lam) * sum(subs) + 1e-8
 
 
+def test_dsfhc_ripple_three_dimensions_finite():
+    # stiff non-convex 3-D costs: a fixed-step descent solver diverged here
+    path = minimizer_path(RandomWalk(0.5), 10, 3, np.random.default_rng(2))
+    inst = make_ripple(45.0, 0.3, 2.0, path)
+    assert np.isfinite(run_dsfhc(inst, 2).total)
+
+
 def test_rsfhc_a_matches_some_subroutine_and_is_deterministic():
     inst = quad(T=10, seed=3)
     t1 = run_rsfhc_a(inst, 3, np.random.default_rng(42))

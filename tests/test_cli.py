@@ -95,6 +95,15 @@ def test_cli_oracle(quad_instance_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["method"] == "grid_dp"
 
 
+@pytest.mark.parametrize("flag", ["--grid-lo", "--grid-hi"])
+def test_cli_oracle_rejects_half_grid_range(quad_instance_file, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--instance", str(quad_instance_file), "--method", "grid",
+              flag, "0.2"])
+    assert exc.value.code == 2
+    assert "--grid-lo and --grid-hi must be given together" in capsys.readouterr().err
+
+
 def test_cli_reduce_duplicate(tmp_path, capsys):
     inst = CbcInstance(1, np.zeros(1), (interval(0, 1), interval(1, 2)),
                        movement_cost("norm_l1"))

@@ -205,6 +205,30 @@ def test_oracle_failure_lands_in_every_row_of_its_instance(monkeypatch):
     assert summary["failures"] == 30
 
 
+def test_three_dimensional_rows():
+    # separable families solve per coordinate in d = 3; polyhedral p = 2
+    # couples the coordinates and has no lattice solve beyond 2-D
+    def spec(name, family, params):
+        return {"id": name, "generate": {
+            "family": family, "params": params, "T": 8, "d": 3,
+            "path": {"model": "random_walk", "step": 0.5}}}
+
+    rows, summary = run_suite(ExperimentConfig.from_dict({
+        "instances": [spec("ripple", "ripple", {"m": 0.5, "eps": 1.0, "k": 4.0}),
+                      spec("coupled", "polyhedral", {"alpha": 1.0, "p": 2})],
+        "algorithms": [{"name": "greedy"}, {"name": "dsfhc", "w": [2, 4]},
+                       {"name": "afhc", "w": [3]}],
+        "seeds": [1, 2],
+    }))
+    ripple = [r for r in rows if r.instance_id == "ripple"]
+    assert len(ripple) == 8 and not any(r.error for r in ripple)
+    assert all(math.isfinite(r.ratio) for r in ripple)
+    coupled = [r for r in rows if r.instance_id == "coupled"]
+    assert summary["failures"] == len(coupled) == 8
+    assert all(r.error.startswith("UnsupportedProblemError: no lattice solve for a 3-D")
+               for r in coupled)
+
+
 def test_bound_registry_values():
     inst = make_strongly_convex(2.0, [[0.0], [1.0]])
     assert greedy_bound(inst, 1) == pytest.approx(4.0)

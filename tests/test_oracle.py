@@ -53,9 +53,14 @@ def test_grid_opt_interval_chasing_encoding():
 
 
 def test_grid_opt_rejects_oversized_grid():
-    inst = make_strongly_convex(2.0, np.zeros((2, 2)), start=[0.0, 0.0])
+    # the joint DP refuses 1001 x 1001 points; a separable instance solves
+    # on the same lattice, one 1001-point axis at a time
+    grid = Grid.make(-1, 1, 1001, dim=2)
+    inst = make_polyhedral(1.0, np.zeros((2, 2)), p=2, start=[0.0, 0.0])
     with pytest.raises(ValueError, match="reduce n"):
-        offline_optimal_grid(inst, Grid.make(-1, 1, 1001, dim=2))
+        offline_optimal_grid(inst, grid)
+    inst = make_strongly_convex(2.0, np.zeros((2, 2)), start=[0.0, 0.0])
+    assert offline_optimal_grid(inst, grid).cost == 0.0
 
 
 def test_exact_quadratic_single_step():
@@ -133,15 +138,18 @@ def test_constrained_gap_one_allowed():
 
 
 def test_monolithic_matches_segments_on_lattice():
-    grid = Grid.make(-8.0, 8.0, 161, dim=1)
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        path = minimizer_path(RandomWalk(0.6), 10, 1, rng, base=np.zeros(1), grid=grid)
-        inst = make_polyhedral(1.0, path, p=1, start=[0.0])
-        solver = WindowSolver(grid)
-        seg = constrained_offline(inst, [0, 3, 6, 9], solver)
-        mono = constrained_offline(inst, [0, 3, 6, 9], solver, method="monolithic")
-        assert seg.cost == pytest.approx(mono.cost, abs=1e-9)
+    # in 2-D the segments are solved per coordinate and the monolithic
+    # program, whose pinned costs do not split, by the joint DP
+    for grid in (Grid.make(-8.0, 8.0, 161, dim=1), Grid.make(-4.0, 4.0, 41, dim=2)):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            path = minimizer_path(RandomWalk(0.6), 10, grid.dim, rng,
+                                  base=np.zeros(grid.dim), grid=grid)
+            inst = make_polyhedral(1.0, path, p=1, start=np.zeros(grid.dim))
+            solver = WindowSolver(grid)
+            seg = constrained_offline(inst, [0, 3, 6, 9], solver)
+            mono = constrained_offline(inst, [0, 3, 6, 9], solver, method="monolithic")
+            assert seg.cost == pytest.approx(mono.cost, abs=1e-9)
 
 
 def test_dp_beats_random_lattice_trajectories(rng):

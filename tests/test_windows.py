@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,21 +13,27 @@ from soco_lab import (
     as_point,
     build_window,
     default_grid,
+    make_glb,
     make_polyhedral,
     make_ripple,
     make_strongly_convex,
     movement_cost,
-    solve_descent,
     solve_grid_dp,
     solve_quadratic_chain,
     window_objective,
 )
-from soco_lab.windows import SolverError, UnsupportedProblemError, _GridEval
+from soco_lab.windows import UnsupportedProblemError, _GridEval
 
 
 def quad_instance(T=10, m=2.0, seed=0):
     rng = np.random.default_rng(seed)
     return make_strongly_convex(m, rng.uniform(-2, 2, (T, 1)), start=[0.0])
+
+
+def test_grid_rejects_non_finite_bounds():
+    for lo, hi in ((0.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Grid.make(lo, hi, 5)
 
 
 def test_build_window_interior():
@@ -240,32 +248,6 @@ def test_grid_dp_tie_breaks_to_lowest_index():
     assert window_objective(wp, sol.free_points) == 2.0
 
 
-def test_descent_matches_exact_single_var():
-    inst = make_strongly_convex(2.0, [[1.0], [2.0]], start=[0.0])
-    wp = build_window(inst, 0, 2)
-    sol = solve_descent(wp, step=0.1, iters=20000, tol=1e-12)
-    assert sol.free_points[0, 0] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_descent_zero_gradient_start():
-    inst = make_strongly_convex(2.0, [[1.0], [1.0]], start=[1.0])
-    wp = build_window(inst, 0, 2)
-    sol = solve_descent(wp)
-    assert window_objective(wp, sol.free_points) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_descent_divergence_detected():
-    inst = make_strongly_convex(50.0, [[1.0], [0.5]], start=[0.0])
-    with pytest.raises(SolverError):
-        solve_descent(build_window(inst, 0, 2), step=0.2, iters=1000, tol=1e-14)
-
-
-def test_descent_rejects_nonsmooth():
-    inst = make_polyhedral(1.0, [[0.0], [1.0]])
-    with pytest.raises(UnsupportedProblemError):
-        solve_descent(build_window(inst, 0, 2))
-
-
 def test_dispatch_routes_polyhedral_to_grid():
     inst = make_polyhedral(1.0, [[0.0], [1.0], [0.5]])
     solver = WindowSolver(default_grid(inst))
@@ -275,18 +257,27 @@ def test_dispatch_routes_polyhedral_to_grid():
     assert WindowSolver()(build_window(quad, 0, 3)).solver_tag == "exact_quadratic"
 
 
-def test_dispatch_routes_high_dimension_to_descent():
+def test_dispatch_routes_high_dimension_to_grid_dp():
+    # a 3-D separable window is solved per coordinate on the lattice's axes;
+    # a 3-D window that does not separate has no lattice solve
     rng = np.random.default_rng(1)
-    inst = make_ripple(2.0, 0.1, 2.0, rng.uniform(-1, 1, (4, 3)),
-                       start=np.zeros(3))
+    path = rng.uniform(-1, 1, (4, 3))
+    inst = make_ripple(2.0, 0.1, 2.0, path, start=np.zeros(3))
     wp = build_window(inst, 0, 3)
-    sol = WindowSolver()(wp)
-    assert sol.solver_tag == "descent"
+    grid = default_grid(inst, n=41)
+    sol = WindowSolver(grid)(wp)
+    assert sol.solver_tag == "grid_dp"
+    assert sol.free_points.shape == (2, 3)
+    for j, axis in enumerate(grid.axes()):
+        assert np.isin(sol.free_points[:, j], axis).all()
     assert np.isfinite(window_objective(wp, sol.free_points))
+    coupled = build_window(make_polyhedral(1.0, path, p=2, start=np.zeros(3)), 0, 3)
+    with pytest.raises(UnsupportedProblemError, match="does not separate"):
+        WindowSolver(grid)(coupled)
 
 
 def test_solver_agreement_random_convex_windows():
-    # exact vs grid within spacing * slope budget; exact vs descent to 1e-5
+    # exact vs grid within spacing * slope budget
     rng = np.random.default_rng(11)
     for trial in range(50):
         T = int(rng.integers(3, 8))
@@ -304,8 +295,35 @@ def test_solver_agreement_random_convex_windows():
         budget = grid.spacing().max() * wp.free_count * (m * width + 2 * width)
         e_obj = window_objective(wp, exact.free_points)
         assert abs(e_obj - window_objective(wp, gsol.free_points)) <= budget
-        dsol = solve_descent(wp, step=0.05, iters=50000, tol=1e-11)
-        assert abs(e_obj - window_objective(wp, dsol.free_points)) <= 1e-5
+
+
+SEPARABLE_FAMILIES = {
+    "polyhedral": lambda path, x0: make_polyhedral(1.3, path, p=1, start=x0),
+    "glb": lambda path, x0: make_glb([1.0, 0.5], [2.0, 1.0], [3.0, 2.5], path, start=x0),
+    "ripple": lambda path, x0: make_ripple(0.5, 1.0, 4.0, path, start=x0),
+    "strongly_convex": lambda path, x0: make_strongly_convex(2.0, path, start=x0),
+}
+
+
+@given(st.sampled_from(sorted(SEPARABLE_FAMILIES)), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_axis_solve_matches_joint_dp(family, anchored, seed):
+    # a 2-D separable window solved one axis at a time attains the joint
+    # DP's optimum; the joint reference is the same window with the costs'
+    # axis costs removed, on a lattice small enough for the dense kernel.
+    # Anchors are lattice points, so tied optima score alike.
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(2, 6))
+    grid = Grid.make([0.0, 0.0], [3.0, 2.5], rng.integers(5, 16, 2), dim=2)
+    path = np.stack([grid.snap(p)[0] for p in rng.uniform(0.0, 2.5, (T + 1, 2))])
+    inst = SEPARABLE_FAMILIES[family](path[1:], path[0])
+    wp = build_window(inst, int(rng.integers(0, T - 1)), T if anchored else T + 1)
+    joint = replace(wp, costs=tuple(replace(c, axes=None) for c in wp.costs))
+    split = solve_grid_dp(wp, grid)
+    ref = solve_grid_dp(joint, grid)
+    assert split.free_points.shape == ref.free_points.shape
+    assert window_objective(wp, split.free_points) == pytest.approx(
+        window_objective(wp, ref.free_points), rel=1e-12, abs=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
