@@ -5,10 +5,17 @@ at most w, pin ("anchor") the decision at each window boundary to the
 revealed minimizer, and solve each window's interior exactly.  Anchors
 decouple the windows, so each run is a sequence of independent small
 solves, each reading only the costs inside its own prediction window.
-An algorithm here only draws its anchor set; every anchored run is
-``oracle.constrained_offline`` on it, which turns anchors into windows with
-``anchor_segments`` and solves each with ``solve_segment``, the same solve
-the online learners of ``adversary`` make.
+An algorithm here only draws its anchor set; anchors become windows in
+``oracle.anchor_segments``, and each window is solved exactly as the
+online learners of ``adversary`` solve it with ``solve_segment``.
+
+Windows are solved in batches.  One anchored run is one batch
+(``constrained_offline``); the w phase subroutines of ``dsfhc`` and of the
+subroutine mean are one batch together (``oracle.solve_segments``), and
+``afhc`` solves the k-th window of every phase as one batch.  On a lattice,
+a batch runs one min-plus call per DP stage for all its windows instead of
+one per window, which matters because these windows are small (at most w
+stages) and a per-window call costs mostly numpy overhead.
 
   greedy    w = 1: always pick the current minimizer.
   sfhc(h)   anchors at timesteps congruent to h modulo w.
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, Trajectory, evaluate_total_cost
-from .oracle import anchor_segments, constrained_offline
+from .oracle import anchor_segments, constrained_offline, solve_segments
 from .windows import WindowProblem, WindowSolver, solver_for
 
 
@@ -68,11 +75,19 @@ def run_greedy(instance: Instance) -> Trajectory:
     return evaluate_total_cost(instance, instance.minimizers())
 
 
+def _phase_points(instance: Instance, w: int, solver: WindowSolver | None) -> np.ndarray:
+    """Decisions of the w phase subroutines, shape (w, T, d), solved as one batch."""
+    T = instance.horizon
+    points, _ = solve_segments(instance, [AnchorSet.phase(h, w, T) for h in range(w)],
+                               solver or solver_for(instance))
+    return points
+
+
 def sfhc_subroutine_costs(instance: Instance, w: int,
                           solver: WindowSolver | None = None) -> list[float]:
     """Total costs of the w phase subroutines."""
-    solver = solver or solver_for(instance)
-    return [run_sfhc(instance, w, h, solver).total for h in range(w)]
+    return [evaluate_total_cost(instance, points).total
+            for points in _phase_points(instance, w, solver)]
 
 
 def run_dsfhc(instance: Instance, w: int,
@@ -81,11 +96,7 @@ def run_dsfhc(instance: Instance, w: int,
     averaged sequence (averaging costs is not averaging points)."""
     if w < 1:
         raise ValueError("w must be >= 1")
-    solver = solver or solver_for(instance)
-    if w == 1:
-        return run_sfhc(instance, 1, 0, solver)
-    stack = np.stack([run_sfhc(instance, w, h, solver).points for h in range(w)])
-    return evaluate_total_cost(instance, stack.mean(axis=0))
+    return evaluate_total_cost(instance, _phase_points(instance, w, solver).mean(axis=0))
 
 
 def run_rsfhc_a(instance: Instance, w: int, rng: np.random.Generator,
@@ -139,23 +150,23 @@ def run_afhc(instance: Instance, w: int,
 
     Each subroutine solves the windows of its phase anchor set from its own
     current point with no terminal constraint (so not with ``solve_segment``,
-    which pins both ends); the committed point is the phase average.
+    which pins both ends); the committed point is the phase average.  The
+    phase chains advance together: step k solves the k-th window of every
+    phase as one batch.
     """
     if w < 1:
         raise ValueError("w must be >= 1")
     solver = solver or solver_for(instance)
     T = instance.horizon
-    per_phase = []
-    for h in range(w):
-        points = np.empty((T, instance.dim))
-        current = instance.start
-        for a, b in anchor_segments(AnchorSet.phase(h, w, T), T):
-            problem = WindowProblem(a, b, current, None,
-                                    tuple(instance.hitting[a:min(b, T)]),
-                                    instance.movement)
-            points[a:min(b, T)] = solver(problem).free_points
-            current = points[min(b, T) - 1]
-        per_phase.append(points)
-    if w == 1:
-        return evaluate_total_cost(instance, per_phase[0])
-    return evaluate_total_cost(instance, np.stack(per_phase).mean(axis=0))
+    chains = [anchor_segments(AnchorSet.phase(h, w, T), T) for h in range(w)]
+    points = np.empty((w, T, instance.dim))
+    current = [instance.start] * w
+    for k in range(max(map(len, chains))):
+        step = [(h, *chain[k]) for h, chain in enumerate(chains) if k < len(chain)]
+        problems = [WindowProblem(a, b, current[h], None,
+                                  tuple(instance.hitting[a:min(b, T)]), instance.movement)
+                    for h, a, b in step]
+        for (h, a, b), sol in zip(step, solver.solve_batch(problems)):
+            points[h, a:min(b, T)] = sol.free_points
+            current[h] = points[h, min(b, T) - 1]
+    return evaluate_total_cost(instance, points.mean(axis=0))

@@ -26,6 +26,8 @@ import numpy as np
 from .model import HittingCost, Instance, Trajectory, evaluate_total_cost
 from .windows import (
     Grid,
+    WindowProblem,
+    WindowSolution,
     WindowSolver,
     build_window,
     default_grid,
@@ -125,24 +127,47 @@ def anchor_segments(anchors, T: int) -> list[tuple[int, int]]:
     return segments
 
 
+def _decisions(problem: WindowProblem, sol: WindowSolution) -> np.ndarray:
+    """The solved interior, then the right anchor when there is one."""
+    if problem.right_anchor is None:
+        return sol.free_points
+    return np.vstack([sol.free_points, problem.right_anchor])
+
+
 def solve_segment(instance: Instance, a: int, b: int,
                   solver: WindowSolver) -> tuple[str, np.ndarray]:
     """Solver tag and decisions for timesteps a+1 .. min(b, T) of the window
     (a, b]: the solved interior, then the anchor v_b when b <= T."""
     problem = build_window(instance, a, b)
     sol = solver(problem)
-    if problem.right_anchor is None:
-        return sol.solver_tag, sol.free_points
-    return sol.solver_tag, np.vstack([sol.free_points, problem.right_anchor])
+    return sol.solver_tag, _decisions(problem, sol)
+
+
+def solve_segments(instance: Instance, anchor_sets,
+                   solver: WindowSolver) -> tuple[np.ndarray, list[set[str]]]:
+    """Decisions of the anchored runs on each anchor set, shape (runs, T, d),
+    and each run's solver tags.  The windows of all runs are solved as one
+    batch, each exactly as ``solve_segment`` solves it alone."""
+    T = instance.horizon
+    windows = [(r, a, b) for r, anchors in enumerate(anchor_sets)
+               for a, b in anchor_segments(anchors, T)]
+    problems = [build_window(instance, a, b) for _, a, b in windows]
+    points = np.empty((len(anchor_sets), T, instance.dim))
+    tags = [set() for _ in anchor_sets]
+    for (r, a, b), problem, sol in zip(windows, problems, solver.solve_batch(problems)):
+        points[r, a:min(b, T)] = _decisions(problem, sol)
+        tags[r].add(sol.solver_tag)
+    return points, tags
 
 
 def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None = None,
                         method: str = "segments") -> OracleResult:
     """Optimum of the total cost subject to x_t = v_t at every anchor t >= 1.
 
-    ``method="segments"`` solves each inter-anchor window independently
-    (anchors decouple them); ``method="monolithic"`` runs the constrained
-    joint lattice program as a cross-check.  Anchor gaps of 1 are permitted.
+    ``method="segments"`` solves the inter-anchor windows independently
+    (anchors decouple them), as one batch; ``method="monolithic"`` runs the
+    constrained joint lattice program as a cross-check.  Anchor gaps of 1
+    are permitted.
     """
     T = instance.horizon
     segments = anchor_segments(anchors, T)
@@ -153,13 +178,8 @@ def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None
         raise ValueError(f"unknown method {method!r}")
 
     solver = solver or solver_for(instance)
-    points = np.empty((T, instance.dim))
-    tags = set()
-    for a, b in segments:
-        tag, decisions = solve_segment(instance, a, b, solver)
-        points[a:min(b, T)] = decisions
-        tags.add(tag)
-    traj = evaluate_total_cost(instance, points)
+    points, (tags,) = solve_segments(instance, [anchors], solver)
+    traj = evaluate_total_cost(instance, points[0])
     method_tag = tags.pop() if len(tags) == 1 else "mixed"
     resolution = float(solver.grid.spacing().max()) if (
         solver.grid is not None and "grid_dp" in (method_tag, "mixed")) else None

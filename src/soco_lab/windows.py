@@ -28,6 +28,17 @@ points.  ``sq_l2_half`` and 2-D ``norm_l2``/``norm_linf`` take the dense
 O(G^2) product, row-blocked on large lattices.  The joint DP breaks ties
 to the lowest flat lattice index (ij order, last axis fastest); the
 per-coordinate solve breaks them to the lowest index per coordinate.
+
+Windows are solved in batches (``solve_grid_dp_batch``,
+``WindowSolver.solve_batch``): windows that share a free count,
+right-anchoring, movement and lattice form one (G, B) value table, one
+column per window, and each stage makes one prefix-min pass over all B
+columns.  The windows of an online algorithm are at most w stages on a
+few hundred points, so a per-window pass costs mostly numpy call
+overhead, which a batch pays once.  The dense product stays one window
+at a time inside the batch: its cost is arithmetic, and stacking it
+measured slower.  Every column equals its window solved alone, bit for
+bit; ``solve_grid_dp`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -77,8 +88,8 @@ class Grid:
         """The 1-D lattice along axis j."""
         return Grid(self.lo[j:j + 1], self.hi[j:j + 1], self.n[j:j + 1])
 
-    def axes(self) -> list[np.ndarray]:
-        return [np.linspace(a, b, k) for a, b, k in zip(self.lo, self.hi, self.n)]
+    def axes(self) -> tuple[np.ndarray, ...]:
+        return _axes(self)
 
     def spacing(self) -> np.ndarray:
         return np.array([(b - a) / (k - 1) for a, b, k in zip(self.lo, self.hi, self.n)])
@@ -89,14 +100,30 @@ class Grid:
     def snap(self, p) -> tuple[np.ndarray, float]:
         """Nearest lattice point and its l2 distance; rejects out-of-range points."""
         p = np.asarray(p, dtype=float)
-        snapped = np.empty_like(p)
-        for j, (a, b, k) in enumerate(zip(self.lo, self.hi, self.n)):
-            if p[j] < a - 1e-9 or p[j] > b + 1e-9:
-                raise ValueError(f"point coordinate {p[j]} outside grid range [{a}, {b}]")
-            step = (b - a) / (k - 1)
-            idx = int(round((p[j] - a) / step))
-            snapped[j] = a + min(max(idx, 0), k - 1) * step
+        snapped = self.snap_rows(p[None, :])[0]
         return snapped, float(np.sqrt(((snapped - p) ** 2).sum()))
+
+    def snap_rows(self, pts) -> np.ndarray:
+        """Nearest lattice point to each row of ``pts``; the first coordinate
+        outside the range, in row-major order, raises ValueError."""
+        pts = np.asarray(pts, dtype=float)
+        lo = np.array(self.lo)
+        outside = (pts < lo - 1e-9) | (pts > np.array(self.hi) + 1e-9)
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValueError(f"point coordinate {pts[i, j]} outside grid range "
+                             f"[{self.lo[j]}, {self.hi[j]}]")
+        step = self.spacing()
+        idx = np.clip(np.rint((pts - lo) / step), 0, np.array(self.n) - 1)
+        return lo + idx * step
+
+
+@lru_cache(maxsize=32)
+def _axes(grid: Grid) -> tuple[np.ndarray, ...]:
+    axes = tuple(np.linspace(a, b, k) for a, b, k in zip(grid.lo, grid.hi, grid.n))
+    for axis in axes:
+        axis.setflags(write=False)
+    return axes
 
 
 @lru_cache(maxsize=32)
@@ -297,15 +324,16 @@ def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float,
 def _separable_minplus(value: np.ndarray, grid: Grid,
                        prices: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """Min-plus for a coordinate-separable movement: one prefix-min pass per
-    axis, the last axis first, so the back-pointer composes in ij order."""
+    axis, the last axis first, so the back-pointer composes in ij order.
+    Trailing dimensions of ``value`` (one per window of a batch) ride along."""
     axes = grid.axes()
     if grid.dim == 1:
         return _prefix_minplus(value, axes[0], *prices[0])
-    n0, n1 = grid.n
-    inner, a1 = _prefix_minplus(value.reshape(n0, n1).T, axes[1], *prices[1])
-    best, a0 = _prefix_minplus(inner.T, axes[0], *prices[0])
-    arg = a0 * n1 + a1[np.arange(n1), a0]
-    return best.ravel(), arg.ravel()
+    (n0, n1), B = grid.n, value.size // grid.size
+    inner, a1 = _prefix_minplus(value.reshape(n0, n1, B).swapaxes(0, 1), axes[1], *prices[1])
+    best, a0 = _prefix_minplus(inner.swapaxes(0, 1), axes[0], *prices[0])
+    arg = a0 * n1 + a1.reshape(n1, n0 * B)[np.arange(n1)[:, None], a0 * B + np.arange(B)]
+    return best.reshape(value.shape), arg.reshape(value.shape)
 
 
 class _GridEval:
@@ -338,10 +366,24 @@ class _GridEval:
 
     def minplus(self, value: np.ndarray, movement: MovementCost,
                 grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        """(best value, argmin prev index) of value[j] + c(p_i, p_j) per i."""
+        """(best value, argmin prev index) of value[j] + c(p_i, p_j) per i.
+
+        ``value`` is (G,) or (G, B), one column per window.  The prefix-min
+        kernel takes all columns in one pass; the dense product takes one
+        column at a time, since its cost is arithmetic, not call overhead.
+        """
         prices = _axis_prices(movement, grid.dim)
         if prices is not None:
             return _separable_minplus(value, grid, prices)
+        if value.ndim == 1:
+            return self._dense_minplus(value, movement, grid)
+        best, arg = np.empty(value.shape), np.empty(value.shape, dtype=np.int64)
+        for b in range(value.shape[1]):
+            best[:, b], arg[:, b] = self._dense_minplus(value[:, b], movement, grid)
+        return best, arg
+
+    def _dense_minplus(self, value: np.ndarray, movement: MovementCost,
+                       grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         trans = self.transition(movement, grid)
         pts = grid.points()
         if trans is not None:
@@ -359,60 +401,91 @@ class _GridEval:
         return best, arg
 
 
+def _split_moves(problem: WindowProblem) -> tuple[MovementCost, ...] | None:
+    """Per-axis movements of a d >= 2 window that separates by coordinate."""
+    if problem.dim == 1 or any(c.axes is None for c in problem.costs):
+        return None
+    return problem.movement.split(problem.dim)
+
+
 def solve_grid_dp(problem: WindowProblem, grid: Grid,
                   cache: _GridEval | None = None) -> WindowSolution:
-    """Exact optimum over the lattice via stage-wise dynamic programming.
+    """Exact optimum over the lattice: ``solve_grid_dp_batch`` of one window."""
+    return solve_grid_dp_batch([problem], grid, cache)[0]
 
-    Anchors are snapped to the nearest lattice point for the search (an
-    anchor outside the lattice raises ValueError); the free points returned
-    are lattice points.  A window that separates by coordinate is solved
-    per lattice axis, ties to the lowest index per coordinate; any other by
-    the joint DP (d <= 2, <= 1e6 points), ties to the lowest flat index.
+
+def solve_grid_dp_batch(problems, grid: Grid,
+                        cache: _GridEval | None = None) -> list[WindowSolution]:
+    """Exact lattice optimum of each window, by stage-wise dynamic programming.
+
+    Windows that share a free count, right-anchoring, movement and kind of
+    solve are one batch: one value table with a column per window, one
+    min-plus call per stage.  Each column equals the window solved alone,
+    bit for bit.  Anchors are snapped to the nearest lattice point for the
+    search (an anchor outside the lattice raises ValueError naming the
+    coordinate); the free points returned are lattice points.  A window
+    that separates by coordinate is solved per lattice axis, ties to the
+    lowest index per coordinate; any other by the joint DP (d <= 2, <= 1e6
+    points), ties to the lowest flat index.
     """
-    if grid.dim != problem.dim:
-        raise ValueError("grid dimension does not match problem")
     cache = cache or _GridEval()
-    F, d = problem.free_count, problem.dim
-    moves = problem.movement.split(d)
-    if d > 1 and moves is not None and all(c.axes is not None for c in problem.costs):
-        return WindowSolution(np.hstack([
-            solve_grid_dp(problem.axis(j, moves[j]), grid.axis(j), cache).free_points
-            for j in range(d)]), "grid_dp")
+    batches: dict = {}
+    for i, problem in enumerate(problems):
+        if grid.dim != problem.dim:
+            raise ValueError("grid dimension does not match problem")
+        key = (problem.free_count, problem.right_anchor is not None, problem.movement,
+               _split_moves(problem) is not None)
+        batches.setdefault(key, []).append(i)
+    out = [None] * len(problems)
+    for members in batches.values():
+        batch = [problems[i] for i in members]
+        for i, points in zip(members, _grid_dp(batch, grid, cache)):
+            out[i] = WindowSolution(points, "grid_dp")
+    return out
+
+
+def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[np.ndarray]:
+    """Free points of each window of a batch that shares free count,
+    right-anchoring, movement and kind of solve."""
+    first = batch[0]
+    F, d = first.free_count, first.dim
+    moves = _split_moves(first)
+    if moves is not None:
+        columns = [_grid_dp([p.axis(j, moves[j]) for p in batch], grid.axis(j), cache)
+                   for j in range(d)]
+        return [np.hstack(axes) for axes in zip(*columns)]
     if d > 2:
         raise UnsupportedProblemError(
             f"no lattice solve for a {d}-D window that does not separate by coordinate "
-            f"({problem.costs[0].family_tag} costs, {problem.movement.kind} movement): "
+            f"({first.costs[0].family_tag} costs, {first.movement.kind} movement): "
             "the joint grid DP supports d <= 2")
     if grid.size > 10 ** 6:
         raise ValueError(
             f"grid has {grid.size} points (> 1e6); reduce n per dimension "
             f"(currently {grid.n})")
-    left_snap, _ = grid.snap(problem.left_anchor)
-    if problem.right_anchor is not None:
-        right_snap, _ = grid.snap(problem.right_anchor)
+    anchored = first.right_anchor is not None
+    snapped = grid.snap_rows([a for p in batch for a in (p.left_anchor, p.right_anchor)
+                              if a is not None])
     if F == 0:
-        return WindowSolution(np.empty((0, d)), "grid_dp")
+        return [np.empty((0, d)) for _ in batch]
 
     pts = grid.points()
-    value = problem.movement.pairwise(pts, left_snap[None, :])[:, 0]
-    value = value + cache.cost_table(problem.costs[0], grid)
-    back = np.empty((F, grid.size), dtype=np.int64)
-    back[0] = -1
-    for s in range(1, F):
-        best, back[s] = cache.minplus(value, problem.movement, grid)
-        value = best + cache.cost_table(problem.costs[s], grid)
+    movement = first.movement
+    value = movement.pairwise(pts, snapped[::2] if anchored else snapped)
+    back = np.full((F, grid.size, len(batch)), -1, dtype=np.int64)
+    for s in range(F):
+        if s > 0:
+            value, back[s] = cache.minplus(value, movement, grid)
+        value = value + np.stack([cache.cost_table(p.costs[s], grid) for p in batch], axis=1)
 
-    if problem.right_anchor is not None:
-        closing = problem.movement.pairwise(right_snap[None, :], pts)[0]
-        last = int(np.argmin(value + closing))
-    else:
-        last = int(np.argmin(value))
-
-    idx = [last]
+    if anchored:
+        value = value + movement.pairwise(snapped[1::2], pts).T
+    cols = np.arange(len(batch))
+    idx = np.empty((F, len(batch)), dtype=np.int64)
+    idx[-1] = np.argmin(value, axis=0)
     for s in range(F - 1, 0, -1):
-        idx.append(int(back[s, idx[-1]]))
-    idx.reverse()
-    return WindowSolution(pts[idx], "grid_dp")
+        idx[s - 1] = back[s, idx[s], cols]
+    return [pts[idx[:, b]] for b in cols]
 
 
 class WindowSolver:
@@ -425,10 +498,26 @@ class WindowSolver:
         self._cache = _GridEval()
 
     def __call__(self, problem: WindowProblem) -> WindowSolution:
-        if _is_quadratic(problem):
-            return solve_quadratic_chain(problem)
-        grid = self.grid or grid_for_problem(problem)
-        return solve_grid_dp(problem, grid, cache=self._cache)
+        return self.solve_batch([problem])[0]
+
+    def solve_batch(self, problems) -> list[WindowSolution]:
+        """Solutions in order.  With a lattice, the lattice windows are
+        solved together (``solve_grid_dp_batch``); without one, each window
+        gets its own lattice and is solved alone."""
+        out = [None] * len(problems)
+        lattice = []
+        for i, problem in enumerate(problems):
+            if _is_quadratic(problem):
+                out[i] = solve_quadratic_chain(problem)
+            elif self.grid is None:
+                out[i] = solve_grid_dp(problem, grid_for_problem(problem), self._cache)
+            else:
+                lattice.append(i)
+        if lattice:
+            sols = solve_grid_dp_batch([problems[i] for i in lattice], self.grid, self._cache)
+            for i, sol in zip(lattice, sols):
+                out[i] = sol
+        return out
 
 
 def solver_for(instance: Instance) -> WindowSolver:

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from soco_lab import (
     AnchorSet,
     Grid,
+    WindowProblem,
     WindowSolver,
     anchor_segments,
     constrained_offline,
+    evaluate_total_cost,
     gap_support,
     gen_anchor_sequence,
     make_glb,
@@ -26,6 +28,7 @@ from soco_lab import (
     run_rsfhc_b,
     run_sfhc,
     sfhc_subroutine_costs,
+    solver_for,
 )
 from soco_lab.adversary import RandomWalk, minimizer_path
 
@@ -343,3 +346,69 @@ def test_anchor_set_validation():
     assert phase.members[0] == 1 and phase.members[-1] <= 10
     with pytest.raises(ValueError):
         AnchorSet.phase(3, 3, 10)
+
+
+BATCHED_CALLER_CASES = {
+    "polyhedral": lambda path, x0: make_polyhedral(1.3, path, p=1, start=x0),
+    "glb": lambda path, x0: make_glb([1.0], [2.0], [1.5], path, start=x0),
+    "ripple": lambda path, x0: make_ripple(0.5, 1.0, 4.0, path, start=x0),
+    "strongly_convex": lambda path, x0: make_strongly_convex(2.0, path, start=x0),
+    "glb-2d": lambda path, x0: make_glb([1.0, 0.5], [2.0, 1.0], [3.0, 2.5], path, start=x0),
+}
+
+
+def batched_caller_instance(case, T=17, seed=3):
+    rng = np.random.default_rng(seed)
+    dim = 2 if case.endswith("2d") else 1
+    path = np.abs(np.cumsum(0.7 * rng.standard_normal((T + 1, dim)), axis=0))
+    return BATCHED_CALLER_CASES[case](path[1:], path[0])
+
+
+def afhc_per_phase_reference(instance, w, solver):
+    """``run_afhc`` as a chained loop per phase, one window at a time."""
+    T = instance.horizon
+    per_phase = []
+    for h in range(w):
+        points = np.empty((T, instance.dim))
+        current = instance.start
+        for a, b in anchor_segments(AnchorSet.phase(h, w, T), T):
+            problem = WindowProblem(a, b, current, None,
+                                    tuple(instance.hitting[a:min(b, T)]),
+                                    instance.movement)
+            points[a:min(b, T)] = solver(problem).free_points
+            current = points[min(b, T) - 1]
+        per_phase.append(points)
+    if w == 1:
+        return evaluate_total_cost(instance, per_phase[0])
+    return evaluate_total_cost(instance, np.stack(per_phase).mean(axis=0))
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_CALLER_CASES))
+@pytest.mark.parametrize("w", [1, 2, 3, 5])
+def test_phase_batch_equals_per_phase_runs(case, w):
+    # the w phases solved as one batch give each phase's own run, bit for bit
+    inst = batched_caller_instance(case)
+    solver = solver_for(inst)
+    per_phase = [run_sfhc(inst, w, h, solver) for h in range(w)]
+    assert sfhc_subroutine_costs(inst, w, solver) == [t.total for t in per_phase]
+    ref = evaluate_total_cost(inst, np.stack([t.points for t in per_phase]).mean(axis=0))
+    got = run_dsfhc(inst, w, solver)
+    assert np.array_equal(got.points, ref.points) and got.total == ref.total
+    afhc = run_afhc(inst, w, solver)
+    ref = afhc_per_phase_reference(inst, w, solver_for(inst))
+    assert np.array_equal(afhc.points, ref.points) and afhc.total == ref.total
+
+
+def test_batched_callers_reject_off_lattice_anchor():
+    # one window of the batch has an anchor off the lattice: the call fails
+    # and names the coordinate
+    grid = Grid.make(-1.0, 1.0, 21, dim=1)
+    inst = make_polyhedral(1.0, [[0.1], [0.4], [-0.3], [2.5], [0.2], [0.0]], p=1,
+                           start=[0.0])
+    for run in (run_dsfhc, sfhc_subroutine_costs):
+        with pytest.raises(ValueError, match=r"point coordinate 2\.5 outside grid range"):
+            run(inst, 3, WindowSolver(grid))
+    # afhc anchors only at its own lattice points, so only the start can be off
+    inst = make_polyhedral(1.0, [[0.1], [0.4], [-0.3], [0.2]], p=1, start=[-1.5])
+    with pytest.raises(ValueError, match=r"point coordinate -1\.5 outside grid range"):
+        run_afhc(inst, 2, WindowSolver(grid))

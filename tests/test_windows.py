@@ -19,6 +19,7 @@ from soco_lab import (
     make_strongly_convex,
     movement_cost,
     solve_grid_dp,
+    solve_grid_dp_batch,
     solve_quadratic_chain,
     window_objective,
 )
@@ -367,3 +368,132 @@ def test_overshoot_never_worse_than_anchored():
         f_sol = solve_quadratic_chain(free)
         assert window_objective(free, f_sol.free_points) <= \
             window_objective(anchored, a_sol.free_points) + 1e-12
+
+
+def _table_cost(grid, table):
+    """Hitting cost equal to ``table`` (flat ij order) at the lattice points."""
+    lo, step = np.array(grid.lo), grid.spacing()
+
+    def fn(x):
+        idx = np.rint((np.asarray(x, dtype=float) - lo) / step).astype(int)
+        return table[np.ravel_multi_index(tuple(idx.T), grid.n)]
+
+    return HittingCost(fn, as_point(grid.points()[int(np.argmin(table))]))
+
+
+#: (kind of costs, dimension, movement kind or family parameter)
+BATCH_CASES = [("polyhedral", 1, 1), ("polyhedral", 1, 2), ("glb", 1, None),
+               ("ripple", 1, None), ("polyhedral", 3, 1), ("glb", 3, None),
+               ("ripple", 3, None)] + [
+    ("table", 1, kind) for kind in ("norm_l1", "rectified_linear", "norm_l2",
+                                    "norm_linf", "sq_l2_half")] + [
+    ("table", 2, kind) for kind in ("norm_l1", "rectified_linear", "norm_l2")]
+
+
+def _family_batch(kind, dim, p, anchored, F, B, rng):
+    """B windows of one generated instance, each at its own offset."""
+    T = F + 6
+    path = rng.uniform(0.0, 3.0, (T + 1, dim))
+    if kind == "polyhedral":
+        inst = make_polyhedral(1.3, path[1:], p=p, start=path[0])
+    elif kind == "glb":
+        inst = make_glb(np.full(dim, 1.0), np.linspace(1.0, 2.0, dim),
+                        np.full(dim, 2.5), path[1:], start=path[0])
+    else:
+        inst = make_ripple(0.5, 1.0, 4.0, path[1:], start=path[0])
+    grid = default_grid(inst, n=int(rng.integers(5, 41 if dim == 1 else 16)))
+    problems = [build_window(inst, int(tau1), int(tau1) + F + 1)
+                for tau1 in rng.integers(0, T - F, B)]
+    if not anchored:
+        problems = [replace(p, right_anchor=None, costs=p.costs[:F]) for p in problems]
+    return grid, problems
+
+
+def _table_batch(dim, kind, anchored, integer_valued, F, B, rng):
+    """B windows with their own random cost tables and anchors.  Integer
+    tables on a unit lattice with integer prices tie exactly; in 2-D some
+    stages are pinned (+inf off one lattice point), as the oracle pins
+    anchor stages."""
+    n = rng.integers(2, 30 if dim == 1 else 8, dim)
+    if integer_valued:
+        grid = Grid.make(np.zeros(dim), n - 1.0, n, dim=dim)
+        beta = rng.integers(1, 4, dim).astype(float)
+    else:
+        lo = rng.uniform(-3, 0, dim)
+        grid = Grid.make(lo, lo + rng.uniform(0.5, 4, dim), n, dim=dim)
+        beta = rng.uniform(0.2, 3, dim)
+    movement = movement_cost(kind, beta=beta if kind == "rectified_linear" else None)
+    pts = grid.points()
+
+    def anchor():
+        if integer_valued:
+            return as_point(pts[rng.integers(grid.size)])
+        return as_point(rng.uniform(grid.lo, grid.hi))
+
+    def cost():
+        table = (rng.integers(0, 4, grid.size).astype(float) if integer_valued
+                 else rng.normal(size=grid.size))
+        if dim == 2 and rng.random() < 0.3:
+            table = np.where(np.arange(grid.size) == rng.integers(grid.size), table, np.inf)
+        return _table_cost(grid, table)
+
+    problems = [WindowProblem(0, F + 1, anchor(), anchor() if anchored else None,
+                              tuple(cost() for _ in range(F + anchored)), movement)
+                for _ in range(B)]
+    return grid, problems
+
+
+@given(st.sampled_from(BATCH_CASES), st.booleans(), st.booleans(), st.integers(0, 4),
+       st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_batch_equals_each_window_alone(case, anchored, integer_valued, F, B, seed):
+    # one value-table column per window: every column must backtrack to the
+    # points its window gets when solved alone, bit for bit, including the
+    # lowest-index tie-breaks
+    kind, dim, param = case
+    rng = np.random.default_rng(seed)
+    if kind == "table":
+        grid, problems = _table_batch(dim, param, anchored, integer_valued, F, B, rng)
+    else:
+        grid, problems = _family_batch(kind, dim, param, anchored, F, B, rng)
+    alone = [solve_grid_dp(p, grid).free_points for p in problems]
+    batch = solve_grid_dp_batch(problems, grid, _GridEval())
+    assert [s.solver_tag for s in batch] == ["grid_dp"] * B
+    for ref, sol in zip(alone, batch):
+        assert sol.free_points.shape == (F, dim)
+        assert np.array_equal(sol.free_points, ref)
+
+
+def test_solve_batch_keeps_order_across_kinds_of_window():
+    # windows of different free counts, anchoring and solvers come back in
+    # the order given, each as the solver gives it alone
+    rng = np.random.default_rng(5)
+    glb = make_glb([1.0], [2.0], [1.5], rng.uniform(0.0, 3.0, (12, 1)), start=[1.0])
+    quad = quad_instance(T=12)
+    problems = [build_window(inst, a, b) for inst in (glb, quad)
+                for a, b in ((0, 3), (2, 4), (5, 13), (4, 9), (1, 2), (7, 10))]
+    order = rng.permutation(len(problems))
+    problems = [problems[i] for i in order]
+    solver = WindowSolver(default_grid(glb))
+    batch = solver.solve_batch(problems)
+    for problem, sol in zip(problems, batch):
+        ref = WindowSolver(default_grid(glb))(problem)
+        assert sol.solver_tag == ref.solver_tag
+        assert np.array_equal(sol.free_points, ref.free_points)
+
+
+def test_batch_rejects_off_lattice_anchor_by_coordinate():
+    inst = make_polyhedral(1.0, [[0.5], [0.2], [3.25], [0.0]], p=1, start=[0.0])
+    grid = Grid.make(-1.0, 1.0, 21, dim=1)
+    problems = [build_window(inst, 0, 2), build_window(inst, 1, 3), build_window(inst, 0, 1)]
+    with pytest.raises(ValueError, match=r"point coordinate 3\.25 outside grid range"):
+        solve_grid_dp_batch(problems, grid)
+    with pytest.raises(ValueError, match=r"point coordinate 3\.25 outside grid range"):
+        WindowSolver(grid).solve_batch(problems)
+
+
+def test_snap_rows_matches_snap():
+    grid = Grid.make([-1.0, 0.0], [1.0, 2.5], [7, 12], dim=2)
+    rows = np.random.default_rng(2).uniform([-1.0, 0.0], [1.0, 2.5], (50, 2))
+    assert np.array_equal(grid.snap_rows(rows), np.stack([grid.snap(r)[0] for r in rows]))
+    with pytest.raises(ValueError, match=r"point coordinate 2\.75 outside"):
+        grid.snap_rows([[0.0, 1.0], [0.5, 2.75], [3.0, 0.0]])
