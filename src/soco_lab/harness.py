@@ -95,12 +95,14 @@ def semi_adaptive_bound(instance: Instance, w: int) -> float:
     return 1.0 + (2.0 / (w - 2.0)) * max(eta / lam, 2.0 * (eta - 1.0))
 
 
-#: name -> (bound fn, cost kind, applicability predicate on (algorithm, w))
+#: name -> (bound fn, cost kind, applicability predicate on (algorithm, w)).
+#: The paper bounds one phase subroutine only on average over the w phases
+#: (``subroutine_average_bound``), so a single ``sfhc`` phase is not checked.
 BOUNDS = {
     "greedy_bound": (greedy_bound, "algorithm",
                      lambda a, w: w == 1),
     "prediction_bound": (prediction_bound, "algorithm",
-                         lambda a, w: w >= 2 and a in ("dsfhc", "sfhc")),
+                         lambda a, w: w >= 2 and a == "dsfhc"),
     "subroutine_average_bound": (prediction_bound, "subroutine_mean",
                                  lambda a, w: w >= 2 and a in ("dsfhc", "rsfhc-a")),
     "rsfhc_a_expected_bound": (prediction_bound, "subroutine_mean",

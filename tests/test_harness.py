@@ -17,7 +17,12 @@ from soco_lab.harness import (
     splitmix64,
     sweep_and_report,
 )
-from soco_lab import make_strongly_convex, offline_optimal_grid
+from soco_lab import (
+    make_strongly_convex,
+    offline_optimal_grid,
+    offline_optimal_quadratic,
+    sfhc_subroutine_costs,
+)
 
 
 def quad_config(seeds=(1, 2), ws=(2, 4), checks=("greedy_bound", "prediction_bound")):
@@ -236,3 +241,32 @@ def test_bound_registry_values():
     assert BOUNDS["semi_adaptive_bound"][0](inst, 6) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         prediction_bound(inst, 1)
+
+
+def test_prediction_bound_checks_the_phase_mean_not_one_sfhc_phase():
+    # The paper bounds a single phase subroutine only on average over the w
+    # phases.  On this quadratic instance (T = 40, random walk 0.5), phase 0
+    # at w = 6 has ratio 1.336, above 1 + 2/6, while the phase mean is 1.095.
+    spec = {"id": "strongly_convex-103", "generate": {
+        "family": "strongly_convex", "params": {"m": 2.0}, "T": 40, "d": 1,
+        "path": {"model": "random_walk", "step": 0.5}}}
+    seed = 160485265
+    inst = harness._build_instance(spec, spec["id"], seed)
+    opt = offline_optimal_quadratic(inst).cost
+    bound = prediction_bound(inst, 6)
+    costs = sfhc_subroutine_costs(inst, 6)
+    assert costs[0] / opt > bound
+    assert sum(costs) / len(costs) / opt <= bound
+    rows, summary = run_suite(ExperimentConfig.from_dict({
+        "instances": [spec],
+        "algorithms": [{"name": "sfhc", "w": [6]}, {"name": "dsfhc", "w": [6]},
+                       {"name": "rsfhc-a", "w": [6]}],
+        "seeds": [seed],
+        "checks": ["prediction_bound", "subroutine_average_bound"]}))
+    sfhc, dsfhc, mean = rows
+    assert sfhc.ratio == pytest.approx(costs[0] / opt, rel=1e-12)
+    assert sfhc.bound_value == math.inf and sfhc.within_bound
+    assert dsfhc.bound_value == bound and dsfhc.within_bound
+    assert mean.cost == pytest.approx(sum(costs) / len(costs), rel=1e-12)
+    assert mean.bound_value == bound and mean.within_bound
+    assert summary["all_within_bounds"]
