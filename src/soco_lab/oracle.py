@@ -9,12 +9,13 @@ and an anchor-constrained optimum computed either segment by segment
 stages pinned.  Reported costs always re-evaluate the reported
 trajectory, so they are attained, not just claimed.
 
-``anchor_segments`` is the one place anchors become windows, and
-``solve_segment`` the one solve of a window between anchors: the offline
-runs of ``algorithms`` call them through ``constrained_offline``, and the
-online learners of ``adversary`` call ``solve_segment`` on the costs
-revealed so far, so an online run and its offline counterpart are the same
-computation.
+``anchor_segments`` is the one place anchors become windows.  The offline
+runs of ``algorithms`` solve their windows in batches (``solve_segments``,
+also behind ``constrained_offline``); the online learners of ``adversary``
+solve one window at a time with ``solve_segment`` on the costs revealed so
+far.  Both return the same decisions for a window, since a batch equals
+each of its windows solved alone, bit for bit, so an online run and its
+offline counterpart are the same computation.
 """
 
 from __future__ import annotations

@@ -375,12 +375,11 @@ class _GridEval:
         prices = _axis_prices(movement, grid.dim)
         if prices is not None:
             return _separable_minplus(value, grid, prices)
-        if value.ndim == 1:
-            return self._dense_minplus(value, movement, grid)
-        best, arg = np.empty(value.shape), np.empty(value.shape, dtype=np.int64)
-        for b in range(value.shape[1]):
-            best[:, b], arg[:, b] = self._dense_minplus(value[:, b], movement, grid)
-        return best, arg
+        cols = value.reshape(grid.size, -1)
+        best, arg = np.empty(cols.shape), np.empty(cols.shape, dtype=np.int64)
+        for b in range(cols.shape[1]):
+            best[:, b], arg[:, b] = self._dense_minplus(cols[:, b], movement, grid)
+        return best.reshape(value.shape), arg.reshape(value.shape)
 
     def _dense_minplus(self, value: np.ndarray, movement: MovementCost,
                        grid: Grid) -> tuple[np.ndarray, np.ndarray]:

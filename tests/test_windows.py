@@ -491,9 +491,28 @@ def test_batch_rejects_off_lattice_anchor_by_coordinate():
         WindowSolver(grid).solve_batch(problems)
 
 
-def test_snap_rows_matches_snap():
-    grid = Grid.make([-1.0, 0.0], [1.0, 2.5], [7, 12], dim=2)
-    rows = np.random.default_rng(2).uniform([-1.0, 0.0], [1.0, 2.5], (50, 2))
-    assert np.array_equal(grid.snap_rows(rows), np.stack([grid.snap(r)[0] for r in rows]))
-    with pytest.raises(ValueError, match=r"point coordinate 2\.75 outside"):
-        grid.snap_rows([[0.0, 1.0], [0.5, 2.75], [3.0, 0.0]])
+def _snap_loop(grid, p):
+    """Per-coordinate snap, the reference for ``Grid.snap_rows``."""
+    snapped = np.empty(len(p))
+    for j, (a, b, k) in enumerate(zip(grid.lo, grid.hi, grid.n)):
+        if p[j] < a - 1e-9 or p[j] > b + 1e-9:
+            raise ValueError(f"point coordinate {p[j]} outside grid range [{a}, {b}]")
+        step = (b - a) / (k - 1)
+        snapped[j] = a + min(max(int(round((p[j] - a) / step)), 0), k - 1) * step
+    return snapped
+
+
+def test_snap_rows_matches_per_coordinate_loop():
+    # rows include exact half steps (round half to even) and points just
+    # outside the range but within the 1e-9 slack
+    grid = Grid.make([-1.0, 0.0], [1.0, 2.5], [5, 11], dim=2)
+    rng = np.random.default_rng(2)
+    rows = np.vstack([rng.uniform([-1.0, 0.0], [1.0, 2.5], (50, 2)),
+                      [[-0.75, 0.125], [0.25, 0.375], [-1.0 - 5e-10, 2.5 + 5e-10]]])
+    assert np.array_equal(grid.snap_rows(rows), np.stack([_snap_loop(grid, r) for r in rows]))
+    bad = np.array([[0.0, 1.0], [0.5, 2.75], [3.0, 0.0]])
+    with pytest.raises(ValueError) as loop_err:
+        [_snap_loop(grid, r) for r in bad]
+    with pytest.raises(ValueError, match=r"point coordinate 2\.75 outside") as rows_err:
+        grid.snap_rows(bad)
+    assert str(rows_err.value) == str(loop_err.value)
