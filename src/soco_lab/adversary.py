@@ -11,7 +11,9 @@ The anchored learners draw the anchor set of their offline counterpart
 (``AnchorSet.phase`` or ``gen_anchor_sequence``) at reset and, when a
 window's first timestep arrives, solve it with ``oracle.solve_segment`` on
 the costs revealed so far: against an oblivious adversary an online run
-equals the offline run of ``algorithms``.
+equals the offline run of ``algorithms``.  Their window solver has no
+lattice, so a shell whose windows are not quadratic raises
+``UnsupportedProblemError``.
 
 Also here: oblivious instance generators, a phase-tracking "spike" stress
 policy, Monte Carlo estimates of randomized-anchor hit probabilities, and
@@ -85,7 +87,7 @@ def minimizer_path(path_model: PathModel, T: int, d: int,
     if nonnegative:
         path = np.abs(path)
     if grid is not None:
-        path = np.stack([grid.snap(p)[0] for p in path])
+        path = grid.snap_rows(path)
     return path
 
 

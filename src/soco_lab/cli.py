@@ -25,14 +25,14 @@ from .adversary import (
 from .families import StronglyConvex, estimate_condition_constants, instance_from_spec
 from .harness import ExperimentConfig, format_rows, run_suite, sweep_and_report
 from .model import movement_cost
-from .oracle import offline_optimal, offline_optimal_grid, offline_optimal_quadratic
+from .oracle import ORACLE_METHODS, offline_optimal
 from .reductions import (
     cbc_from_spec,
     cbc_to_spec,
     duplicate_cbc_instance,
     epigraph_reduce,
 )
-from .windows import Grid
+from .windows import Grid, default_grid
 
 
 def _load_json(path: str) -> dict:
@@ -69,14 +69,11 @@ def _cmd_rows(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = instance_from_spec(_load_json(args.instance))
-    grid = None if args.grid_lo is None else Grid.make(
-        args.grid_lo, args.grid_hi, args.grid_n, dim=instance.dim)
-    if args.method == "exact_quadratic":
-        res = offline_optimal_quadratic(instance)
-    elif args.method == "grid":
-        res = offline_optimal_grid(instance, grid)
+    if args.grid_lo is None:
+        grid = default_grid(instance, args.grid_n)
     else:
-        res = offline_optimal(instance, grid)
+        grid = Grid.make(args.grid_lo, args.grid_hi, args.grid_n, dim=instance.dim)
+    res = offline_optimal(instance, grid, args.method)
     payload = {"cost": res.cost, "trajectory": res.trajectory.points.tolist(),
                "method": res.method}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -169,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="offline optimum of an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", choices=("auto", "grid", "exact_quadratic"),
-                   default="auto")
+    p.add_argument("--method", choices=ORACLE_METHODS, default="auto")
     p.add_argument("--grid-lo", type=float, default=None)
     p.add_argument("--grid-hi", type=float, default=None)
     p.add_argument("--grid-n", type=int, default=201)

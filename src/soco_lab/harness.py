@@ -30,7 +30,7 @@ from .families import (
 )
 from .adversary import Constant, RandomWalk, Spikes, generate_oblivious_instance
 from .model import Instance, competitive_ratio
-from .oracle import offline_optimal_grid, offline_optimal_quadratic
+from .oracle import ORACLE_METHODS, offline_optimal
 from .windows import Grid, WindowSolver, default_grid
 
 
@@ -157,9 +157,12 @@ class ExperimentConfig:
             if spec["name"] not in ("greedy", "sfhc", "dsfhc", "rsfhc-a",
                                     "rsfhc-b", "afhc"):
                 raise ValueError(f"unknown algorithm {spec['name']!r}")
+        oracle = dict(raw.get("oracle", {}))
+        if oracle.get("method", "auto") not in ORACLE_METHODS:
+            raise ValueError(f"unknown oracle method {oracle['method']!r}; "
+                             f"expected one of {ORACLE_METHODS}")
         return cls(list(raw.get("instances", [])), list(raw.get("algorithms", [])),
-                   [int(s) for s in seeds], dict(raw.get("oracle", {})),
-                   checks, dict(raw.get("output", {})))
+                   [int(s) for s in seeds], oracle, checks, dict(raw.get("output", {})))
 
 
 _PATHS = {"random_walk": RandomWalk, "spikes": Spikes, "constant": Constant}
@@ -254,12 +257,10 @@ def _prepare(spec: dict, instance_id: str, seed: int,
 def _opt_and_budget(instance: Instance, oracle_spec: dict,
                     grid: Grid) -> tuple[float, float]:
     """Offline optimum, and the ratio's tolerance budget for lattice snapping."""
-    method = oracle_spec.get("method", "auto")
-    if method == "exact_quadratic" or (
-            method != "grid" and instance.family_tag == "strongly_convex"):
-        return offline_optimal_quadratic(instance).cost, 1e-8
-    opt = offline_optimal_grid(instance, grid).cost
-    budget = 1e-8
+    res = offline_optimal(instance, grid, oracle_spec.get("method", "auto"))
+    if res.method == "exact_quadratic":
+        return res.cost, 1e-8
+    opt, budget = res.cost, 1e-8
     snap = max(grid.snap(h.minimizer)[1] for h in instance.hitting)
     snap = max(snap, grid.snap(instance.start)[1])
     if snap > 0:

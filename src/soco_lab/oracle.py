@@ -1,12 +1,15 @@
-"""Exact and brute-force offline optima, and the anchored-segment solve.
+"""Offline optima, and the anchored-segment solve.
 
 Every optimum is a window solve from ``windows`` over the whole horizon or
-over the segments between anchors: the closed-form tridiagonal solve for
-the quadratic family, the lattice DP (``solve_grid_dp``) over the window
-(0, T+1) for anything else (per coordinate where it separates, in any d),
-and an anchor-constrained optimum computed either segment by segment
-(anchors decouple the horizon) or as one joint lattice DP with the anchor
-stages pinned.  Reported costs always re-evaluate the reported
+over the segments between anchors.  ``offline_optimal`` is the one place
+that picks how the full-horizon optimum is computed: the closed-form
+tridiagonal solve for the quadratic family, the lattice DP
+(``solve_grid_dp``) over the window (0, T+1) for anything else (per
+coordinate where it separates, in any d).  ``constrained_offline``, the
+anchor-constrained optimum, solves the segments between anchors, which
+anchors decouple; ``offline_optimal_grid`` with ``anchors`` solves the
+same program as one joint lattice DP with the anchor stages pinned, a
+cross-check for tests.  Reported costs always re-evaluate the reported
 trajectory, so they are attained, not just claimed.
 
 ``anchor_segments`` is the one place anchors become windows.  The offline
@@ -15,7 +18,8 @@ also behind ``constrained_offline``); the online learners of ``adversary``
 solve one window at a time with ``solve_segment`` on the costs revealed so
 far.  Both return the same decisions for a window, since a batch equals
 each of its windows solved alone, bit for bit, so an online run and its
-offline counterpart are the same computation.
+offline counterpart are the same computation.  The learners' solver has
+no lattice, so they solve quadratic windows only.
 """
 
 from __future__ import annotations
@@ -37,13 +41,16 @@ from .windows import (
     solver_for,
 )
 
+#: Methods of ``offline_optimal``: ``auto`` takes the closed form on the
+#: quadratic family and the lattice DP otherwise; the others force one.
+ORACLE_METHODS = ("auto", "grid", "exact_quadratic")
+
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
     cost: float
     trajectory: Trajectory
     method: str
-    resolution: float | None = None
 
 
 def offline_optimal_quadratic(instance: Instance) -> OracleResult:
@@ -77,10 +84,11 @@ def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
                          anchors=None) -> OracleResult:
     """Exact minimum over the lattice: the grid DP over the whole horizon.
 
-    With ``anchors`` (sorted 1-based timesteps), the state at each anchor t
-    is pinned to the snapped minimizer v_t and the output trajectory carries
-    the exact v_t there; this is the monolithic constrained program, which
-    always takes the joint DP.
+    With ``anchors`` (timesteps; those outside 1..T are ignored, so
+    ``AnchorSet.members`` passes as is), the state at each anchor t is
+    pinned to the snapped minimizer v_t and the output trajectory carries
+    the exact v_t there; this is ``constrained_offline``'s program as one
+    joint DP, the cross-check for its segment solve.
     """
     grid = grid or default_grid(instance)
     T = instance.horizon
@@ -97,13 +105,18 @@ def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
     for t in anchor_steps:
         points[t - 1] = instance.hitting[t - 1].minimizer
     traj = evaluate_total_cost(instance, points)
-    return OracleResult(traj.total, traj, "grid_dp",
-                        resolution=float(grid.spacing().max()))
+    return OracleResult(traj.total, traj, "grid_dp")
 
 
-def offline_optimal(instance: Instance, grid: Grid | None = None) -> OracleResult:
-    """Exact quadratic oracle when applicable, lattice DP otherwise."""
-    if instance.family_tag == "strongly_convex":
+def offline_optimal(instance: Instance, grid: Grid | None = None,
+                    method: str = "auto") -> OracleResult:
+    """The offline optimum by one of ``ORACLE_METHODS``; ``grid`` is the
+    lattice of the DP (``default_grid`` when None).  ``exact_quadratic``
+    off the quadratic family and an unknown method raise ValueError."""
+    if method not in ORACLE_METHODS:
+        raise ValueError(f"unknown oracle method {method!r}; expected one of {ORACLE_METHODS}")
+    if method == "exact_quadratic" or (
+            method == "auto" and instance.family_tag == "strongly_convex"):
         return offline_optimal_quadratic(instance)
     return offline_optimal_grid(instance, grid)
 
@@ -161,27 +174,14 @@ def solve_segments(instance: Instance, anchor_sets,
     return points, tags
 
 
-def constrained_offline(instance: Instance, anchors, solver: WindowSolver | None = None,
-                        method: str = "segments") -> OracleResult:
+def constrained_offline(instance: Instance, anchors,
+                        solver: WindowSolver | None = None) -> OracleResult:
     """Optimum of the total cost subject to x_t = v_t at every anchor t >= 1.
 
-    ``method="segments"`` solves the inter-anchor windows independently
-    (anchors decouple them), as one batch; ``method="monolithic"`` runs the
-    constrained joint lattice program as a cross-check.  Anchor gaps of 1
-    are permitted.
+    The inter-anchor windows are solved independently (anchors decouple
+    them), as one batch.  Anchor gaps of 1 are permitted.
     """
-    T = instance.horizon
-    segments = anchor_segments(anchors, T)
-    if method == "monolithic":
-        return offline_optimal_grid(instance, solver.grid if solver else None,
-                                    anchors=[b for _, b in segments if b <= T])
-    if method != "segments":
-        raise ValueError(f"unknown method {method!r}")
-
     solver = solver or solver_for(instance)
     points, (tags,) = solve_segments(instance, [anchors], solver)
     traj = evaluate_total_cost(instance, points[0])
-    method_tag = tags.pop() if len(tags) == 1 else "mixed"
-    resolution = float(solver.grid.spacing().max()) if (
-        solver.grid is not None and "grid_dp" in (method_tag, "mixed")) else None
-    return OracleResult(traj.total, traj, method_tag, resolution)
+    return OracleResult(traj.total, traj, tags.pop() if len(tags) == 1 else "mixed")

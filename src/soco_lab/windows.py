@@ -12,6 +12,10 @@ free variables of a small optimization solved by one of two backends:
                    the full-horizon lattice oracle is this DP over the
                    window (0, T+1).
 
+The lattice is the run's (``default_grid`` of the instance, or one the
+caller gives), never one made up per window: a ``WindowSolver`` built
+without a lattice solves quadratic windows only.
+
 In d >= 2 a window whose costs (``HittingCost.axes``) and movement
 (``MovementCost.split``) separate by coordinate -- ``polyhedral`` p = 1,
 ``glb``, ``ripple``, ``strongly_convex`` -- is solved as one 1-D window per
@@ -50,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import HittingCost, Instance, MovementCost, Point, as_point
+from .model import HittingCost, Instance, MovementCost, Point
 
 
 class UnsupportedProblemError(ValueError):
@@ -135,21 +139,17 @@ def _lattice(grid: Grid) -> np.ndarray:
     return pts
 
 
-def _margin_grid(anchors: np.ndarray, n: int, nonnegative: bool = False) -> Grid:
-    """Lattice over the bounding box of the stacked ``anchors``, widened on
-    every side by twice its largest span (at least 1)."""
+def default_grid(instance: Instance, n: int = 201) -> Grid:
+    """Lattice over the bounding box of the start point and all minimizers,
+    widened on every side by twice its largest span (at least 1), and cut
+    at 0 for ``glb``, whose decisions are nonnegative."""
+    anchors = np.vstack([instance.minimizers(), instance.start[None, :]])
     lo, hi = anchors.min(axis=0), anchors.max(axis=0)
     span = max(float((hi - lo).max()), 1.0)
     lo, hi = lo - 2.0 * span, hi + 2.0 * span
-    if nonnegative:
+    if instance.family_tag == "glb":
         lo = np.maximum(lo, 0.0)
-    return Grid.make(lo, hi, n, dim=anchors.shape[1])
-
-
-def default_grid(instance: Instance, n: int = 201) -> Grid:
-    """Lattice covering the start point and all minimizers with 2x-span margin."""
-    return _margin_grid(np.vstack([instance.minimizers(), instance.start[None, :]]), n,
-                        nonnegative=instance.family_tag == "glb")
+    return Grid.make(lo, hi, n, dim=instance.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,24 +189,18 @@ class WindowSolution:
     solver_tag: str
 
 
-def build_window(instance: Instance, tau1: int, tau2: int,
-                 left_override=None) -> WindowProblem:
+def build_window(instance: Instance, tau1: int, tau2: int) -> WindowProblem:
     """Window over (tau1, tau2] with anchors resolved from the instance.
 
-    The left anchor is v_{tau1}, or the start point when tau1 = 0, unless
-    overridden.  The right anchor is v_{tau2} and is present iff tau2 <= T.
+    The left anchor is v_{tau1}, or the start point when tau1 = 0.  The
+    right anchor is v_{tau2} and is present iff tau2 <= T.
     """
     T = instance.horizon
     if tau1 < 0 or tau1 >= tau2:
         raise ValueError(f"need 0 <= tau1 < tau2, got ({tau1}, {tau2})")
     if tau1 > T:
         raise ValueError(f"tau1 = {tau1} exceeds horizon {T}")
-    if left_override is not None:
-        left = as_point(left_override, instance.dim)
-    elif tau1 == 0:
-        left = instance.start
-    else:
-        left = instance.hitting[tau1 - 1].minimizer
+    left = instance.start if tau1 == 0 else instance.hitting[tau1 - 1].minimizer
     cap = min(tau2, T)
     right = instance.hitting[tau2 - 1].minimizer if tau2 <= T else None
     costs = tuple(instance.hitting[tau1:cap])
@@ -488,9 +482,11 @@ def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[n
 
 
 class WindowSolver:
-    """Dispatching solver: exact for quadratic chains, the grid DP for all
-    other windows, in any d.  Shares lattice evaluation caches across
-    calls, so reuse one solver for all windows of a run."""
+    """Dispatching solver: exact for quadratic chains, the grid DP on the
+    solver's lattice for all other windows, in any d.  A solver built
+    without a lattice solves quadratic windows only and raises
+    ``UnsupportedProblemError`` on any other.  Shares lattice evaluation
+    caches across calls, so reuse one solver for all windows of a run."""
 
     def __init__(self, grid: Grid | None = None):
         self.grid = grid
@@ -500,16 +496,16 @@ class WindowSolver:
         return self.solve_batch([problem])[0]
 
     def solve_batch(self, problems) -> list[WindowSolution]:
-        """Solutions in order.  With a lattice, the lattice windows are
-        solved together (``solve_grid_dp_batch``); without one, each window
-        gets its own lattice and is solved alone."""
+        """Solutions in order; the lattice windows are solved together
+        (``solve_grid_dp_batch``)."""
         out = [None] * len(problems)
         lattice = []
         for i, problem in enumerate(problems):
             if _is_quadratic(problem):
                 out[i] = solve_quadratic_chain(problem)
             elif self.grid is None:
-                out[i] = solve_grid_dp(problem, grid_for_problem(problem), self._cache)
+                family = "/".join(sorted({c.family_tag for c in problem.costs}))
+                raise UnsupportedProblemError(f"a {family} window needs a lattice")
             else:
                 lattice.append(i)
         if lattice:
@@ -522,11 +518,3 @@ class WindowSolver:
 def solver_for(instance: Instance) -> WindowSolver:
     """Solver preloaded with the instance's default grid, any d."""
     return WindowSolver(default_grid(instance))
-
-
-def grid_for_problem(problem: WindowProblem, n: int = 201) -> Grid:
-    """Lattice covering the window's anchors and minimizers with 2x-span margin."""
-    anchors = [problem.left_anchor] + [c.minimizer for c in problem.costs]
-    if problem.right_anchor is not None:
-        anchors.append(problem.right_anchor)
-    return _margin_grid(np.stack(anchors), n)

@@ -19,7 +19,6 @@ from soco_lab import (
     RsfhcBLearner,
     WindowSolver,
     constant_investor,
-    constrained_offline,
     doubling_gambler,
     duplicate_cbc_instance,
     embed_soco_opt_in_cbc,
@@ -185,8 +184,7 @@ def test_a05_sfhc_equals_constrained_offline():
         w = 2 + seed % 3
         h = seed % w
         traj = run_sfhc(inst, w, h, solver)
-        mono = constrained_offline(inst, AnchorSet.phase(h, w, 12), solver,
-                                   method="monolithic")
+        mono = offline_optimal_grid(inst, GRID1, anchors=AnchorSet.phase(h, w, 12).members)
         assert traj.total == pytest.approx(mono.cost, abs=1e-9)
     for seed in range(25):
         path = lattice_walk(12, 1200 + seed, step=0.4)
@@ -194,8 +192,7 @@ def test_a05_sfhc_equals_constrained_offline():
         w = 2 + seed % 3
         h = seed % w
         traj = run_sfhc(inst, w, h)  # exact tridiagonal solves
-        mono = constrained_offline(inst, AnchorSet.phase(h, w, 12),
-                                   WindowSolver(GRID1), method="monolithic")
+        mono = offline_optimal_grid(inst, GRID1, anchors=AnchorSet.phase(h, w, 12).members)
         # lattice restriction can only raise the cost, by at most the
         # curvature of the stage costs over one cell
         budget = 0.5 * (2.0 + 4.0) * 12 * (GRID1.spacing()[0] / 2) ** 2 + 1e-9

@@ -11,6 +11,7 @@ from soco_lab import (
     Grid,
     GreedyLearner,
     ObliviousAdversary,
+    Polyhedral,
     RandomWalk,
     RsfhcBLearner,
     SfhcLearner,
@@ -39,6 +40,7 @@ from soco_lab.adversary import (
     sample_anchor_hits,
 )
 from soco_lab.model import HittingCost, as_point
+from soco_lab.windows import UnsupportedProblemError
 
 
 def shell(T=30, m=2.0):
@@ -115,6 +117,18 @@ def test_online_learner_equals_offline_run(name, w):
                                         np.random.default_rng(seed))
         assert np.array_equal(transcript.learner_points, offline.points)
         assert transcript.learner_cost == offline.total
+
+
+def test_planned_learner_rejects_lattice_family_game():
+    # a learner's window solver has no lattice, and none is made up per
+    # window, so a lattice-family game fails loudly
+    inst = generate_oblivious_instance(Polyhedral(1.0, p=1), RandomWalk(0.4), 20, 1,
+                                       np.random.default_rng(3))
+    sh = GameShell(1, 20, np.zeros(1), inst.movement, lam=inst.lam,
+                   family_tag="polyhedral", params={"alpha": 1.0, "p": 1})
+    with pytest.raises(UnsupportedProblemError, match="a polyhedral window needs a lattice"):
+        play_semi_adaptive(SfhcLearner(1), ObliviousAdversary(inst), sh, 3, PSI,
+                           np.random.default_rng(0))
 
 
 def test_constant_disclosure_makes_equal_seed_runs_coincide():

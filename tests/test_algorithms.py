@@ -89,8 +89,7 @@ def test_sfhc_equals_monolithic_constrained_program():
     solver = WindowSolver(grid)
     for h in range(3):
         traj = run_sfhc(inst, 3, h, solver)
-        mono = constrained_offline(inst, AnchorSet.phase(h, 3, 10), solver,
-                                   method="monolithic")
+        mono = offline_optimal_grid(inst, grid, anchors=AnchorSet.phase(h, 3, 10).members)
         assert traj.total == pytest.approx(mono.cost, abs=1e-9)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from soco_lab import instance_to_spec, make_polyhedral, make_strongly_convex
+from soco_lab import default_grid, instance_to_spec, make_polyhedral, make_strongly_convex
 from soco_lab.cli import main
 from soco_lab.reductions import cbc_to_spec, CbcInstance, interval
 from soco_lab.model import movement_cost
@@ -93,6 +93,19 @@ def test_cli_oracle(quad_instance_file, tmp_path, capsys):
                  "--method", "grid", "--grid-lo", "-2", "--grid-hi", "2"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["method"] == "grid_dp"
+
+
+def test_cli_oracle_grid_n_alone_sizes_default_lattice(tmp_path, capsys):
+    # --grid-n without a range used to be dropped: the 201-point answer came back
+    inst = make_polyhedral(1.0, [[-0.063], [0.549], [0.294], [0.145]], p=1,
+                           start=[0.0])
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(instance_to_spec(inst)))
+    assert main(["oracle", "--instance", str(path), "--method", "grid",
+                 "--grid-n", "11"]) == 0
+    points = np.array(json.loads(capsys.readouterr().out)["trajectory"])
+    axis = default_grid(inst, 11).axes()[0]
+    assert np.isin(points, axis).all()
 
 
 @pytest.mark.parametrize("flag", ["--grid-lo", "--grid-hi"])

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from soco_lab import harness
+from soco_lab.oracle import ORACLE_METHODS
 from soco_lab.harness import (
     BOUNDS,
     CSV_HEADER,
@@ -19,6 +20,7 @@ from soco_lab.harness import (
 )
 from soco_lab import (
     make_strongly_convex,
+    offline_optimal,
     offline_optimal_grid,
     offline_optimal_quadratic,
     sfhc_subroutine_costs,
@@ -57,6 +59,15 @@ def test_unknown_algorithm_rejected_at_parse():
     with pytest.raises(ValueError, match="unknown algorithm"):
         ExperimentConfig.from_dict({"instances": [],
                                     "algorithms": [{"name": "mystery"}]})
+
+
+def test_unknown_oracle_method_rejected_at_parse():
+    # a typo used to run the auto oracle without a word
+    with pytest.raises(ValueError, match="unknown oracle method 'exact'"):
+        ExperimentConfig.from_dict({"instances": [], "algorithms": [],
+                                    "oracle": {"method": "exact"}})
+    for method in ORACLE_METHODS:
+        ExperimentConfig.from_dict({"oracle": {"method": method}})
 
 
 def test_empty_instances_empty_rows():
@@ -185,11 +196,11 @@ def lattice_config(seeds=(1,)):
 def test_oracle_runs_once_per_instance_and_seed(monkeypatch):
     calls = []
 
-    def counting(instance, grid=None):
+    def counting(instance, grid=None, method="auto"):
         calls.append(instance)
-        return offline_optimal_grid(instance, grid)
+        return offline_optimal(instance, grid, method)
 
-    monkeypatch.setattr(harness, "offline_optimal_grid", counting)
+    monkeypatch.setattr(harness, "offline_optimal", counting)
     rows, summary = run_suite(lattice_config())
     assert len(rows) == 15 and summary["failures"] == 0
     assert len(calls) == 1
@@ -199,11 +210,11 @@ def test_oracle_runs_once_per_instance_and_seed(monkeypatch):
 def test_oracle_failure_lands_in_every_row_of_its_instance(monkeypatch):
     calls = []
 
-    def failing(instance, grid=None):
+    def failing(instance, grid=None, method="auto"):
         calls.append(instance)
         raise RuntimeError("lattice exhausted")
 
-    monkeypatch.setattr(harness, "offline_optimal_grid", failing)
+    monkeypatch.setattr(harness, "offline_optimal", failing)
     rows, summary = run_suite(lattice_config(seeds=(1, 2)))
     assert len(rows) == 30 and len(calls) == 2
     assert all(r.error == "RuntimeError: lattice exhausted" for r in rows)

@@ -6,10 +6,14 @@ from soco_lab import (
     Grid,
     WindowSolver,
     constrained_offline,
+    default_grid,
     evaluate_total_cost,
+    make_glb,
     make_polyhedral,
+    make_ripple,
     make_strongly_convex,
     movement_cost,
+    offline_optimal,
     offline_optimal_grid,
     offline_optimal_quadratic,
     padded_movement,
@@ -89,6 +93,44 @@ def test_exact_quadratic_rejects_other_families():
         offline_optimal_quadratic(inst)
 
 
+ORACLE_INSTANCES = {
+    "strongly_convex": lambda path: make_strongly_convex(2.0, path, start=[0.0]),
+    "polyhedral": lambda path: make_polyhedral(1.0, path, p=1, start=[0.0]),
+    "glb": lambda path: make_glb([0.2], [1.0], [1.0], np.abs(path)),
+    "ripple": lambda path: make_ripple(0.5, 1.0, 4.0, path, start=[0.0]),
+}
+
+
+@pytest.mark.parametrize("family, method, expected", [
+    ("strongly_convex", "auto", "exact_quadratic"),
+    ("polyhedral", "auto", "grid_dp"),
+    ("glb", "auto", "grid_dp"),
+    ("ripple", "auto", "grid_dp"),
+    ("strongly_convex", "grid", "grid_dp"),
+    ("polyhedral", "grid", "grid_dp"),
+    ("strongly_convex", "exact_quadratic", "exact_quadratic"),
+])
+def test_offline_optimal_dispatch(family, method, expected):
+    # offline_optimal is the one place that picks the closed form or the lattice
+    path = minimizer_path(RandomWalk(0.5), 6, 1, np.random.default_rng(4), base=np.zeros(1))
+    inst = ORACLE_INSTANCES[family](path)
+    grid = default_grid(inst, 101)
+    res = offline_optimal(inst, grid, method)
+    assert res.method == expected
+    reference = (offline_optimal_quadratic(inst) if expected == "exact_quadratic"
+                 else offline_optimal_grid(inst, grid))
+    assert res.cost == reference.cost
+    assert np.array_equal(res.trajectory.points, reference.trajectory.points)
+
+
+def test_offline_optimal_rejects_bad_methods():
+    poly = make_polyhedral(1.0, [[0.5], [1.0]], p=1, start=[0.0])
+    with pytest.raises(ValueError, match="exact quadratic oracle needs"):
+        offline_optimal(poly, method="exact_quadratic")
+    with pytest.raises(ValueError, match="unknown oracle method 'exact'"):
+        offline_optimal(poly, method="exact")
+
+
 def test_constrained_fully_anchored_is_greedy():
     inst, grid = lattice_quadratic(8, seed=1)
     res = constrained_offline(inst, AnchorSet.phase(0, 1, 8), WindowSolver(grid))
@@ -148,7 +190,7 @@ def test_monolithic_matches_segments_on_lattice():
             inst = make_polyhedral(1.0, path, p=1, start=np.zeros(grid.dim))
             solver = WindowSolver(grid)
             seg = constrained_offline(inst, [0, 3, 6, 9], solver)
-            mono = constrained_offline(inst, [0, 3, 6, 9], solver, method="monolithic")
+            mono = offline_optimal_grid(inst, grid, anchors=AnchorSet((0, 3, 6, 9)).members)
             assert seg.cost == pytest.approx(mono.cost, abs=1e-9)
 
 
@@ -187,7 +229,7 @@ def test_constrained_matches_exhaustive_enumeration():
     rng = np.random.default_rng(3)
     path = np.stack([grid.snap(p)[0] for p in rng.uniform(-1, 1, size=(4, 1))])
     inst = make_polyhedral(1.0, path, p=1, start=[0.0])
-    anchors = [0, 2]
+    anchors = AnchorSet((0, 2))
     pts = grid.points()
     v2 = inst.hitting[1].minimizer
     brute = min(evaluate_total_cost(
@@ -195,8 +237,7 @@ def test_constrained_matches_exhaustive_enumeration():
         for a, c, d in product(pts, pts, pts))
     res = constrained_offline(inst, anchors, WindowSolver(grid))
     assert res.cost == pytest.approx(brute, abs=1e-12)
-    mono = constrained_offline(inst, anchors, WindowSolver(grid),
-                               method="monolithic")
+    mono = offline_optimal_grid(inst, grid, anchors=anchors.members)
     assert mono.cost == pytest.approx(brute, abs=1e-12)
 
 
@@ -209,8 +250,7 @@ def test_grid_opt_two_dimensional_cross_check():
     e = offline_optimal_quadratic(inst)
     assert g.cost >= e.cost - 1e-12
     assert g.cost <= e.cost + 6 * 6.0 * grid.spacing().max() ** 2
-    mono = constrained_offline(inst, [0, 2, 4], WindowSolver(grid),
-                               method="monolithic")
+    mono = offline_optimal_grid(inst, grid, anchors=AnchorSet((0, 2, 4)).members)
     seg = constrained_offline(inst, [0, 2, 4])
     assert mono.cost >= seg.cost - 1e-9
 
@@ -220,4 +260,3 @@ def test_backpointer_trajectory_attains_cost():
     res = offline_optimal_grid(inst, grid)
     again = evaluate_total_cost(inst, res.trajectory.points)
     assert again.total == pytest.approx(res.cost, rel=1e-12)
-    assert res.resolution == pytest.approx(grid.spacing().max())

@@ -8,6 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from soco_lab import (
+    Polyhedral,
+    RandomWalk,
+    StronglyConvex,
+    generate_oblivious_instance,
+    instance_to_spec,
+)
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -61,3 +71,57 @@ def test_dimension_sweep_config_runs_without_failures(tmp_path):
 def test_quadratic_sweep_config_csv_is_byte_stable(tmp_path):
     digest = sweep_config("quadratic_sweep.json", tmp_path / "rows.csv")
     assert digest == SHIPPED_CSV_SHA256["quadratic_sweep.json"]
+
+
+def oracle_instance_file(tmp_path, family):
+    """A fixed generated 1-D instance: polyhedral p = 1 or quadratic."""
+    params = Polyhedral(1.0, p=1) if family == "polyhedral" else StronglyConvex(2.0)
+    inst = generate_oblivious_instance(params, RandomWalk(0.5), 4, 1,
+                                       np.random.default_rng(11))
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(instance_to_spec(inst)))
+    return path
+
+
+RANGE = ("--grid-lo", "-3", "--grid-hi", "3", "--grid-n", "61")
+
+#: sha256 of ``soco-lab oracle`` output per (family, method, lattice flags).
+#: Every value but one was taken before the three oracle dispatchers became
+#: ``offline_optimal``, so merging them moved no output.  The exception is
+#: ``--grid-n 11`` with no range: it used to be ignored (the 201-point
+#: answer came back) and now sizes the default lattice.
+ORACLE_SHA256 = {
+    ("polyhedral", "auto", ()):
+        "735ea222f509e290a8712824e2a588b1ab305731d829c41fb12f75128a2a9b50",
+    ("polyhedral", "grid", ()):
+        "735ea222f509e290a8712824e2a588b1ab305731d829c41fb12f75128a2a9b50",
+    ("polyhedral", "auto", RANGE):
+        "a00e13153544ff95e7eaeb97a3910b0219b461ca4c0803b5f1a87f4bf437f8a6",
+    ("polyhedral", "grid", RANGE):
+        "a00e13153544ff95e7eaeb97a3910b0219b461ca4c0803b5f1a87f4bf437f8a6",
+    ("polyhedral", "grid", ("--grid-n", "11")):
+        "063a4231832e90012c39422f87c4c795a3d2261810d0ec10cb1f7d18b60a61ca",
+    ("strongly_convex", "auto", ()):
+        "05153d5e001f117e9468eedacb8cf6d43ba31e69da505261123f85df9755d9aa",
+    ("strongly_convex", "grid", ()):
+        "81752246a6c719b674de2170d1272461f472601bb73aa743a6fb669e2191a845",
+    ("strongly_convex", "exact_quadratic", ()):
+        "05153d5e001f117e9468eedacb8cf6d43ba31e69da505261123f85df9755d9aa",
+    ("strongly_convex", "auto", RANGE):
+        "05153d5e001f117e9468eedacb8cf6d43ba31e69da505261123f85df9755d9aa",
+    ("strongly_convex", "grid", RANGE):
+        "88700288582f4d75afee0046901d0ad4168b48874251780bb4a0b1908ad724bf",
+    ("strongly_convex", "exact_quadratic", RANGE):
+        "05153d5e001f117e9468eedacb8cf6d43ba31e69da505261123f85df9755d9aa",
+}
+
+
+def test_oracle_cli_output_is_byte_stable(tmp_path):
+    digests = {}
+    for family, method, flags in ORACLE_SHA256:
+        out = tmp_path / "oracle.json"
+        run("-m", "soco_lab", "oracle", "--instance",
+            str(oracle_instance_file(tmp_path, family)), "--method", method,
+            *flags, "--out", str(out))
+        digests[family, method, flags] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == ORACLE_SHA256

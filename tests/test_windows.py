@@ -88,9 +88,8 @@ def test_build_window_rejects_bad_range():
 
 def _single_free_quadratic(m, v, a, b):
     inst = make_strongly_convex(max(m, 1e-12), [[v], [0.0]], start=[a])
-    wp = build_window(inst, 0, 2, left_override=[a])
-    return WindowProblem(0, 2, as_point([a]), as_point([b]), wp.costs[:1] * 1 + (
-        inst.hitting[1],), inst.movement), inst
+    return WindowProblem(0, 2, as_point([a]), as_point([b]), tuple(inst.hitting),
+                         inst.movement), inst
 
 
 def test_quadratic_chain_single_free_var():
@@ -256,6 +255,17 @@ def test_dispatch_routes_polyhedral_to_grid():
     assert sol.solver_tag == "grid_dp"
     quad = quad_instance()
     assert WindowSolver()(build_window(quad, 0, 3)).solver_tag == "exact_quadratic"
+
+
+@pytest.mark.parametrize("family", ["polyhedral", "glb", "ripple"])
+def test_solver_without_lattice_rejects_lattice_windows(family):
+    # the lattice is the run's; a solver built without one makes none up
+    path = [[0.5], [1.0], [0.8]]
+    inst = {"polyhedral": lambda: make_polyhedral(1.0, path, p=1),
+            "glb": lambda: make_glb([0.2], [1.0], [1.0], path),
+            "ripple": lambda: make_ripple(0.5, 1.0, 4.0, path, start=[0.0])}[family]()
+    with pytest.raises(UnsupportedProblemError, match=f"a {family} window needs a lattice"):
+        WindowSolver()(build_window(inst, 0, 3))
 
 
 def test_dispatch_routes_high_dimension_to_grid_dp():
