@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import FamilyParams, make_instance
+from .families import FAMILIES, FamilyParams, Glb, make_instance
 from .model import HittingCost, Instance, MovementCost, Point, as_point, evaluate_total_cost
 from .windows import Grid, WindowSolver
 from .oracle import anchor_segments, solve_segment
@@ -93,10 +93,10 @@ def minimizer_path(path_model: PathModel, T: int, d: int,
 
 def generate_oblivious_instance(family: FamilyParams, path_model: PathModel,
                                 T: int, d: int, rng: np.random.Generator,
-                                start=None, grid: Grid | None = None) -> Instance:
+                                start=None) -> Instance:
     """Fixed cost sequence drawn up front: the oblivious adversary."""
-    nonneg = family.__class__.__name__ == "Glb"
-    path = minimizer_path(path_model, T, d, rng, nonnegative=nonneg, grid=grid)
+    nonneg = isinstance(family, Glb)
+    path = minimizer_path(path_model, T, d, rng, nonnegative=nonneg)
     if start is None and not nonneg:
         start = np.zeros(d)
     return make_instance(family, path, start=start)
@@ -206,7 +206,7 @@ def transcript_to_spec(transcript: GameTranscript) -> dict:
     """Serialize a transcript for replay; costs must be analytic-family."""
     costs = []
     for cost in transcript.revealed_costs:
-        if cost.family_tag not in ("polyhedral", "strongly_convex", "glb", "ripple"):
+        if cost.family_tag not in FAMILIES:
             raise ValueError(f"cannot serialize cost family {cost.family_tag!r}")
         costs.append({"family": cost.family_tag,
                       "params": {k: (v.tolist() if isinstance(v, np.ndarray) else v)

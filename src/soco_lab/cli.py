@@ -50,14 +50,18 @@ def _emit(text: str, out: str | None):
 
 def _cmd_rows(args) -> int:
     """``run`` writes the rows to --out or stdout, ``sweep`` writes them and
-    a summary file next to them; both print the summary to stderr and exit
-    nonzero iff a requested bound check failed."""
-    raw = _load_json(args.config)
-    if getattr(args, "seed", None) is not None:
-        raw["seeds"] = {"master": args.seed, "count": len(raw.get("seeds", [1]))
-                        if isinstance(raw.get("seeds"), list) else
-                        raw.get("seeds", {}).get("count", 1)}
-    config = ExperimentConfig.from_dict(raw)
+    a summary file next to them; both print the summary to stderr.  Exit 1
+    iff a requested bound check failed; a config that cannot be read or
+    fails the schema is reported on one line, exit 2."""
+    try:
+        raw = _load_json(args.config)
+        config = ExperimentConfig.from_dict(raw)
+        if getattr(args, "seed", None) is not None:  # a master seed; keep the seed count
+            config = ExperimentConfig.from_dict(
+                dict(raw, seeds={"master": args.seed, "count": len(config.seeds)}))
+    except (OSError, TypeError, ValueError) as exc:
+        sys.stderr.write(f"soco-lab: error: {args.config}: {exc}\n")
+        return 2
     if args.command == "sweep":
         _, summary = sweep_and_report(config, args.out, fmt=args.format)
     else:
@@ -98,7 +102,7 @@ def _cmd_game(args) -> int:
     for i in range(args.seeds):
         rng = np.random.default_rng(args.seed + i)
         if args.adversary == "spike":
-            adversary = spike_adversary(args.bins, args.inflation)
+            adversary = spike_adversary(psi_grid.size, args.inflation)
         else:
             inst = generate_oblivious_instance(StronglyConvex(m), RandomWalk(0.3),
                                                args.T, 1, rng)
@@ -182,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=2.0)
     p.add_argument("--seeds", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=241)
     p.add_argument("--inflation", type=float, default=3.0)
     p.add_argument("--transcripts", default=None,
                    help="write per-game replay transcripts to this JSON file")

@@ -216,16 +216,21 @@ def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
                     lam=m / 2.0 if m > 0 else 0.0, family_tag="ripple")
 
 
+#: Family name -> (parameter dataclass, constructor).  The constructor takes
+#: the dataclass fields as keywords, plus ``path`` and ``start``.
+FAMILIES = {
+    "polyhedral": (Polyhedral, make_polyhedral),
+    "strongly_convex": (StronglyConvex, make_strongly_convex),
+    "glb": (Glb, make_glb),
+    "ripple": (Ripple, make_ripple),
+}
+
+
 def make_instance(family: FamilyParams, path, start=None) -> Instance:
     """Dispatch on a family-params dataclass."""
-    if isinstance(family, Polyhedral):
-        return make_polyhedral(family.alpha, path, p=family.p, start=start)
-    if isinstance(family, StronglyConvex):
-        return make_strongly_convex(family.m, path, start=start)
-    if isinstance(family, Glb):
-        return make_glb(family.e0, family.beta, family.mu, path, start=start)
-    if isinstance(family, Ripple):
-        return make_ripple(family.m, family.eps, family.k, path, start=start)
+    for params_cls, make in FAMILIES.values():
+        if type(family) is params_cls:
+            return make(path=path, start=start, **vars(family))
     raise ValueError(f"unknown family params {family!r}")
 
 
@@ -288,7 +293,7 @@ def estimate_condition_constants(instance: Instance, domain_radius: float,
 
 def instance_to_spec(instance: Instance) -> dict:
     """Serialize an analytic-family instance to the JSON schema."""
-    if instance.family_tag not in ("polyhedral", "strongly_convex", "glb", "ripple"):
+    if instance.family_tag not in FAMILIES:
         raise ValueError(f"cannot serialize family {instance.family_tag!r}")
     params = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
               for k, v in instance.hitting[0].params.items()}
@@ -315,16 +320,9 @@ def instance_from_spec(spec: dict) -> Instance:
     start = np.asarray(spec["x0"], dtype=float)
     if path.shape != (spec["T"], spec["dim"]):
         raise ValueError("minimizers must have shape (T, dim)")
-    if family == "polyhedral":
-        inst = make_polyhedral(params["alpha"], path, p=params.get("p", 2), start=start)
-    elif family == "strongly_convex":
-        inst = make_strongly_convex(params["m"], path, start=start)
-    elif family == "glb":
-        inst = make_glb(params["e0"], params["beta"], params["mu"], path, start=start)
-    elif family == "ripple":
-        inst = make_ripple(params["m"], params["eps"], params["k"], path, start=start)
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    inst = FAMILIES[family][1](path=path, start=start, **params)
     declared = spec["movement"]["kind"]
     if declared != inst.movement.kind:
         raise ValueError(

@@ -7,6 +7,12 @@ are computed one after another in config order, and all randomness is
 derived from the row key, so adding an algorithm never perturbs existing
 rows and reruns are byte-identical.  The rows of one (instance, seed)
 share its built instance, lattice, window solver and offline optimum.
+
+``ExperimentConfig.from_dict`` takes only the keys the harness reads (the
+README's "Experiment config" lists them): any other key, a missing
+required key or an unknown family, path model, algorithm, bound check or
+oracle method raises ValueError naming it and where it sits.  Families
+are named in ``families.FAMILIES``, algorithms in ``ALGORITHMS``.
 """
 
 from __future__ import annotations
@@ -16,18 +22,12 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import algorithms as algs
-from .families import (
-    Glb,
-    Polyhedral,
-    Ripple,
-    StronglyConvex,
-    instance_from_spec,
-)
+from .families import FAMILIES, instance_from_spec
 from .adversary import Constant, RandomWalk, Spikes, generate_oblivious_instance
 from .model import Instance, competitive_ratio
 from .oracle import ORACLE_METHODS, offline_optimal
@@ -132,6 +132,72 @@ class ResultRow:
     error: str = ""
 
 
+def _rng(seed: int, algorithm: str, w: int) -> np.random.Generator:
+    return np.random.default_rng(derive_seed(seed, algorithm, w))
+
+
+#: name -> the run of that algorithm on (instance, w, seed, solver).  The
+#: randomized runs draw from a generator keyed by (seed, name, w).
+ALGORITHMS = {
+    "greedy": lambda inst, w, seed, solver: algs.run_greedy(inst),
+    "sfhc": lambda inst, w, seed, solver: algs.run_sfhc(inst, w, 0, solver),
+    "dsfhc": lambda inst, w, seed, solver: algs.run_dsfhc(inst, w, solver),
+    "rsfhc-a": lambda inst, w, seed, solver: algs.run_rsfhc_a(
+        inst, w, _rng(seed, "rsfhc-a", w), solver),
+    "rsfhc-b": lambda inst, w, seed, solver: algs.run_rsfhc_b(
+        inst, w, _rng(seed, "rsfhc-b", w), solver),
+    "afhc": lambda inst, w, seed, solver: algs.run_afhc(inst, w, solver),
+}
+
+_PATHS = {"random_walk": RandomWalk, "spikes": Spikes, "constant": Constant}
+
+
+def _keys(obj, where: str, allowed=None, required=()) -> dict:
+    """``obj`` itself, once it is checked to be a dict that holds every key
+    in ``required`` and, unless ``allowed`` is None, no key outside it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing required key {key!r} in {where}")
+    for key in obj if allowed is not None else ():
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}; "
+                             f"accepted: {', '.join(allowed)}")
+    return obj
+
+
+def _fields(obj, where: str, params_cls, *extra: str) -> dict:
+    """``_keys`` for the fields of a parameter dataclass, plus ``extra``."""
+    return _keys(obj, where, (*extra, *(f.name for f in fields(params_cls))),
+                 (*extra, *(f.name for f in fields(params_cls) if f.default is MISSING)))
+
+
+def _known(name, table, what: str, where: str):
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r} in {where}; "
+                         f"expected one of {sorted(table)}")
+
+
+def _check_instance_spec(spec, where: str):
+    """A spec holds an ``id`` and either an inline ``instance`` (the JSON
+    instance schema) or a ``generate`` block."""
+    _keys(spec, where, ("id", "generate", "instance"))
+    if ("generate" in spec) == ("instance" in spec):
+        raise ValueError(f"{where} needs exactly one of 'generate' and 'instance'")
+    if "generate" not in spec:
+        return
+    where += ".generate"
+    gen = _keys(spec["generate"], where, ("family", "params", "T", "d", "path"),
+                ("family", "T"))
+    _known(gen["family"], FAMILIES, "family", where)
+    _fields(gen.get("params", {}), where + ".params", FAMILIES[gen["family"]][0])
+    where += ".path"
+    path = _keys(gen.get("path", {"model": "random_walk"}), where, required=("model",))
+    _known(path["model"], _PATHS, "path model", where)
+    _fields(path, where, _PATHS[path["model"]], "model")
+
+
 @dataclass
 class ExperimentConfig:
     instances: list
@@ -139,80 +205,46 @@ class ExperimentConfig:
     seeds: list[int]
     oracle: dict = field(default_factory=dict)
     checks: list[str] = field(default_factory=list)
-    output: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Check ``raw`` against the schema and expand its seeds.  A key the
+        harness does not read, a missing required key or an unknown name
+        raises ValueError naming it."""
+        _keys(raw, "config", ("instances", "algorithms", "seeds", "oracle", "checks"))
+        for i, spec in enumerate(raw.get("instances", [])):
+            _check_instance_spec(spec, f"instances[{i}]")
+        for i, spec in enumerate(raw.get("algorithms", [])):
+            where = f"algorithms[{i}]"
+            _keys(spec, where, ("name", "w"), ("name",))
+            _known(spec["name"], ALGORITHMS, "algorithm", where)
         seeds = raw.get("seeds", [0])
         if isinstance(seeds, dict):
+            _keys(seeds, "seeds", ("master", "count"), ("count",))
             master = int(seeds.get("master", 0))
             seeds = [derive_seed(master, "seed", i) % (2 ** 31)
                      for i in range(int(seeds["count"]))]
         checks = list(raw.get("checks", []))
         for name in checks:
-            if name not in BOUNDS:
-                raise ValueError(
-                    f"unknown bound check {name!r}; registered: {sorted(BOUNDS)}")
-        for spec in raw.get("algorithms", []):
-            if spec["name"] not in ("greedy", "sfhc", "dsfhc", "rsfhc-a",
-                                    "rsfhc-b", "afhc"):
-                raise ValueError(f"unknown algorithm {spec['name']!r}")
-        oracle = dict(raw.get("oracle", {}))
-        if oracle.get("method", "auto") not in ORACLE_METHODS:
-            raise ValueError(f"unknown oracle method {oracle['method']!r}; "
-                             f"expected one of {ORACLE_METHODS}")
+            _known(name, BOUNDS, "bound check", "checks")
+        oracle = dict(_keys(raw.get("oracle", {}), "oracle", ("method",)))
+        _known(oracle.get("method", "auto"), ORACLE_METHODS, "oracle method", "oracle")
         return cls(list(raw.get("instances", [])), list(raw.get("algorithms", [])),
-                   [int(s) for s in seeds], oracle, checks, dict(raw.get("output", {})))
-
-
-_PATHS = {"random_walk": RandomWalk, "spikes": Spikes, "constant": Constant}
-_FAMILIES = {"polyhedral": Polyhedral, "strongly_convex": StronglyConvex,
-             "glb": Glb, "ripple": Ripple}
-
-
-def _instance_id(spec: dict) -> str:
-    return spec.get("id") or spec.get("name") or "instance"
+                   [int(s) for s in seeds], oracle, checks)
 
 
 def _build_instance(spec: dict, instance_id: str, seed: int) -> Instance:
     if "instance" in spec:
         return instance_from_spec(spec["instance"])
     gen = spec["generate"]
-    fam_cls = _FAMILIES[gen["family"]]
-    fam_params = gen.get("params", {})
-    family = fam_cls(**{k: (tuple(v) if isinstance(v, list) else v)
-                        for k, v in fam_params.items()})
+    params_cls, _ = FAMILIES[gen["family"]]
+    family = params_cls(**{k: (tuple(v) if isinstance(v, list) else v)
+                           for k, v in gen.get("params", {}).items()})
     path_spec = dict(gen.get("path", {"model": "random_walk"}))
-    model_name = path_spec.pop("model")
-    path_model = _PATHS[model_name](**path_spec)
+    path_model = _PATHS[path_spec.pop("model")](**path_spec)
     rng = np.random.default_rng(derive_seed(seed, "instance", instance_id))
-    grid = None
-    if gen.get("snap_to_grid"):
-        g = gen["snap_to_grid"]
-        grid = Grid.make(g["lo"], g["hi"], g["n"], dim=int(gen.get("d", 1)))
     return generate_oblivious_instance(
-        family, path_model, int(gen["T"]), int(gen.get("d", 1)), rng, grid=grid)
-
-
-def _run_algorithm(name: str, instance: Instance, w: int, phase: int,
-                   seed: int, solver: WindowSolver, cost_kind: str) -> float:
-    if cost_kind == "subroutine_mean":
-        return algs.rsfhc_a_expected_cost(instance, w, solver)
-    if name == "greedy":
-        return algs.run_greedy(instance).total
-    if name == "sfhc":
-        return algs.run_sfhc(instance, w, phase, solver).total
-    if name == "dsfhc":
-        return algs.run_dsfhc(instance, w, solver).total
-    if name == "rsfhc-a":
-        rng = np.random.default_rng(derive_seed(seed, "rsfhc-a", w))
-        return algs.run_rsfhc_a(instance, w, rng, solver).total
-    if name == "rsfhc-b":
-        rng = np.random.default_rng(derive_seed(seed, "rsfhc-b", w))
-        return algs.run_rsfhc_b(instance, w, rng, solver).total
-    if name == "afhc":
-        return algs.run_afhc(instance, w, solver).total
-    raise ValueError(f"unknown algorithm {name!r}")
+        family, path_model, int(gen["T"]), int(gen.get("d", 1)), rng)
 
 
 def _grid_lipschitz(instance: Instance, grid: Grid) -> float:
@@ -241,16 +273,11 @@ def _select_check(checks, algorithm: str, w: int):
     return None, "algorithm"
 
 
-def _prepare(spec: dict, instance_id: str, seed: int,
-             config: ExperimentConfig) -> dict:
+def _prepare(spec: dict, instance_id: str, seed: int) -> dict:
     """The instance, lattice and window solver shared by the rows of one
     (instance, seed); the offline optimum is added on first use."""
     instance = _build_instance(spec, instance_id, seed)
-    if config.oracle.get("grid"):
-        g = config.oracle["grid"]
-        grid = Grid.make(g["lo"], g["hi"], g["n"], dim=instance.dim)
-    else:
-        grid = default_grid(instance)
+    grid = default_grid(instance)
     return {"instance": instance, "grid": grid, "solver": WindowSolver(grid)}
 
 
@@ -271,16 +298,18 @@ def _opt_and_budget(instance: Instance, oracle_spec: dict,
 def _compute_row(spec: dict, algo_spec: dict, w: int, seed: int,
                  config: ExperimentConfig, prepared: dict) -> ResultRow:
     """One row; ``prepared`` maps seed -> the shared state of this instance."""
-    instance_id = _instance_id(spec)
+    instance_id = spec.get("id") or "instance"
     algorithm = algo_spec["name"]
     try:
         if seed not in prepared:
-            prepared[seed] = _prepare(spec, instance_id, seed, config)
+            prepared[seed] = _prepare(spec, instance_id, seed)
         shared = prepared[seed]
         bound_fn, cost_kind = _select_check(config.checks, algorithm, w)
-        cost = _run_algorithm(algorithm, shared["instance"], w,
-                              int(algo_spec.get("phase", 0)), seed, shared["solver"],
-                              cost_kind)
+        if cost_kind == "subroutine_mean":
+            cost = algs.rsfhc_a_expected_cost(shared["instance"], w, shared["solver"])
+        else:
+            cost = ALGORITHMS[algorithm](shared["instance"], w, seed,
+                                         shared["solver"]).total
         if "oracle" not in shared:
             try:
                 shared["oracle"] = _opt_and_budget(shared["instance"], config.oracle,

@@ -7,9 +7,7 @@ tridiagonal solve for the quadratic family, the lattice DP
 (``solve_grid_dp``) over the window (0, T+1) for anything else (per
 coordinate where it separates, in any d).  ``constrained_offline``, the
 anchor-constrained optimum, solves the segments between anchors, which
-anchors decouple; ``offline_optimal_grid`` with ``anchors`` solves the
-same program as one joint lattice DP with the anchor stages pinned, a
-cross-check for tests.  Reported costs always re-evaluate the reported
+anchors decouple.  Reported costs always re-evaluate the reported
 trajectory, so they are attained, not just claimed.
 
 ``anchor_segments`` is the one place anchors become windows.  The offline
@@ -24,11 +22,11 @@ no lattice, so they solve quadratic windows only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HittingCost, Instance, Trajectory, evaluate_total_cost
+from .model import Instance, Trajectory, evaluate_total_cost
 from .windows import (
     Grid,
     WindowProblem,
@@ -63,48 +61,11 @@ def offline_optimal_quadratic(instance: Instance) -> OracleResult:
     return OracleResult(traj.total, traj, "exact_quadratic")
 
 
-def _pinned(cost: HittingCost, grid: Grid) -> HittingCost:
-    """``cost`` at the lattice point nearest its snapped minimizer, +inf
-    at every other point.  It carries no axis costs, so a pinned window
-    takes the joint DP."""
-    snapped, _ = grid.snap(cost.minimizer)
-    pts = grid.points()
-    target = pts[int(np.argmin(((pts - snapped) ** 2).sum(axis=1)))]
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return cost(x) if np.array_equal(x, target) else np.inf
-        return np.where((x == target).all(axis=1), cost.values(x), np.inf)
-
-    return replace(cost, fn=fn, axes=None)
-
-
-def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
-                         anchors=None) -> OracleResult:
-    """Exact minimum over the lattice: the grid DP over the whole horizon.
-
-    With ``anchors`` (timesteps; those outside 1..T are ignored, so
-    ``AnchorSet.members`` passes as is), the state at each anchor t is
-    pinned to the snapped minimizer v_t and the output trajectory carries
-    the exact v_t there; this is ``constrained_offline``'s program as one
-    joint DP, the cross-check for its segment solve.
-    """
+def offline_optimal_grid(instance: Instance, grid: Grid | None = None) -> OracleResult:
+    """Exact minimum over the lattice: the grid DP over the whole horizon."""
     grid = grid or default_grid(instance)
-    T = instance.horizon
-    anchor_steps = set()
-    if anchors is not None:
-        anchor_steps = {int(t) for t in anchors if 1 <= int(t) <= T}
-    problem = build_window(instance, 0, T + 1)
-    if anchor_steps:
-        problem = replace(problem, costs=tuple(
-            _pinned(h, grid) if t in anchor_steps else h
-            for t, h in enumerate(problem.costs, start=1)))
-
-    points = solve_grid_dp(problem, grid).free_points
-    for t in anchor_steps:
-        points[t - 1] = instance.hitting[t - 1].minimizer
-    traj = evaluate_total_cost(instance, points)
+    problem = build_window(instance, 0, instance.horizon + 1)
+    traj = evaluate_total_cost(instance, solve_grid_dp(problem, grid).free_points)
     return OracleResult(traj.total, traj, "grid_dp")
 
 

@@ -229,9 +229,6 @@ def run_cbc_greedy_projection(instance: CbcInstance) -> tuple[np.ndarray, float]
 # Epigraph reduction between hitting-cost instances and body chasing
 # ---------------------------------------------------------------------------
 
-_CONVEX_FAMILIES = ("polyhedral", "strongly_convex", "glb")
-
-
 def epigraph_reduce(instance: Instance) -> CbcInstance:
     """Lift a norm-movement instance to bodies K_1, P_1, ..., K_T, P_T in
     dimension d + 1, where K_t is the epigraph of f_t and P_t the zero

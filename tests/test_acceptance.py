@@ -54,6 +54,8 @@ from soco_lab.adversary import RandomWalk, minimizer_path
 from soco_lab.algorithms import AnchorSet
 from soco_lab.harness import ExperimentConfig, rows_to_csv, run_suite
 
+from monolithic import monolithic_optimum
+
 FLOAT_SLACK = 1e-8
 
 GRID1 = Grid.make(-10.0, 10.0, 201, dim=1)
@@ -184,7 +186,7 @@ def test_a05_sfhc_equals_constrained_offline():
         w = 2 + seed % 3
         h = seed % w
         traj = run_sfhc(inst, w, h, solver)
-        mono = offline_optimal_grid(inst, GRID1, anchors=AnchorSet.phase(h, w, 12).members)
+        mono = monolithic_optimum(inst, GRID1, AnchorSet.phase(h, w, 12).members)
         assert traj.total == pytest.approx(mono.cost, abs=1e-9)
     for seed in range(25):
         path = lattice_walk(12, 1200 + seed, step=0.4)
@@ -192,7 +194,7 @@ def test_a05_sfhc_equals_constrained_offline():
         w = 2 + seed % 3
         h = seed % w
         traj = run_sfhc(inst, w, h)  # exact tridiagonal solves
-        mono = offline_optimal_grid(inst, GRID1, anchors=AnchorSet.phase(h, w, 12).members)
+        mono = monolithic_optimum(inst, GRID1, AnchorSet.phase(h, w, 12).members)
         # lattice restriction can only raise the cost, by at most the
         # curvature of the stage costs over one cell
         budget = 0.5 * (2.0 + 4.0) * 12 * (GRID1.spacing()[0] / 2) ** 2 + 1e-9

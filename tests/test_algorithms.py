@@ -32,6 +32,8 @@ from soco_lab import (
 )
 from soco_lab.adversary import RandomWalk, minimizer_path
 
+from monolithic import monolithic_optimum
+
 
 def quad(T=12, m=2.0, seed=0, step=0.6):
     rng = np.random.default_rng(seed)
@@ -89,7 +91,7 @@ def test_sfhc_equals_monolithic_constrained_program():
     solver = WindowSolver(grid)
     for h in range(3):
         traj = run_sfhc(inst, 3, h, solver)
-        mono = offline_optimal_grid(inst, grid, anchors=AnchorSet.phase(h, 3, 10).members)
+        mono = monolithic_optimum(inst, grid, AnchorSet.phase(h, 3, 10).members)
         assert traj.total == pytest.approx(mono.cost, abs=1e-9)
 
 

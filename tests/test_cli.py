@@ -83,6 +83,35 @@ def test_cli_run_nonzero_on_failure(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("edit", [
+    lambda c: c.update(check=c.pop("checks")),          # used to run no check
+    lambda c: c.update(algorithm=c.pop("algorithms")),  # used to give 0 rows
+    lambda c: c["algorithms"][1].update(window=c["algorithms"][1].pop("w")),  # w = 1
+])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_config_error_exits_two_on_one_line(config_file, tmp_path, capsys,
+                                                command, edit):
+    config = json.loads(config_file.read_text())
+    edit(config)
+    config_file.write_text(json.dumps(config))
+    assert main([command, "--config", str(config_file),
+                 "--out", str(tmp_path / "rows.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("soco-lab: error: ") and "unknown key" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["{nope", "[]", None])   # None: no file
+def test_cli_unreadable_config_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"soco-lab: error: {path}: ") and err.count("\n") == 1
+
+
 def test_cli_oracle(quad_instance_file, tmp_path, capsys):
     code = main(["oracle", "--instance", str(quad_instance_file)])
     assert code == 0
@@ -168,6 +197,13 @@ def test_module_entrypoint_runs(tmp_path, config_file):
          "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("instance_id,algorithm")
+
+
+def test_cli_game_has_no_bins_flag(capsys):
+    # the spike adversary quantizes with the game's own 241-point lattice
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "--bins", "11"])
+    assert exc.value.code == 2
 
 
 def test_cli_game_spike_bound(capsys):

@@ -19,6 +19,7 @@ from soco_lab.harness import (
     sweep_and_report,
 )
 from soco_lab import (
+    instance_to_spec,
     make_strongly_convex,
     offline_optimal,
     offline_optimal_grid,
@@ -68,6 +69,98 @@ def test_unknown_oracle_method_rejected_at_parse():
                                     "oracle": {"method": "exact"}})
     for method in ORACLE_METHODS:
         ExperimentConfig.from_dict({"oracle": {"method": method}})
+
+
+def schema_config():
+    """A valid config that sets every top-level key."""
+    return {
+        "instances": [{"id": "walk", "generate": {
+            "family": "polyhedral", "params": {"alpha": 1.0, "p": 1}, "T": 6, "d": 1,
+            "path": {"model": "spikes", "amplitude": 1.0, "period": 3}}}],
+        "algorithms": [{"name": "greedy"}, {"name": "dsfhc", "w": [2, 3]}],
+        "seeds": {"master": 3, "count": 2},
+        "oracle": {"method": "grid"},
+        "checks": ["greedy_bound"],
+    }
+
+
+def test_schema_config_runs():
+    rows, summary = run_suite(ExperimentConfig.from_dict(schema_config()))
+    assert len(rows) == 6 and summary["failures"] == 0
+
+
+def at(config, *path):
+    """The dict inside ``config`` reached by ``path``."""
+    for key in path:
+        config = config[key]
+    return config
+
+
+# (where, key, value): each key is one the harness does not read, among
+# them every setting it once took and ignored (output, oracle.grid,
+# generate.snap_to_grid, the instance alias name, the algorithm phase)
+UNREAD_KEYS = [
+    ((), "check", ["greedy_bound"]),
+    ((), "algorithm", [{"name": "greedy"}]),
+    ((), "output", {"path": "rows.csv"}),
+    (("instances", 0), "name", "walk"),
+    (("instances", 0, "generate"), "snap_to_grid", {"lo": -3, "hi": 3, "n": 61}),
+    (("instances", 0, "generate"), "horizon", 6),
+    (("instances", 0, "generate", "params"), "beta", 1.0),
+    (("instances", 0, "generate", "path"), "step", 0.5),
+    (("algorithms", 1), "window", [2]),
+    (("algorithms", 1), "phase", 1),
+    (("seeds",), "counts", 2),
+    (("oracle",), "grid", {"lo": -3, "hi": 3, "n": 61}),
+]
+
+
+@pytest.mark.parametrize("where, key, value", UNREAD_KEYS)
+def test_unread_key_rejected_by_name(where, key, value):
+    config = schema_config()
+    at(config, *where)[key] = value
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        ExperimentConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("where, key, message", [
+    (("instances", 0, "generate"), "family", "missing required key 'family'"),
+    (("instances", 0, "generate"), "T", "missing required key 'T'"),
+    (("instances", 0, "generate", "params"), "alpha", "missing required key 'alpha'"),
+    (("instances", 0, "generate", "path"), "model", "missing required key 'model'"),
+    (("algorithms", 0), "name", "missing required key 'name'"),
+    (("seeds",), "count", "missing required key 'count'"),
+    (("instances", 0), "generate", "exactly one of 'generate' and 'instance'"),
+])
+def test_missing_required_key_rejected_by_name(where, key, message):
+    config = schema_config()
+    del at(config, *where)[key]
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    (("instances", 0, "generate"), "family", "polyhedal", "unknown family 'polyhedal'"),
+    (("instances", 0, "generate", "path"), "model", "walk", "unknown path model 'walk'"),
+    ((), "instances", ["walk"], r"instances\[0\] must be a JSON object"),
+])
+def test_unknown_name_or_shape_rejected_at_load(where, key, value, message):
+    config = schema_config()
+    at(config, *where)[key] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(config)
+
+
+def test_inline_instance_spec_runs():
+    config = schema_config()
+    inst = make_strongly_convex(2.0, [[1.0], [0.5], [1.5]], start=[0.0])
+    config["instances"] = [{"id": "inline", "instance": instance_to_spec(inst)}]
+    rows, summary = run_suite(ExperimentConfig.from_dict(config))
+    assert [r.instance_id for r in rows] == ["inline"] * 6
+    assert summary["failures"] == 0
+    config["instances"][0]["generate"] = schema_config()["instances"][0]["generate"]
+    with pytest.raises(ValueError, match="exactly one of 'generate' and 'instance'"):
+        ExperimentConfig.from_dict(config)
 
 
 def test_empty_instances_empty_rows():
@@ -167,7 +260,7 @@ def test_added_algorithm_does_not_perturb_rows():
 
 def test_failed_row_labelled_by_spec_name():
     rows, summary = run_suite(ExperimentConfig.from_dict({
-        "instances": [{"name": "named-bad",
+        "instances": [{"id": "named-bad",
                        "generate": {"family": "strongly_convex",
                                     "params": {"m": -1.0}, "T": 4, "d": 1}}],
         "algorithms": [{"name": "greedy"}],

@@ -22,6 +22,8 @@ from soco_lab import (
 from soco_lab.adversary import RandomWalk, minimizer_path
 from soco_lab.reductions import CbcInstance, cbc_to_indicator_instance, interval
 
+from monolithic import monolithic_optimum
+
 
 def lattice_quadratic(T, seed, grid=None, m=2.0):
     grid = grid or Grid.make(-8.0, 8.0, 201, dim=1)
@@ -190,7 +192,7 @@ def test_monolithic_matches_segments_on_lattice():
             inst = make_polyhedral(1.0, path, p=1, start=np.zeros(grid.dim))
             solver = WindowSolver(grid)
             seg = constrained_offline(inst, [0, 3, 6, 9], solver)
-            mono = offline_optimal_grid(inst, grid, anchors=AnchorSet((0, 3, 6, 9)).members)
+            mono = monolithic_optimum(inst, grid, AnchorSet((0, 3, 6, 9)).members)
             assert seg.cost == pytest.approx(mono.cost, abs=1e-9)
 
 
@@ -237,7 +239,7 @@ def test_constrained_matches_exhaustive_enumeration():
         for a, c, d in product(pts, pts, pts))
     res = constrained_offline(inst, anchors, WindowSolver(grid))
     assert res.cost == pytest.approx(brute, abs=1e-12)
-    mono = offline_optimal_grid(inst, grid, anchors=anchors.members)
+    mono = monolithic_optimum(inst, grid, anchors.members)
     assert mono.cost == pytest.approx(brute, abs=1e-12)
 
 
@@ -250,7 +252,7 @@ def test_grid_opt_two_dimensional_cross_check():
     e = offline_optimal_quadratic(inst)
     assert g.cost >= e.cost - 1e-12
     assert g.cost <= e.cost + 6 * 6.0 * grid.spacing().max() ** 2
-    mono = offline_optimal_grid(inst, grid, anchors=AnchorSet((0, 2, 4)).members)
+    mono = monolithic_optimum(inst, grid, AnchorSet((0, 2, 4)).members)
     seg = constrained_offline(inst, [0, 2, 4])
     assert mono.cost >= seg.cost - 1e-9
 

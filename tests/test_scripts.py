@@ -28,6 +28,7 @@ def run(*args):
     proc = subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
 
 
 def run_script(name, *args):
@@ -43,34 +44,58 @@ def test_adversary_game_demo_script():
     run_script("adversary_game_demo.py", "--games", "2", "--T", "12")
 
 
-#: sha256 of the CSV each shipped config writes.  A change to these bytes
-#: must be explained to the last ulp before the value here is updated.
+#: sha256 of the CSV each shipped config writes, and of the summary JSON
+#: written next to it.  A change to these bytes must be explained to the
+#: last ulp before the value here is updated.
 SHIPPED_CSV_SHA256 = {
     "quadratic_sweep.json":
         "1fd411bb6886b61961c30407401f404dc69d85a82d19ec65ac4b89c425bb0e9c",
     "dimension_sweep.json":
         "f11827fca1df22af5f1921297943616d563ec36c27aca8d0aebcf4855d893fb6",
 }
+SHIPPED_SUMMARY_SHA256 = {
+    "quadratic_sweep.json":
+        "e951342dea3938bc978a4c58dddeb80e8549ccbe4f2b3975e19392bbb8fd06d2",
+    "dimension_sweep.json":
+        "39792dba913a10221a9878366f524713b5255fd6462826a0d9d50d7d19f91af0",
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def sweep_config(name, out):
+    """(CSV sha256, summary sha256) of ``soco-lab sweep`` on a shipped config."""
     run("-m", "soco_lab", "sweep", "--config", str(ROOT / "configs" / name),
         "--out", str(out))
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return sha256(out.read_bytes()), sha256(out.with_suffix(".summary.json").read_bytes())
 
 
 def test_dimension_sweep_config_runs_without_failures(tmp_path):
     # d in {1, 2, 4, 8} for polyhedral p = 1 and non-convex ripple: every
-    # row must be scored, in every dimension, and the CSV bytes stay fixed
-    digest = sweep_config("dimension_sweep.json", tmp_path / "rows.csv")
+    # row must be scored, in every dimension, and the output bytes stay fixed
+    digests = sweep_config("dimension_sweep.json", tmp_path / "rows.csv")
     summary = json.loads((tmp_path / "rows.summary.json").read_text())
     assert summary["rows"] == 128 and summary["failures"] == 0, summary["errors"]
-    assert digest == SHIPPED_CSV_SHA256["dimension_sweep.json"]
+    assert digests == (SHIPPED_CSV_SHA256["dimension_sweep.json"],
+                       SHIPPED_SUMMARY_SHA256["dimension_sweep.json"])
 
 
 def test_quadratic_sweep_config_csv_is_byte_stable(tmp_path):
-    digest = sweep_config("quadratic_sweep.json", tmp_path / "rows.csv")
-    assert digest == SHIPPED_CSV_SHA256["quadratic_sweep.json"]
+    digests = sweep_config("quadratic_sweep.json", tmp_path / "rows.csv")
+    assert digests == (SHIPPED_CSV_SHA256["quadratic_sweep.json"],
+                       SHIPPED_SUMMARY_SHA256["quadratic_sweep.json"])
+
+
+#: sha256 of ``soco-lab game --seeds 3 --T 20`` stdout (spike adversary,
+#: rsfhc-b learner).
+GAME_STDOUT_SHA256 = "549549af680022711c62e90f6b02e6f3d0dd6ff0564ca2c3f62118b27703435b"
+
+
+def test_game_cli_output_is_byte_stable():
+    stdout = run("-m", "soco_lab", "game", "--seeds", "3", "--T", "20")
+    assert sha256(stdout.encode()) == GAME_STDOUT_SHA256
 
 
 def oracle_instance_file(tmp_path, family):
@@ -123,5 +148,5 @@ def test_oracle_cli_output_is_byte_stable(tmp_path):
         run("-m", "soco_lab", "oracle", "--instance",
             str(oracle_instance_file(tmp_path, family)), "--method", method,
             *flags, "--out", str(out))
-        digests[family, method, flags] = hashlib.sha256(out.read_bytes()).hexdigest()
+        digests[family, method, flags] = sha256(out.read_bytes())
     assert digests == ORACLE_SHA256
