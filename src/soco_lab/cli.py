@@ -1,4 +1,9 @@
-"""Command-line harness: run | sweep | oracle | game | reduce | verify-conditions."""
+"""Command-line harness: run | sweep | oracle | game | reduce | verify-conditions.
+
+An input file (config or instance) that cannot be read or does not fit its
+schema is reported on one line, ``soco-lab: error: <file>: <reason>``, exit
+2; exit 1 is kept for a failed bound check or an ``INCONSISTENT`` result.
+"""
 
 from __future__ import annotations
 
@@ -23,8 +28,14 @@ from .adversary import (
     transcript_to_spec,
 )
 from .families import StronglyConvex, estimate_condition_constants, instance_from_spec
-from .harness import ExperimentConfig, format_rows, run_suite, sweep_and_report
-from .model import movement_cost
+from .harness import (
+    ExperimentConfig,
+    check_instance_schema,
+    format_rows,
+    run_suite,
+    sweep_and_report,
+)
+from .model import Instance, movement_cost
 from .oracle import ORACLE_METHODS, offline_optimal
 from .reductions import (
     cbc_from_spec,
@@ -35,9 +46,25 @@ from .reductions import (
 from .windows import Grid, default_grid
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+class _InputError(Exception):
+    """An input file that cannot be read or does not fit its schema."""
+
+
+def _load(path: str, parse):
+    """``parse`` of the JSON file at ``path``.  A file that cannot be read
+    or parsed raises _InputError naming it, which ``main`` reports on one
+    line, exit 2."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except KeyError as exc:
+        raise _InputError(f"{path}: missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
+
+
+def _instance(raw) -> Instance:
+    return instance_from_spec(check_instance_schema(raw))
 
 
 def _emit(text: str, out: str | None):
@@ -51,17 +78,16 @@ def _emit(text: str, out: str | None):
 def _cmd_rows(args) -> int:
     """``run`` writes the rows to --out or stdout, ``sweep`` writes them and
     a summary file next to them; both print the summary to stderr.  Exit 1
-    iff a requested bound check failed; a config that cannot be read or
-    fails the schema is reported on one line, exit 2."""
-    try:
-        raw = _load_json(args.config)
+    iff a requested bound check failed."""
+    def parse(raw) -> ExperimentConfig:
         config = ExperimentConfig.from_dict(raw)
-        if getattr(args, "seed", None) is not None:  # a master seed; keep the seed count
-            config = ExperimentConfig.from_dict(
-                dict(raw, seeds={"master": args.seed, "count": len(config.seeds)}))
-    except (OSError, TypeError, ValueError) as exc:
-        sys.stderr.write(f"soco-lab: error: {args.config}: {exc}\n")
-        return 2
+        if getattr(args, "seed", None) is None:
+            return config
+        # a master seed; keep the seed count
+        return ExperimentConfig.from_dict(
+            dict(raw, seeds={"master": args.seed, "count": len(config.seeds)}))
+
+    config = _load(args.config, parse)
     if args.command == "sweep":
         _, summary = sweep_and_report(config, args.out, fmt=args.format)
     else:
@@ -72,7 +98,7 @@ def _cmd_rows(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = instance_from_spec(_load_json(args.instance))
+    instance = _load(args.instance, _instance)
     if args.grid_lo is None:
         grid = default_grid(instance, args.grid_n)
     else:
@@ -128,17 +154,17 @@ def _cmd_game(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.mode == "duplicate":
-        instance = cbc_from_spec(_load_json(args.instance))
+        instance = _load(args.instance, cbc_from_spec)
         reduced = duplicate_cbc_instance(instance, args.w)
     else:
-        instance = instance_from_spec(_load_json(args.instance))
+        instance = _load(args.instance, _instance)
         reduced = epigraph_reduce(instance)
     _emit(json.dumps(cbc_to_spec(reduced), indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_verify_conditions(args) -> int:
-    instance = instance_from_spec(_load_json(args.instance))
+    instance = _load(args.instance, _instance)
     rng = np.random.default_rng(args.seed)
     lam_hat, eta_hat = estimate_condition_constants(instance, args.radius,
                                                     args.samples, rng)
@@ -214,7 +240,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "oracle" and (args.grid_lo is None) != (args.grid_hi is None):
         parser.error("--grid-lo and --grid-hi must be given together")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as exc:
+        sys.stderr.write(f"soco-lab: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -82,16 +82,26 @@ def _default_start(dim: int) -> np.ndarray:
     return np.zeros(dim)
 
 
-def _hitting(hit, pts: np.ndarray, separable: bool) -> tuple[HittingCost, ...]:
-    """``hit(v, sel, axes)`` per minimizer v, ``sel`` selecting coordinates of
-    the family's parameters.  In d >= 2 a separable cost carries its d 1-D
-    costs, built once so lattice tables keyed by cost objects stay valid."""
+def _hitting(hit, formula, pts: np.ndarray, separable: bool) -> tuple[HittingCost, ...]:
+    """``hit(v, sel, f, axes)`` per minimizer v, ``sel`` selecting coordinates
+    of the family's parameters and ``f = formula(sel)`` the family's f(x, v)
+    on them, built once per selection so that the T costs share it.  In
+    d >= 2 a separable cost carries its d 1-D costs, built once so lattice
+    tables keyed by cost objects stay valid."""
     d, whole = pts.shape[1], slice(None)
+    f = formula(whole)
     if d == 1 or not separable:
-        return tuple(hit(v, whole, None) for v in pts)
-    return tuple(hit(v, whole, tuple(hit(v[j:j + 1], slice(j, j + 1), None)
-                                     for j in range(d)))
+        return tuple(hit(v, whole, f, None) for v in pts)
+    per_axis = [(slice(j, j + 1), formula(slice(j, j + 1))) for j in range(d)]
+    return tuple(hit(v, whole, f, tuple(hit(v[sel], sel, fj, None) for sel, fj in per_axis))
                  for v in pts)
+
+
+def _cost(f, v, *args) -> HittingCost:
+    """The cost f(., v), carrying f as its formula; ``args`` are the
+    ``HittingCost`` fields from ``min_value`` to ``axes``."""
+    v = as_point(v)
+    return HittingCost(lambda x: f(np.asarray(x, dtype=float), v), v, *args, formula=f)
 
 
 def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
@@ -102,10 +112,9 @@ def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
     d = pts.shape[1]
     movement = norm_movement(p)
 
-    def hit(v, sel, axes):
-        def fn(x, _v=v):
-            x = np.asarray(x, dtype=float)
-            diff = x - _v
+    def formula(sel):
+        def f(x, v):
+            diff = x - v
             if p == 1:
                 r = np.abs(diff).sum(axis=-1)
             elif p == 2:
@@ -113,10 +122,12 @@ def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
             else:
                 r = np.abs(diff).max(axis=-1)
             return alpha * r
-        return HittingCost(fn, as_point(v), 0.0, None, "polyhedral",
-                           {"alpha": alpha, "p": p}, axes)
+        return f
 
-    hitting = _hitting(hit, pts, separable=p == 1)
+    def hit(v, sel, f, axes):
+        return _cost(f, v, 0.0, None, "polyhedral", {"alpha": alpha, "p": p}, axes)
+
+    hitting = _hitting(hit, formula, pts, separable=p == 1)
     start = _default_start(d) if start is None else start
     return Instance(d, len(hitting), start, hitting, movement,
                     lam=alpha / 2.0, family_tag="polyhedral")
@@ -129,15 +140,16 @@ def make_strongly_convex(m: float, path, start=None) -> Instance:
     pts = _as_path(path)
     d = pts.shape[1]
 
-    def hit(v, sel, axes):
-        def fn(x, _v=v):
-            x = np.asarray(x, dtype=float)
-            diff = x - _v
+    def formula(sel):
+        def f(x, v):
+            diff = x - v
             return 0.5 * m * (diff * diff).sum(axis=-1)
-        return HittingCost(fn, as_point(v), 0.0, 0.0, "strongly_convex",
-                           {"m": m}, axes)
+        return f
 
-    hitting = _hitting(hit, pts, separable=True)
+    def hit(v, sel, f, axes):
+        return _cost(f, v, 0.0, 0.0, "strongly_convex", {"m": m}, axes)
+
+    hitting = _hitting(hit, formula, pts, separable=True)
     start = _default_start(d) if start is None else start
     return Instance(d, len(hitting), start, hitting, movement_cost("sq_l2_half"),
                     lam=m / 2.0, family_tag="strongly_convex")
@@ -165,18 +177,21 @@ def make_glb(e0, beta, mu, path, start=None) -> Instance:
     if np.any(pts < 0):
         raise ValueError("glb minimizer path must be componentwise nonnegative")
 
-    def hit(v, sel, axes):
+    def formula(sel):
         e, u = e0[sel], mu[sel]
 
-        def fn(x, _v=v):
-            x = np.asarray(x, dtype=float)
-            val = (e * x).sum(axis=-1) + (u * np.abs(x - _v)).sum(axis=-1)
+        def f(x, v):
+            val = (e * x).sum(axis=-1) + (u * np.abs(x - v)).sum(axis=-1)
             feasible = (x >= -1e-12).all(axis=-1)
             return np.where(feasible, val, PENALTY)
-        return HittingCost(fn, as_point(v), float((e * v).sum()), None, "glb",
-                           {"e0": e, "beta": beta[sel], "mu": u}, axes)
+        return f
 
-    hitting = _hitting(hit, pts, separable=True)
+    def hit(v, sel, f, axes):
+        e = e0[sel]
+        return _cost(f, v, float((e * v).sum()), None, "glb",
+                     {"e0": e, "beta": beta[sel], "mu": mu[sel]}, axes)
+
+    hitting = _hitting(hit, formula, pts, separable=True)
     start = _default_start(d) if start is None else start
     start = np.asarray(start, dtype=float)
     if np.any(start < 0):
@@ -200,17 +215,18 @@ def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
     d = pts.shape[1]
     alpha = max(0.0, eps * k * k - m)
 
-    def hit(v, sel, axes):
-        def fn(x, _v=v):
-            x = np.asarray(x, dtype=float)
-            diff = x - _v
+    def formula(sel):
+        def f(x, v):
+            diff = x - v
             quad = 0.5 * m * (diff * diff).sum(axis=-1)
             wave = eps * (1.0 - np.cos(k * diff)).sum(axis=-1)
             return quad + wave
-        return HittingCost(fn, as_point(v), 0.0, alpha, "ripple",
-                           {"m": m, "eps": eps, "k": k}, axes)
+        return f
 
-    hitting = _hitting(hit, pts, separable=True)
+    def hit(v, sel, f, axes):
+        return _cost(f, v, 0.0, alpha, "ripple", {"m": m, "eps": eps, "k": k}, axes)
+
+    hitting = _hitting(hit, formula, pts, separable=True)
     start = _default_start(d) if start is None else start
     return Instance(d, len(hitting), start, hitting, movement_cost("sq_l2_half"),
                     lam=m / 2.0 if m > 0 else 0.0, family_tag="ripple")

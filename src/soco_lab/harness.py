@@ -2,16 +2,19 @@
 
 A config names instances (fixed or generated), algorithms with window
 ranges, seeds, an oracle, and the bound checks to assert.  Each
-(instance, algorithm, w, seed) combination becomes one result row; rows
-are computed one after another in config order, and all randomness is
-derived from the row key, so adding an algorithm never perturbs existing
-rows and reruns are byte-identical.  The rows of one (instance, seed)
-share its built instance, lattice, window solver and offline optimum.
+(instance, algorithm, w, seed) combination becomes one result row, and
+all randomness is derived from the row key, so adding an algorithm never
+perturbs existing rows and reruns are byte-identical.  The rows of one
+(instance, seed) share its built instance, lattice, window solver (with
+its stage memo) and offline optimum; they are computed together, and that
+state is dropped before the next seed's, so memory does not grow with the
+seed count.  Rows are returned in config order.
 
 ``ExperimentConfig.from_dict`` takes only the keys the harness reads (the
-README's "Experiment config" lists them): any other key, a missing
-required key or an unknown family, path model, algorithm, bound check or
-oracle method raises ValueError naming it and where it sits.  Families
+README's "Experiment config" lists them, and the instance schema those of
+an inline instance): any other key, a missing required key or an unknown
+family, family parameter, path model, algorithm, bound check or oracle
+method raises ValueError naming it and where it sits.  Families
 are named in ``families.FAMILIES``, algorithms in ``ALGORITHMS``.
 """
 
@@ -153,17 +156,18 @@ _PATHS = {"random_walk": RandomWalk, "spikes": Spikes, "constant": Constant}
 
 
 def _keys(obj, where: str, allowed=None, required=()) -> dict:
-    """``obj`` itself, once it is checked to be a dict that holds every key
-    in ``required`` and, unless ``allowed`` is None, no key outside it."""
+    """``obj`` itself, once it is checked to be a dict that holds, unless
+    ``allowed`` is None, no key outside it (a misspelt key is named as
+    such) and every key in ``required``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"missing required key {key!r} in {where}")
     for key in obj if allowed is not None else ():
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}; "
                              f"accepted: {', '.join(allowed)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing required key {key!r} in {where}")
     return obj
 
 
@@ -179,6 +183,20 @@ def _known(name, table, what: str, where: str):
                          f"expected one of {sorted(table)}")
 
 
+def check_instance_schema(spec, where: str = "instance") -> dict:
+    """``spec`` itself, once it is checked to hold the keys of the JSON
+    instance schema and no other, and the family parameters its family
+    takes.  Values are checked when the instance is built."""
+    keys = ("dim", "T", "x0", "movement", "hitting")
+    _keys(spec, where, keys, keys)
+    _keys(spec["movement"], where + ".movement", ("kind", "params"), ("kind",))
+    where, keys = where + ".hitting", ("family", "params", "minimizers")
+    hitting = _keys(spec["hitting"], where, keys, keys)
+    _known(hitting["family"], FAMILIES, "family", where)
+    _fields(hitting["params"], where + ".params", FAMILIES[hitting["family"]][0])
+    return spec
+
+
 def _check_instance_spec(spec, where: str):
     """A spec holds an ``id`` and either an inline ``instance`` (the JSON
     instance schema) or a ``generate`` block."""
@@ -186,6 +204,7 @@ def _check_instance_spec(spec, where: str):
     if ("generate" in spec) == ("instance" in spec):
         raise ValueError(f"{where} needs exactly one of 'generate' and 'instance'")
     if "generate" not in spec:
+        check_instance_schema(spec["instance"], where + ".instance")
         return
     where += ".generate"
     gen = _keys(spec["generate"], where, ("family", "params", "T", "d", "path"),
@@ -296,14 +315,14 @@ def _opt_and_budget(instance: Instance, oracle_spec: dict,
 
 
 def _compute_row(spec: dict, algo_spec: dict, w: int, seed: int,
-                 config: ExperimentConfig, prepared: dict) -> ResultRow:
-    """One row; ``prepared`` maps seed -> the shared state of this instance."""
+                 config: ExperimentConfig, shared: dict) -> ResultRow:
+    """One row; ``shared`` is the state of this (instance, seed), filled on
+    first use."""
     instance_id = spec.get("id") or "instance"
     algorithm = algo_spec["name"]
     try:
-        if seed not in prepared:
-            prepared[seed] = _prepare(spec, instance_id, seed)
-        shared = prepared[seed]
+        if not shared:
+            shared.update(_prepare(spec, instance_id, seed))
         bound_fn, cost_kind = _select_check(config.checks, algorithm, w)
         if cost_kind == "subroutine_mean":
             cost = algs.rsfhc_a_expected_cost(shared["instance"], w, shared["solver"])
@@ -335,15 +354,20 @@ def _compute_row(spec: dict, algo_spec: dict, w: int, seed: int,
 
 def run_suite(config: ExperimentConfig) -> tuple[list[ResultRow], dict]:
     """Execute every row; returns (rows in config order, summary)."""
+    runs = []  # (algorithm spec, w) per row of one (instance, seed), in config order
+    for algo_spec in config.algorithms:
+        ws = algo_spec.get("w", [1])
+        runs += [(algo_spec, int(w)) for w in (ws if isinstance(ws, list) else [ws])]
+    seeds = [int(seed) for seed in config.seeds]
     rows = []
     for spec in config.instances:
-        prepared: dict = {}
-        for algo_spec in config.algorithms:
-            ws = algo_spec.get("w", [1])
-            for w in (ws if isinstance(ws, list) else [ws]):
-                for seed in config.seeds:
-                    rows.append(_compute_row(spec, algo_spec, int(w), int(seed),
-                                             config, prepared))
+        by_seed: dict = {}
+        for seed in seeds:
+            if seed not in by_seed:
+                shared: dict = {}
+                by_seed[seed] = [_compute_row(spec, algo_spec, w, seed, config, shared)
+                                 for algo_spec, w in runs]
+        rows += [by_seed[seed][k] for k in range(len(runs)) for seed in seeds]
 
     by_algo: dict[str, dict] = {}
     for row in rows:

@@ -8,6 +8,12 @@ consecutive decisions.  The total cost of a decision sequence x_1..x_T is
 
 Points are plain 1-D numpy float arrays, frozen read-only at construction
 so instances can be shared across rows, runs and solvers.
+
+The family constructors build all T hitting costs of an instance from one
+formula f(x, v) (``HittingCost.formula``), so ``evaluate_total_cost``
+scores a trajectory with one call of it on the (T, d) points and
+minimizers.  Indicator and custom costs have no formula and are scored
+one step at a time.  On the families the two ways give the same bits.
 """
 
 from __future__ import annotations
@@ -145,6 +151,10 @@ class HittingCost:
     ``convexifier_bound`` is an alpha >= 0 such that f(x) + (alpha/2)||x||^2
     is convex, when known.  ``axes`` holds, for a cost that separates by
     coordinate in d >= 2, the 1-D costs f_j with f(x) = sum_j f_j(x_j).
+    ``formula``, when set, is a function f(x, v) of stacked points and
+    stacked minimizers with fn(x) = f(x, minimizer): costs that share it
+    are scored in one call (``evaluate_total_cost``).  A copy that replaces
+    ``fn`` must drop it.
     """
 
     fn: Callable
@@ -154,6 +164,7 @@ class HittingCost:
     family_tag: str = "custom"
     params: dict = field(default_factory=dict)
     axes: tuple["HittingCost", ...] | None = None
+    formula: Callable | None = None
 
     def __call__(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -217,7 +228,10 @@ def evaluate_total_cost(instance: Instance, points) -> Trajectory:
     """Score a decision sequence under the instance.
 
     ``points`` must have exactly T entries of dimension d.  The movement
-    at t = 1 is charged against the fixed start point.
+    at t = 1 is charged against the fixed start point.  When all T costs
+    share one ``formula`` (every family's do), the hitting costs are one
+    call of it on the (T, d) points and minimizers; other costs are scored
+    one step at a time.
     """
     pts = np.array(points, dtype=float)  # copy: the trajectory owns its buffer
     if pts.ndim == 1:
@@ -228,7 +242,11 @@ def evaluate_total_cost(instance: Instance, points) -> Trajectory:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
 
-    hit = np.array([cost(p) for cost, p in zip(instance.hitting, pts)])
+    formula = instance.hitting[0].formula
+    if formula is not None and all(c.formula is formula for c in instance.hitting):
+        hit = np.asarray(formula(pts, instance.minimizers()), dtype=float)
+    else:
+        hit = np.array([cost(p) for cost, p in zip(instance.hitting, pts)])
     move = instance.movement.of_difference(
         np.diff(pts, axis=0, prepend=instance.start[None, :]))
     total = float(np.sum(hit + move))

@@ -43,6 +43,21 @@ overhead, which a batch pays once.  The dense product stays one window
 at a time inside the batch: its cost is arithmetic, and stacking it
 measured slower.  Every column equals its window solved alone, bit for
 bit; ``solve_grid_dp`` is the batch of one.
+
+A lattice DP stage is solved once per cache.  Stage s of a window depends
+only on the lattice, the movement, the snapped left anchor and the costs
+of its first s + 1 timesteps, not on the right anchor, so the cache keeps
+each stage's value and back-pointer columns under that key (the stage
+memo).  Windows that repeat or extend a solved one -- the phase windows
+``dsfhc``, ``sfhc`` and ``rsfhc-a`` share, (a, a+2] inside (a, a+4],
+``afhc`` chains that restart from one lattice point -- start from their
+deepest memoized stage.  A ``WindowSolver`` owns its cache, so the memo
+lives as long as the solver: the harness keeps one per (instance, seed).
+
+Quadratic windows are solved in batches too (``solve_quadratic_batch``):
+windows that share a free count, right-anchoring and m values share the
+tridiagonal matrix, and are one ``solve_banded`` call over stacked
+right-hand sides; ``solve_quadratic_chain`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -111,15 +126,25 @@ class Grid:
         """Nearest lattice point to each row of ``pts``; the first coordinate
         outside the range, in row-major order, raises ValueError."""
         pts = np.asarray(pts, dtype=float)
-        lo = np.array(self.lo)
-        outside = (pts < lo - 1e-9) | (pts > np.array(self.hi) + 1e-9)
+        lo, low, high, step, top = _snap_arrays(self)
+        outside = (pts < low) | (pts > high)
         if outside.any():
             i, j = np.argwhere(outside)[0]
             raise ValueError(f"point coordinate {pts[i, j]} outside grid range "
                              f"[{self.lo[j]}, {self.hi[j]}]")
-        step = self.spacing()
-        idx = np.clip(np.rint((pts - lo) / step), 0, np.array(self.n) - 1)
+        idx = np.clip(np.rint((pts - lo) / step), 0, top)
         return lo + idx * step
+
+
+@lru_cache(maxsize=32)
+def _snap_arrays(grid: Grid) -> tuple[np.ndarray, ...]:
+    """``snap_rows``'s arrays: lo, the range with its 1e-9 slack, the
+    spacing and the top index per axis."""
+    lo = np.array(grid.lo)
+    arrays = (lo, lo - 1e-9, np.array(grid.hi) + 1e-9, grid.spacing(), np.array(grid.n) - 1)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @lru_cache(maxsize=32)
@@ -234,40 +259,63 @@ def _is_quadratic(problem: WindowProblem) -> bool:
 
 
 def solve_quadratic_chain(problem: WindowProblem) -> WindowSolution:
-    """Exact solve of the coordinatewise tridiagonal stationarity system.
+    """Exact optimum of a quadratic window: ``solve_quadratic_batch`` of one."""
+    return solve_quadratic_batch([problem])[0]
+
+
+def solve_quadratic_batch(problems) -> list[WindowSolution]:
+    """Exact solve of each window's coordinatewise tridiagonal stationarity
+    system.
 
     Interior rows read (m_t + 2) y_t - y_{t-1} - y_{t+1} = m_t v_t; boundary
     rows fold in the anchors, and the final row drops the y_{t+1} term when
-    there is no right anchor.  Strict convexity makes this the global optimum.
+    there is no right anchor.  Strict convexity makes this the global
+    optimum.  The matrix depends only on the free count, the right-anchoring
+    and the m values, so the windows that share them are one
+    ``solve_banded`` call over stacked right-hand sides; each column is
+    solved on its own, so every window gets the points it gets alone.
     """
-    if not _is_quadratic(problem):
-        raise UnsupportedProblemError(
-            "exact chain solve needs quadratic costs and sq_l2_half movement")
-    F, d = problem.free_count, problem.dim
+    groups: dict = {}
+    for i, problem in enumerate(problems):
+        if not _is_quadratic(problem):
+            raise UnsupportedProblemError(
+                "exact chain solve needs quadratic costs and sq_l2_half movement")
+        F = problem.free_count
+        key = (F, problem.right_anchor is not None, problem.dim,
+               tuple(c.params["m"] for c in problem.costs[:F]))
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(problems)
+    for (F, anchored, d, m), members in groups.items():
+        group = [problems[i] for i in members]
+        for i, free in zip(members, _quadratic_group(group, F, anchored, d, np.array(m))):
+            out[i] = WindowSolution(free, "exact_quadratic")
+    return out
+
+
+def _quadratic_group(group: list[WindowProblem], F: int, anchored: bool, d: int,
+                     m: np.ndarray) -> list[np.ndarray]:
+    """Free points of quadratic windows that share one tridiagonal matrix."""
     if F == 0:
-        return WindowSolution(np.empty((0, d)), "exact_quadratic")
-
-    m = np.array([problem.costs[i].params["m"] for i in range(F)])
-    v = np.stack([problem.costs[i].minimizer for i in range(F)])
-    anchored = problem.right_anchor is not None
-
+        return [np.empty((0, d)) for _ in group]
     diag = m + 2.0
     if not anchored:
         diag[-1] = m[-1] + 1.0
-    rhs = m[:, None] * v
-    rhs[0] += problem.left_anchor
+    v = np.stack([[c.minimizer for c in p.costs[:F]] for p in group], axis=1)
+    rhs = m[:, None, None] * v
+    rhs[0] += np.stack([p.left_anchor for p in group])
     if anchored:
-        rhs[-1] += problem.right_anchor
+        rhs[-1] += np.stack([p.right_anchor for p in group])
+    rhs = rhs.reshape(F, -1)
 
     if F == 1:
-        free = (rhs / diag[:, None])
+        free = rhs / diag[:, None]
     else:
         ab = np.zeros((3, F))
         ab[0, 1:] = -1.0
         ab[1, :] = diag
         ab[2, :-1] = -1.0
         free = solve_banded((1, 1), ab, rhs)
-    return WindowSolution(free, "exact_quadratic")
+    return list(free.reshape(F, len(group), d).swapaxes(0, 1))
 
 
 #: Largest dense transition matrix kept in memory (entries); bigger grids
@@ -330,13 +378,20 @@ def _separable_minplus(value: np.ndarray, grid: Grid,
     return best.reshape(value.shape), arg.reshape(value.shape)
 
 
+def _columns(arrays) -> np.ndarray:
+    """The (G,) arrays as the columns of a (G, B) array."""
+    return np.array(arrays).T
+
+
 class _GridEval:
-    """Caches hitting-cost tables, and dense movement transition matrices for
-    the movements that do not separate by coordinate, per grid."""
+    """Caches, per lattice: hitting-cost tables, dense movement transition
+    matrices for the movements that do not separate by coordinate, and the
+    stage memo, every DP stage solved so far."""
 
     def __init__(self):
         self._costs: dict = {}
         self._moves: dict = {}
+        self._stages: dict = {}
 
     def cost_table(self, cost: HittingCost, grid: Grid) -> np.ndarray:
         key = (id(cost), grid)
@@ -357,6 +412,46 @@ class _GridEval:
             mat = (movement, movement.pairwise(pts, pts))
             self._moves[key] = mat
         return mat[1]
+
+    def stages(self, batch: list[WindowProblem], lefts: np.ndarray, F: int,
+               grid: Grid) -> list[list[tuple[np.ndarray, np.ndarray | None]]]:
+        """The first F DP stages of each window of a batch that shares a
+        movement: per window, (value column, back-pointer column) per stage.
+
+        Stage s of a window depends only on the lattice, the movement, the
+        snapped left anchor ``lefts[b]`` and the costs of its first s + 1
+        timesteps, so it is memoized under them.  The cost objects hash by
+        identity and the key holds them, so no key can be reused by a new
+        object.  Each window starts from its deepest memoized stage, and
+        stage s makes one min-plus call over the windows that still need it.
+        """
+        movement = batch[0].movement
+        by_left = self._stages.setdefault((grid, movement), {})
+        memos = [by_left.setdefault(left.tobytes(), {}) for left in lefts]
+        done = []
+        for memo, problem in zip(memos, batch):
+            have = []
+            for s in range(F):
+                entry = memo.get(problem.costs[:s + 1])
+                if entry is None:
+                    break
+                have.append(entry)
+            done.append(have)
+        for s in range(min(map(len, done)), F):
+            todo = [b for b, have in enumerate(done) if len(have) == s]
+            if s == 0:
+                value, back = movement.pairwise(grid.points(), lefts[todo]), None
+            else:
+                value, back = self.minplus(_columns([done[b][-1][0] for b in todo]),
+                                           movement, grid)
+                back.setflags(write=False)
+            value = value + _columns([self.cost_table(batch[b].costs[s], grid) for b in todo])
+            value.setflags(write=False)
+            for i, b in enumerate(todo):
+                entry = (value[:, i], None if back is None else back[:, i])
+                memos[b][batch[b].costs[:s + 1]] = entry
+                done[b].append(entry)
+        return done
 
     def minplus(self, value: np.ndarray, movement: MovementCost,
                 grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +478,9 @@ class _GridEval:
             step = trans + value[None, :]
             arg = np.argmin(step, axis=1)
             return step[np.arange(grid.size), arg], arg
-        block = max(1, _DENSE_TRANSITION_LIMIT // grid.size)
+        # rows per block: the (block, G, d) differences ``pairwise`` makes
+        # stay within the limit
+        block = max(1, _DENSE_TRANSITION_LIMIT // (grid.size * grid.dim))
         best = np.empty(grid.size)
         arg = np.empty(grid.size, dtype=np.int64)
         for start in range(0, grid.size, block):
@@ -463,22 +560,17 @@ def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[n
         return [np.empty((0, d)) for _ in batch]
 
     pts = grid.points()
-    movement = first.movement
-    value = movement.pairwise(pts, snapped[::2] if anchored else snapped)
-    back = np.full((F, grid.size, len(batch)), -1, dtype=np.int64)
-    for s in range(F):
-        if s > 0:
-            value, back[s] = cache.minplus(value, movement, grid)
-        value = value + np.stack([cache.cost_table(p.costs[s], grid) for p in batch], axis=1)
-
+    stages = cache.stages(batch, snapped[::2] if anchored else snapped, F, grid)
+    value = _columns([have[-1][0] for have in stages])
     if anchored:
-        value = value + movement.pairwise(snapped[1::2], pts).T
-    cols = np.arange(len(batch))
-    idx = np.empty((F, len(batch)), dtype=np.int64)
-    idx[-1] = np.argmin(value, axis=0)
-    for s in range(F - 1, 0, -1):
-        idx[s - 1] = back[s, idx[s], cols]
-    return [pts[idx[:, b]] for b in cols]
+        value = value + first.movement.pairwise(snapped[1::2], pts).T
+    out = []
+    for have, i in zip(stages, np.argmin(value, axis=0).tolist()):
+        idx = [i]
+        for _, back in have[:0:-1]:
+            idx.append(int(back[idx[-1]]))
+        out.append(pts[idx[::-1]])
+    return out
 
 
 class WindowSolver:
@@ -486,7 +578,8 @@ class WindowSolver:
     solver's lattice for all other windows, in any d.  A solver built
     without a lattice solves quadratic windows only and raises
     ``UnsupportedProblemError`` on any other.  Shares lattice evaluation
-    caches across calls, so reuse one solver for all windows of a run."""
+    caches and the stage memo across calls, so reuse one solver for all
+    windows of a run; the memo is freed with the solver."""
 
     def __init__(self, grid: Grid | None = None):
         self.grid = grid
@@ -496,18 +589,21 @@ class WindowSolver:
         return self.solve_batch([problem])[0]
 
     def solve_batch(self, problems) -> list[WindowSolution]:
-        """Solutions in order; the lattice windows are solved together
+        """Solutions in order; the quadratic windows are solved together
+        (``solve_quadratic_batch``), and so are the lattice windows
         (``solve_grid_dp_batch``)."""
-        out = [None] * len(problems)
-        lattice = []
+        quadratic, lattice = [], []
         for i, problem in enumerate(problems):
             if _is_quadratic(problem):
-                out[i] = solve_quadratic_chain(problem)
+                quadratic.append(i)
             elif self.grid is None:
                 family = "/".join(sorted({c.family_tag for c in problem.costs}))
                 raise UnsupportedProblemError(f"a {family} window needs a lattice")
             else:
                 lattice.append(i)
+        out = [None] * len(problems)
+        for i, sol in zip(quadratic, solve_quadratic_batch([problems[i] for i in quadratic])):
+            out[i] = sol
         if lattice:
             sols = solve_grid_dp_batch([problems[i] for i in lattice], self.grid, self._cache)
             for i, sol in zip(lattice, sols):

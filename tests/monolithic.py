@@ -28,7 +28,7 @@ def _pinned(cost: HittingCost, grid: Grid) -> HittingCost:
             return cost(x) if np.array_equal(x, target) else np.inf
         return np.where((x == target).all(axis=1), cost.values(x), np.inf)
 
-    return replace(cost, fn=fn, axes=None)
+    return replace(cost, fn=fn, axes=None, formula=None)
 
 
 def monolithic_optimum(instance: Instance, grid: Grid, anchors) -> OracleResult:

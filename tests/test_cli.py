@@ -112,6 +112,55 @@ def test_cli_unreadable_config_exits_two(tmp_path, capsys, text):
     assert err.startswith(f"soco-lab: error: {path}: ") and err.count("\n") == 1
 
 
+def _broken_instance(tmp_path, edit):
+    spec = instance_to_spec(make_polyhedral(1.0, [[1.0], [0.0]], p=1, start=[0.0]))
+    edit(spec)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+BROKEN_INSTANCES = [
+    (lambda spec: spec.pop("x0"), "missing required key 'x0' in instance"),
+    (lambda spec: spec["hitting"]["params"].update(alfa=spec["hitting"]["params"].pop("alpha")),
+     "unknown key 'alfa' in instance.hitting.params"),
+]
+
+
+@pytest.mark.parametrize("edit, reason", BROKEN_INSTANCES)
+@pytest.mark.parametrize("command", [["oracle"], ["reduce", "--mode", "epigraph"],
+                                     ["verify-conditions", "--samples", "10"]])
+def test_cli_broken_instance_exits_two_on_one_line(tmp_path, capsys, command, edit, reason):
+    path = _broken_instance(tmp_path, edit)
+    assert main(command + ["--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"soco-lab: error: {path}: {reason}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cli_broken_chasing_instance_exits_two_on_one_line(tmp_path, capsys):
+    path = tmp_path / "cbc.json"
+    path.write_text(json.dumps({"dim": 1, "start": [0.0]}))
+    assert main(["reduce", "--mode", "duplicate", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"soco-lab: error: {path}: missing key 'bodies'\n"
+
+
+@pytest.mark.parametrize("edit, reason", BROKEN_INSTANCES)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_broken_inline_instance_is_a_config_error(tmp_path, capsys, command, edit,
+                                                      reason):
+    # an inline instance is checked when the config is read, not per row
+    spec = json.loads(_broken_instance(tmp_path, edit).read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"instances": [{"id": "inline", "instance": spec}],
+                                "algorithms": [{"name": "greedy"}]}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "rows.csv")]) == 2
+    reason = reason.replace("in instance", "in instances[0].instance")
+    err = capsys.readouterr().err
+    assert err.startswith(f"soco-lab: error: {path}: {reason}") and err.count("\n") == 1
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_cli_oracle(quad_instance_file, tmp_path, capsys):
     code = main(["oracle", "--instance", str(quad_instance_file)])
     assert code == 0

@@ -151,6 +151,25 @@ def test_unknown_name_or_shape_rejected_at_load(where, key, value, message):
         ExperimentConfig.from_dict(config)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda spec: spec.pop("x0"), r"missing required key 'x0' in instances\[0\]\.instance$"),
+    (lambda spec: spec.update(horizon=3), r"unknown key 'horizon' in instances\[0\]\.instance;"),
+    (lambda spec: spec["movement"].update(beta=1.0), r"unknown key 'beta' in .*\.movement;"),
+    (lambda spec: spec["hitting"].pop("minimizers"), r"missing required key 'minimizers'"),
+    (lambda spec: spec["hitting"].update(family="quadratic"), r"unknown family 'quadratic'"),
+    (lambda spec: spec["hitting"]["params"].update(mu=1.0),
+     r"unknown key 'mu' in instances\[0\]\.instance\.hitting\.params; accepted: m$"),
+    (lambda spec: spec["hitting"]["params"].pop("m"), r"missing required key 'm'"),
+])
+def test_inline_instance_schema_checked_at_load(edit, message):
+    config = schema_config()
+    spec = instance_to_spec(make_strongly_convex(2.0, [[1.0], [0.5]], start=[0.0]))
+    edit(spec)
+    config["instances"] = [{"id": "inline", "instance": spec}]
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(config)
+
+
 def test_inline_instance_spec_runs():
     config = schema_config()
     inst = make_strongly_convex(2.0, [[1.0], [0.5], [1.5]], start=[0.0])
@@ -374,3 +393,26 @@ def test_prediction_bound_checks_the_phase_mean_not_one_sfhc_phase():
     assert mean.cost == pytest.approx(sum(costs) / len(costs), rel=1e-12)
     assert mean.bound_value == bound and mean.within_bound
     assert summary["all_within_bounds"]
+
+
+def test_seed_state_dropped_before_next_seed_and_rows_in_config_order(monkeypatch):
+    # the rows of one (instance, seed) are computed together; its solver,
+    # and so its stage memo, is gone before the next seed's is built, while
+    # the rows still come back algorithm by w by seed
+    import weakref
+
+    solvers, prepare = [], harness._prepare
+
+    def recording(spec, instance_id, seed):
+        assert all(ref() is None for ref in solvers), "an earlier seed's solver is alive"
+        shared = prepare(spec, instance_id, seed)
+        solvers.append(weakref.ref(shared["solver"]))
+        return shared
+
+    monkeypatch.setattr(harness, "_prepare", recording)
+    rows, summary = run_suite(quad_config(seeds=(5, 3, 5, 9), ws=(2, 4)))
+    assert summary["failures"] == 0 and len(solvers) == 3
+    assert [(r.algorithm, r.w, r.seed) for r in rows] == [
+        (a, w, s) for a, w in (("greedy", 1), ("dsfhc", 2), ("dsfhc", 4))
+        for s in (5, 3, 5, 9)]
+    assert rows[0] == rows[2]   # a repeated seed repeats its rows

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from soco_lab import (
     as_point,
     competitive_ratio,
     evaluate_total_cost,
+    make_glb,
+    make_polyhedral,
+    make_ripple,
     make_strongly_convex,
     movement_cost,
     padded_movement,
@@ -169,3 +173,43 @@ def test_recompute_reproduces_total(T, d, seed):
 def test_padded_movement_appends_zero():
     out = padded_movement([1.0, 2.0])
     assert out.tolist() == [1.0, 2.0, 0.0]
+
+
+def _family_instance(family, d, rng):
+    T = int(rng.integers(1, 12))
+    path = rng.uniform(0.0, 3.0, (T, d))
+    x0 = rng.uniform(0.0, 1.0, d)
+    if family == "polyhedral":
+        return make_polyhedral(1.3, path, p=int(rng.choice([1, 2])), start=x0)
+    if family == "glb":
+        e0 = rng.uniform(0.5, 1.5, d)
+        return make_glb(e0, rng.uniform(0.5, 2.0, d), e0 + rng.uniform(0.1, 2.0, d), path,
+                        start=x0)
+    if family == "ripple":
+        return make_ripple(0.5, 1.0, 4.0, path, start=x0)
+    return make_strongly_convex(2.0, path, start=x0)
+
+
+@given(st.sampled_from(["polyhedral", "glb", "ripple", "strongly_convex"]),
+       st.sampled_from([1, 2, 3, 8]), st.integers(0, 2 ** 32 - 1))
+def test_one_call_scoring_equals_step_loop(family, d, seed):
+    # a family's T costs share one formula, so their hitting costs are one
+    # call on the stacked points; the loop of scalar calls is the reference,
+    # to the bit, at magnitudes from 1e-4 to 1e4 and (glb) off the orthant
+    rng = np.random.default_rng(seed)
+    inst = _family_instance(family, d, rng)
+    formula = inst.hitting[0].formula
+    assert formula is not None and all(c.formula is formula for c in inst.hitting)
+    pts = rng.uniform(-1.0, 3.0, (inst.horizon, d)) * 10.0 ** rng.uniform(-4, 4, (inst.horizon, d))
+    loop = [cost(p) for cost, p in zip(inst.hitting, pts)]
+    assert evaluate_total_cost(inst, pts).per_step_hitting.tolist() == loop
+
+
+def test_costs_without_a_shared_formula_are_scored_per_step():
+    # a cost that is not the family's (here: the first one replaced by a
+    # formula-less copy) sends the instance to the per-step loop
+    inst = make_strongly_convex(2.0, [[1.0], [2.0], [0.5]], start=[0.0])
+    shifted = replace(inst.hitting[0], fn=lambda x: inst.hitting[0](x) + 1.0, formula=None)
+    mixed = replace(inst, hitting=(shifted,) + inst.hitting[1:])
+    pts = np.array([[1.0], [2.0], [0.5]])
+    assert evaluate_total_cost(mixed, pts).per_step_hitting.tolist() == [1.0, 0.0, 0.0]

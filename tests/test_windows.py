@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.linalg import solve_banded
+
 from soco_lab import (
     Grid,
     HittingCost,
+    MovementCost,
     WindowProblem,
     WindowSolver,
+    anchor_segments,
     as_point,
     build_window,
     default_grid,
@@ -18,8 +22,11 @@ from soco_lab import (
     make_ripple,
     make_strongly_convex,
     movement_cost,
+    run_afhc,
+    run_dsfhc,
     solve_grid_dp,
     solve_grid_dp_batch,
+    solve_quadratic_batch,
     solve_quadratic_chain,
     window_objective,
 )
@@ -526,3 +533,146 @@ def test_snap_rows_matches_per_coordinate_loop():
     with pytest.raises(ValueError, match=r"point coordinate 2\.75 outside") as rows_err:
         grid.snap_rows(bad)
     assert str(rows_err.value) == str(loop_err.value)
+
+
+# ---------------------------------------------------------------------------
+# Stage memo, batched quadratic solves, bounded dense blocks
+# ---------------------------------------------------------------------------
+
+MEMO_FAMILIES = {
+    "polyhedral p=1": lambda path, x0: make_polyhedral(1.3, path, p=1, start=x0),
+    "polyhedral p=2": lambda path, x0: make_polyhedral(0.8, path, p=2, start=x0),
+    "glb": lambda path, x0: make_glb(np.full(path.shape[1], 1.0),
+                                     np.linspace(1.0, 2.0, path.shape[1]),
+                                     np.full(path.shape[1], 2.5), path, start=x0),
+    "ripple": lambda path, x0: make_ripple(0.5, 1.0, 4.0, path, start=x0),
+    "strongly_convex": lambda path, x0: make_strongly_convex(2.0, path, start=x0),
+}
+
+
+def _memo_instance(family, d, rng, T=None):
+    T = T or int(rng.integers(3, 9))
+    path = rng.uniform(0.0, 2.5, (T + 1, d))
+    inst = MEMO_FAMILIES[family](path[1:], path[0])
+    return inst, default_grid(inst, n=int(rng.integers(5, 30 if d == 1 else 12)))
+
+
+def _random_anchor_windows(inst, rng):
+    """The windows of one to three random anchor sets, some repeated."""
+    T = inst.horizon
+    sets = [rng.integers(1, T + 1, rng.integers(0, T)) for _ in range(rng.integers(1, 4))]
+    return [build_window(inst, a, b) for anchors in sets for a, b in anchor_segments(anchors, T)]
+
+
+@given(st.sampled_from(sorted(MEMO_FAMILIES)), st.sampled_from([1, 2]),
+       st.integers(0, 2 ** 32 - 1))
+def test_warm_stage_memo_equals_cold_solves(family, d, seed):
+    # windows solved through a cache whose memo already holds stages of
+    # earlier windows (whole windows, shared prefixes, shared left anchors)
+    # get the points a fresh cache gives them, bit for bit; so do afhc runs,
+    # whose unanchored chains restart from lattice points
+    rng = np.random.default_rng(seed)
+    inst, grid = _memo_instance(family, d, rng)
+    cache = _GridEval()
+    for _ in range(3):
+        problems = _random_anchor_windows(inst, rng)
+        for problem, sol in zip(problems, solve_grid_dp_batch(problems, grid, cache)):
+            assert np.array_equal(sol.free_points, solve_grid_dp(problem, grid).free_points)
+    assert cache._stages
+    if family != "strongly_convex":
+        solver = WindowSolver(grid)
+        for w in rng.permutation(np.arange(1, 5)).tolist() * 2:
+            warm = run_afhc(inst, w, solver)
+            assert np.array_equal(warm.points, run_afhc(inst, w, WindowSolver(grid)).points)
+
+
+@given(st.sampled_from(sorted(set(MEMO_FAMILIES) - {"strongly_convex"})),
+       st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1))
+def test_solver_shared_by_two_instances_gives_each_its_cold_answer(family, d, seed):
+    # one solver, and so one memo, used on two instances in turn: cost
+    # objects key the memo, so neither instance reads the other's stages
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(3, 9))
+    first, _ = _memo_instance(family, d, rng, T)
+    second, _ = _memo_instance(family, d, rng, T)
+    grid = Grid.make(np.zeros(d), np.full(d, 3.0), int(rng.integers(5, 30 if d == 1 else 12)),
+                     dim=d)
+    solver = WindowSolver(grid)
+    for inst in (first, second, first):
+        w = int(rng.integers(2, 5))
+        for run in (lambda s: run_dsfhc(inst, w, s), lambda s: run_afhc(inst, w, s)):
+            assert np.array_equal(run(solver).points, run(WindowSolver(grid)).points)
+
+
+def _chain_reference(problem):
+    """One window's tridiagonal solve on its own, the reference for
+    ``solve_quadratic_batch``."""
+    F, d = problem.free_count, problem.dim
+    if F == 0:
+        return np.empty((0, d))
+    m = np.array([c.params["m"] for c in problem.costs[:F]])
+    anchored = problem.right_anchor is not None
+    diag = m + 2.0
+    if not anchored:
+        diag[-1] = m[-1] + 1.0
+    rhs = m[:, None] * np.stack([c.minimizer for c in problem.costs[:F]])
+    rhs[0] += problem.left_anchor
+    if anchored:
+        rhs[-1] += problem.right_anchor
+    if F == 1:
+        return rhs / diag[:, None]
+    ab = np.zeros((3, F))
+    ab[0, 1:], ab[1], ab[2, :-1] = -1.0, diag, -1.0
+    return solve_banded((1, 1), ab, rhs)
+
+
+@given(st.sampled_from([0, 1, 2, 5]), st.booleans(), st.sampled_from([1, 3]),
+       st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_quadratic_batch_equals_each_window_alone(F, anchored, d, B, seed):
+    # B windows of two instances (two values of m) share one solve_banded
+    # call per group of equal matrices; each window gets the bits of its
+    # own solve
+    rng = np.random.default_rng(seed)
+    T = F + 6
+    insts = [make_strongly_convex(m, rng.uniform(-3, 3, (T, d)) * 10.0 ** rng.uniform(-3, 3),
+                                  start=rng.uniform(-1, 1, d)) for m in (0.7, 2.0)]
+    problems = []
+    for _ in range(B):
+        inst = insts[rng.integers(2)]
+        tau1 = int(rng.integers(0, T - F))
+        problem = build_window(inst, tau1, tau1 + F + 1)
+        if not anchored:
+            problem = replace(problem, right_anchor=None, costs=problem.costs[:F])
+        problems.append(problem)
+    batch = solve_quadratic_batch(problems)
+    assert [s.solver_tag for s in batch] == ["exact_quadratic"] * B
+    for problem, sol in zip(problems, batch):
+        ref = _chain_reference(problem)
+        assert sol.free_points.shape == (F, d)
+        assert np.array_equal(sol.free_points, ref)
+        assert np.array_equal(solve_quadratic_chain(problem).free_points, ref)
+
+
+def test_blocked_dense_minplus_bounds_its_temporaries(monkeypatch):
+    # a 2-D norm_l2 stage on a lattice too large for the transition matrix
+    # takes row blocks; the (block, G, d) differences and every array made
+    # from them stay within the limit, and the result is the unblocked one
+    import soco_lab.windows as windows_mod
+
+    grid = Grid.make([-1.0, 0.0], [2.0, 1.5], [9, 7], dim=2)
+    value = np.random.default_rng(8).normal(size=grid.size)
+    movement = movement_cost("norm_l2")
+    ref_best, ref_arg = _GridEval().minplus(value, movement, grid)
+    limit, sizes = 500, []
+    of_difference = MovementCost.of_difference
+
+    def recording(self, diff):
+        out = of_difference(self, diff)
+        sizes.extend((diff.size, out.size))
+        return out
+
+    monkeypatch.setattr(windows_mod, "_DENSE_TRANSITION_LIMIT", limit)
+    monkeypatch.setattr(MovementCost, "of_difference", recording)
+    best, arg = _GridEval().minplus(value, movement, grid)
+    assert np.array_equal(best, ref_best) and np.array_equal(arg, ref_arg)
+    assert sizes and max(sizes) <= limit
