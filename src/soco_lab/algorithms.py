@@ -5,17 +5,24 @@ at most w, pin ("anchor") the decision at each window boundary to the
 revealed minimizer, and solve each window's interior exactly.  Anchors
 decouple the windows, so each run is a sequence of independent small
 solves, each reading only the costs inside its own prediction window.
-An algorithm here only draws its anchor set; anchors become windows in
-``oracle.anchor_segments``, and each window is solved exactly as the
-online learners of ``adversary`` solve it with ``solve_segment``.
+An anchored algorithm is fully given by its ``Plan``: the anchor sets it
+solves (drawn here, and only here) and how it combines their runs.
+Anchors become windows in ``oracle.anchor_segments``, and each window is
+solved exactly as the online learners of ``adversary`` solve it with
+``solve_segment``.
 
-Windows are solved in batches.  One anchored run is one batch
-(``constrained_offline``); the w phase subroutines of ``dsfhc`` and of the
-subroutine mean are one batch together (``oracle.solve_segments``), and
-``afhc`` solves the k-th window of every phase as one batch.  On a lattice,
-a batch runs one min-plus call per DP stage for all its windows instead of
-one per window, which matters because these windows are small (at most w
-stages) and a per-window call costs mostly numpy overhead.
+Since a plan is known before any window is solved, plans are solved in
+batches: ``solve_plans`` solves the runs of many plans as one
+``oracle.solve_segments`` call, and the harness solves every anchored row
+of one (instance, seed) that way.  ``run_sfhc``, ``run_dsfhc``,
+``run_rsfhc_a``, ``run_rsfhc_b``, ``sfhc_subroutine_costs`` and
+``rsfhc_a_expected_cost`` solve one plan alone.  ``afhc`` chains each
+window to the previous one's end point, so it cannot be planned ahead;
+``run_afhc_many`` advances the phase chains of several w in lockstep, one
+batch per step.  On a lattice, a batch runs one min-plus call per DP stage
+for all its windows instead of one per window, which matters because these
+windows are small (at most w stages) and a per-window call costs mostly
+numpy overhead.
 
   greedy    w = 1: always pick the current minimizer.
   sfhc(h)   anchors at timesteps congruent to h modulo w.
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, Trajectory, evaluate_total_cost
-from .oracle import anchor_segments, constrained_offline, solve_segments
+from .oracle import anchor_segments, solve_segments
 from .windows import WindowProblem, WindowSolver, solver_for
 
 
@@ -63,11 +70,91 @@ class AnchorSet:
         return cls(times)
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The anchor sets an anchored algorithm solves, and how it combines
+    their runs: ``run`` scores its one run, ``mean_points`` the pointwise
+    mean of the runs (``dsfhc``), ``mean_costs`` is the mean of the runs'
+    costs (the subroutine mean of the bound checks)."""
+
+    anchor_sets: tuple[AnchorSet, ...]
+    combine: str = "run"
+
+    def trajectory(self, instance: Instance, points: np.ndarray) -> Trajectory:
+        """The scored decisions of a ``run`` or ``mean_points`` plan, from
+        its runs' decisions ``points`` (runs, T, d)."""
+        if self.combine == "mean_costs":
+            raise ValueError("a mean of costs has no trajectory")
+        return evaluate_total_cost(instance, points[0] if self.combine == "run"
+                                   else points.mean(axis=0))
+
+    def cost(self, instance: Instance, points: np.ndarray) -> float:
+        """The plan's cost from its runs' decisions ``points`` (runs, T, d)."""
+        if self.combine == "mean_costs":
+            return float(np.mean(run_costs(instance, points)))
+        return self.trajectory(instance, points).total
+
+
+def run_costs(instance: Instance, points: np.ndarray) -> list[float]:
+    """Total cost of each run of ``points`` (runs, T, d)."""
+    return [evaluate_total_cost(instance, run).total for run in points]
+
+
+def solve_plans(instance: Instance, plans,
+                solver: WindowSolver | None = None) -> list[np.ndarray]:
+    """Each plan's runs, (runs, T, d), with the runs of all plans solved as
+    one batch; each equals its plan solved alone, bit for bit."""
+    anchor_sets = [anchors for plan in plans for anchors in plan.anchor_sets]
+    points, _ = solve_segments(instance, anchor_sets, solver or solver_for(instance))
+    ends = np.cumsum([0] + [len(plan.anchor_sets) for plan in plans])
+    return [points[a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+
+def sfhc_plan(w: int, h: int, T: int) -> Plan:
+    """Phase-h subroutine: anchored at every timestep congruent to h mod w."""
+    return Plan((AnchorSet.phase(h, w, T),))
+
+
+def dsfhc_plan(w: int, T: int) -> Plan:
+    """The pointwise mean of the w phase subroutines."""
+    if w < 1:
+        raise ValueError("w must be >= 1")
+    return Plan(_phases(w, T), "mean_points")
+
+
+def subroutine_mean_plan(w: int, T: int) -> Plan:
+    """The mean cost of the w phase subroutines: the exact expectation of
+    ``rsfhc-a`` over its phase draw."""
+    return Plan(_phases(w, T), "mean_costs")
+
+
+def rsfhc_a_plan(w: int, T: int, rng: np.random.Generator) -> Plan:
+    """One phase subroutine, the phase drawn uniformly from {0..w-1}."""
+    if w < 1:
+        raise ValueError("w must be >= 1")
+    return sfhc_plan(w, int(rng.integers(0, w)), T)
+
+
+def rsfhc_b_plan(w: int, T: int, rng: np.random.Generator) -> Plan:
+    """Anchors at randomized gaps (``gen_anchor_sequence``).  Each segment
+    spans at most w - 1 timesteps, so the run is realizable online with
+    prediction window w."""
+    return Plan((gen_anchor_sequence(w, T, rng),))
+
+
+def _phases(w: int, T: int) -> tuple[AnchorSet, ...]:
+    return tuple(AnchorSet.phase(h, w, T) for h in range(w))
+
+
+def _alone(instance: Instance, plan: Plan, solver: WindowSolver | None) -> np.ndarray:
+    return solve_plans(instance, [plan], solver)[0]
+
+
 def run_sfhc(instance: Instance, w: int, h: int,
              solver: WindowSolver | None = None) -> Trajectory:
     """Phase-h subroutine: anchored at every timestep congruent to h mod w."""
-    anchors = AnchorSet.phase(h, w, instance.horizon)
-    return constrained_offline(instance, anchors, solver).trajectory
+    plan = sfhc_plan(w, h, instance.horizon)
+    return plan.trajectory(instance, _alone(instance, plan, solver))
 
 
 def run_greedy(instance: Instance) -> Trajectory:
@@ -75,44 +162,33 @@ def run_greedy(instance: Instance) -> Trajectory:
     return evaluate_total_cost(instance, instance.minimizers())
 
 
-def _phase_points(instance: Instance, w: int, solver: WindowSolver | None) -> np.ndarray:
-    """Decisions of the w phase subroutines, shape (w, T, d), solved as one batch."""
-    T = instance.horizon
-    points, _ = solve_segments(instance, [AnchorSet.phase(h, w, T) for h in range(w)],
-                               solver or solver_for(instance))
-    return points
-
-
 def sfhc_subroutine_costs(instance: Instance, w: int,
                           solver: WindowSolver | None = None) -> list[float]:
     """Total costs of the w phase subroutines."""
-    return [evaluate_total_cost(instance, points).total
-            for points in _phase_points(instance, w, solver)]
+    plan = subroutine_mean_plan(w, instance.horizon)
+    return run_costs(instance, _alone(instance, plan, solver))
 
 
 def run_dsfhc(instance: Instance, w: int,
               solver: WindowSolver | None = None) -> Trajectory:
     """Average the w subroutine decisions pointwise, then re-score the
     averaged sequence (averaging costs is not averaging points)."""
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    return evaluate_total_cost(instance, _phase_points(instance, w, solver).mean(axis=0))
+    plan = dsfhc_plan(w, instance.horizon)
+    return plan.trajectory(instance, _alone(instance, plan, solver))
 
 
 def run_rsfhc_a(instance: Instance, w: int, rng: np.random.Generator,
                 solver: WindowSolver | None = None) -> Trajectory:
     """Run one subroutine with the phase sampled uniformly from {0..w-1}."""
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    h = int(rng.integers(0, w))
-    return run_sfhc(instance, w, h, solver)
+    plan = rsfhc_a_plan(w, instance.horizon, rng)
+    return plan.trajectory(instance, _alone(instance, plan, solver))
 
 
 def rsfhc_a_expected_cost(instance: Instance, w: int,
                           solver: WindowSolver | None = None) -> float:
     """Exact expectation over the phase draw, by exhaustive enumeration."""
-    costs = sfhc_subroutine_costs(instance, w, solver)
-    return float(np.mean(costs))
+    plan = subroutine_mean_plan(w, instance.horizon)
+    return plan.cost(instance, _alone(instance, plan, solver))
 
 
 def gap_support(w: int) -> list[int]:
@@ -135,38 +211,45 @@ def gen_anchor_sequence(w: int, T: int, rng: np.random.Generator) -> AnchorSet:
 
 def run_rsfhc_b(instance: Instance, w: int, rng: np.random.Generator,
                 solver: WindowSolver | None = None) -> Trajectory:
-    """Anchor at randomized gaps and solve the decoupled segments.
-
-    Each segment spans at most w - 1 timesteps, so the run is realizable
-    online with prediction window w.
-    """
-    anchors = gen_anchor_sequence(w, instance.horizon, rng)
-    return constrained_offline(instance, anchors, solver).trajectory
+    """Anchor at randomized gaps and solve the decoupled segments."""
+    plan = rsfhc_b_plan(w, instance.horizon, rng)
+    return plan.trajectory(instance, _alone(instance, plan, solver))
 
 
 def run_afhc(instance: Instance, w: int,
              solver: WindowSolver | None = None) -> Trajectory:
-    """Unanchored fixed-horizon baseline, averaged over the w phases.
+    """Unanchored fixed-horizon baseline, averaged over the w phases
+    (``run_afhc_many`` of one w)."""
+    return run_afhc_many(instance, [w], solver)[0]
 
-    Each subroutine solves the windows of its phase anchor set from its own
-    current point with no terminal constraint (so not with ``solve_segment``,
-    which pins both ends); the committed point is the phase average.  The
-    phase chains advance together: step k solves the k-th window of every
-    phase as one batch.
+
+def run_afhc_many(instance: Instance, ws,
+                  solver: WindowSolver | None = None) -> list[Trajectory]:
+    """``afhc`` at each w of ``ws``, in order.
+
+    Each phase subroutine solves the windows of its phase anchor set from
+    its own current point with no terminal constraint (so not with
+    ``solve_segment``, which pins both ends); the committed point is the
+    phase average.  The (w, phase) chains of every w advance together:
+    step k solves the k-th window of every chain as one batch, so the run
+    takes as many batches as the longest chain has windows.
     """
-    if w < 1:
+    ws = [int(w) for w in ws]
+    if any(w < 1 for w in ws):
         raise ValueError("w must be >= 1")
     solver = solver or solver_for(instance)
     T = instance.horizon
-    chains = [anchor_segments(AnchorSet.phase(h, w, T), T) for h in range(w)]
-    points = np.empty((w, T, instance.dim))
-    current = [instance.start] * w
-    for k in range(max(map(len, chains))):
-        step = [(h, *chain[k]) for h, chain in enumerate(chains) if k < len(chain)]
-        problems = [WindowProblem(a, b, current[h], None,
+    points = [np.empty((w, T, instance.dim)) for w in ws]
+    chains = [(points[i][h], anchor_segments(AnchorSet.phase(h, w, T), T))
+              for i, w in enumerate(ws) for h in range(w)]
+    current = [instance.start] * len(chains)
+    for k in range(max((len(windows) for _, windows in chains), default=0)):
+        step = [(c, *windows[k]) for c, (_, windows) in enumerate(chains) if k < len(windows)]
+        problems = [WindowProblem(a, b, current[c], None,
                                   tuple(instance.hitting[a:min(b, T)]), instance.movement)
-                    for h, a, b in step]
-        for (h, a, b), sol in zip(step, solver.solve_batch(problems)):
-            points[h, a:min(b, T)] = sol.free_points
-            current[h] = points[h, min(b, T) - 1]
-    return evaluate_total_cost(instance, points.mean(axis=0))
+                    for c, a, b in step]
+        for (c, a, b), sol in zip(step, solver.solve_batch(problems)):
+            run = chains[c][0]
+            run[a:min(b, T)] = sol.free_points
+            current[c] = run[min(b, T) - 1]
+    return [evaluate_total_cost(instance, p.mean(axis=0)) for p in points]

@@ -8,6 +8,7 @@ schema is reported on one line, ``soco-lab: error: <file>: <reason>``, exit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -177,7 +178,10 @@ def _cmd_verify_conditions(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(prog="soco-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,11 +4,20 @@ A config names instances (fixed or generated), algorithms with window
 ranges, seeds, an oracle, and the bound checks to assert.  Each
 (instance, algorithm, w, seed) combination becomes one result row, and
 all randomness is derived from the row key, so adding an algorithm never
-perturbs existing rows and reruns are byte-identical.  The rows of one
-(instance, seed) share its built instance, lattice, window solver (with
-its stage memo) and offline optimum; they are computed together, and that
-state is dropped before the next seed's, so memory does not grow with the
-seed count.  Rows are returned in config order.
+perturbs existing rows and reruns are byte-identical.  Rows are returned
+in config order.
+
+The rows of one (instance, seed) are computed together, on its built
+instance, lattice and window solver (with its stage memo).  Every row's
+plan is drawn first (``algorithms.Plan``: the anchor sets of its run, or
+of the phase mean its bound check asks for); then every anchored run of
+every row is solved as one ``oracle.solve_segments`` call and each row is
+scored from its slice, the ``afhc`` rows of all w advance in lockstep
+(``algorithms.run_afhc_many``), and the offline optimum is solved last on
+the same solver, so its first stages come from the memo.  A row whose plan
+cannot be drawn fails alone; if a joint solve raises, its rows are solved
+one by one, so each reports its own error.  That state is dropped before
+the next seed's, so memory does not grow with the seed count.
 
 ``ExperimentConfig.from_dict`` takes only the keys the harness reads (the
 README's "Experiment config" lists them, and the instance schema those of
@@ -139,18 +148,18 @@ def _rng(seed: int, algorithm: str, w: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, algorithm, w))
 
 
-#: name -> the run of that algorithm on (instance, w, seed, solver).  The
-#: randomized runs draw from a generator keyed by (seed, name, w).
-ALGORITHMS = {
-    "greedy": lambda inst, w, seed, solver: algs.run_greedy(inst),
-    "sfhc": lambda inst, w, seed, solver: algs.run_sfhc(inst, w, 0, solver),
-    "dsfhc": lambda inst, w, seed, solver: algs.run_dsfhc(inst, w, solver),
-    "rsfhc-a": lambda inst, w, seed, solver: algs.run_rsfhc_a(
-        inst, w, _rng(seed, "rsfhc-a", w), solver),
-    "rsfhc-b": lambda inst, w, seed, solver: algs.run_rsfhc_b(
-        inst, w, _rng(seed, "rsfhc-b", w), solver),
-    "afhc": lambda inst, w, seed, solver: algs.run_afhc(inst, w, solver),
+#: name -> the plan of that anchored algorithm's run at (w, T, seed).  The
+#: randomized plans draw from a generator keyed by (seed, name, w).
+PLANS = {
+    "sfhc": lambda w, T, seed: algs.sfhc_plan(w, 0, T),
+    "dsfhc": lambda w, T, seed: algs.dsfhc_plan(w, T),
+    "rsfhc-a": lambda w, T, seed: algs.rsfhc_a_plan(w, T, _rng(seed, "rsfhc-a", w)),
+    "rsfhc-b": lambda w, T, seed: algs.rsfhc_b_plan(w, T, _rng(seed, "rsfhc-b", w)),
 }
+
+#: The algorithms a config may name: greedy, the anchored ``PLANS``, and
+#: the unanchored ``afhc``.
+ALGORITHMS = ("greedy", *PLANS, "afhc")
 
 _PATHS = {"random_walk": RandomWalk, "spikes": Spikes, "constant": Constant}
 
@@ -294,62 +303,129 @@ def _select_check(checks, algorithm: str, w: int):
 
 def _prepare(spec: dict, instance_id: str, seed: int) -> dict:
     """The instance, lattice and window solver shared by the rows of one
-    (instance, seed); the offline optimum is added on first use."""
+    (instance, seed)."""
     instance = _build_instance(spec, instance_id, seed)
     grid = default_grid(instance)
     return {"instance": instance, "grid": grid, "solver": WindowSolver(grid)}
 
 
-def _opt_and_budget(instance: Instance, oracle_spec: dict,
-                    grid: Grid) -> tuple[float, float]:
+def _opt_and_budget(instance: Instance, oracle_spec: dict, grid: Grid,
+                    solver: WindowSolver) -> tuple[float, float]:
     """Offline optimum, and the ratio's tolerance budget for lattice snapping."""
-    res = offline_optimal(instance, grid, oracle_spec.get("method", "auto"))
+    res = offline_optimal(instance, grid, oracle_spec.get("method", "auto"), solver=solver)
     if res.method == "exact_quadratic":
         return res.cost, 1e-8
     opt, budget = res.cost, 1e-8
-    snap = max(grid.snap(h.minimizer)[1] for h in instance.hitting)
-    snap = max(snap, grid.snap(instance.start)[1])
+    anchors = np.vstack([instance.minimizers(), instance.start])
+    snap = float(np.sqrt(((grid.snap_rows(anchors) - anchors) ** 2).sum(axis=1)).max())
     if snap > 0:
         budget += snap * _grid_lipschitz(instance, grid) / max(opt, 1e-12)
     return opt, budget
 
 
-def _compute_row(spec: dict, algo_spec: dict, w: int, seed: int,
-                 config: ExperimentConfig, shared: dict) -> ResultRow:
-    """One row; ``shared`` is the state of this (instance, seed), filled on
-    first use."""
-    instance_id = spec.get("id") or "instance"
-    algorithm = algo_spec["name"]
+class _Failure(str):
+    """The error text of a step that raised, standing in for its result."""
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the ``_Failure`` of what it raised."""
     try:
-        if not shared:
-            shared.update(_prepare(spec, instance_id, seed))
-        bound_fn, cost_kind = _select_check(config.checks, algorithm, w)
-        if cost_kind == "subroutine_mean":
-            cost = algs.rsfhc_a_expected_cost(shared["instance"], w, shared["solver"])
+        return fn(*args)
+    except Exception as exc:  # per-run failures stay in-row
+        return _Failure(f"{type(exc).__name__}: {exc}")
+
+
+def _row_costs(instance: Instance, solver: WindowSolver, runs: list, seed: int,
+               checks: list[str]) -> list:
+    """Each row's cost, or its ``_Failure``: every plan is drawn, then all
+    anchored runs are one solve and all ``afhc`` rows one lockstep run.  A
+    joint solve that raises is redone row by row, so each row reports what
+    it raises alone."""
+    T = instance.horizon
+    plans = []
+    for algo_spec, w in runs:
+        name = algo_spec["name"]
+        if _select_check(checks, name, w)[1] == "subroutine_mean":
+            plans.append(_attempt(algs.subroutine_mean_plan, w, T))
         else:
-            cost = ALGORITHMS[algorithm](shared["instance"], w, seed,
-                                         shared["solver"]).total
-        if "oracle" not in shared:
-            try:
-                shared["oracle"] = _opt_and_budget(shared["instance"], config.oracle,
-                                                   shared["grid"])
-            except Exception as exc:  # every row of this (instance, seed) fails alike
-                shared["oracle"] = exc
-        if isinstance(shared["oracle"], Exception):
-            raise shared["oracle"]
-        opt, budget = shared["oracle"]
+            plans.append(_attempt(PLANS[name], w, T, seed) if name in PLANS else None)
+
+    anchored = [plan for plan in plans if isinstance(plan, algs.Plan)]
+    solved = _attempt(algs.solve_plans, instance, anchored, solver) if anchored else []
+    if isinstance(solved, _Failure):
+        solved = [_attempt(algs.solve_plans, instance, [plan], solver) for plan in anchored]
+        solved = [s if isinstance(s, _Failure) else s[0] for s in solved]
+    solved = dict(zip(map(id, anchored), solved))
+
+    afhc_ws = list(dict.fromkeys(w for (spec, w), plan in zip(runs, plans)
+                                 if plan is None and spec["name"] == "afhc"))
+    afhc = _attempt(algs.run_afhc_many, instance, afhc_ws, solver) if afhc_ws else []
+    if isinstance(afhc, _Failure):
+        afhc = [_attempt(algs.run_afhc, instance, w, solver) for w in afhc_ws]
+    afhc = dict(zip(afhc_ws, afhc))
+
+    costs = []
+    for (algo_spec, w), plan in zip(runs, plans):
+        if isinstance(plan, algs.Plan):
+            points = solved[id(plan)]
+            if isinstance(points, _Failure):
+                cost = points
+            else:
+                cost = _attempt(plan.cost, instance, points)
+        elif plan is not None:
+            cost = plan
+        elif algo_spec["name"] == "greedy":
+            cost = _attempt(lambda: algs.run_greedy(instance).total)
+        else:
+            cost = afhc[w] if isinstance(afhc[w], _Failure) else afhc[w].total
+        costs.append(cost)
+    return costs
+
+
+def _row(instance_id: str, algorithm: str, w: int, seed: int, cost, oracle,
+         instance: Instance, checks: list[str]) -> ResultRow:
+    """One row from its cost and the (optimum, budget) of its instance and
+    seed, either of which may be a ``_Failure``."""
+    def scored() -> ResultRow:
+        opt, budget = oracle
         report = competitive_ratio(cost, opt)
+        bound_fn, _ = _select_check(checks, algorithm, w)
         if bound_fn is None:
             bound_value, within = math.inf, True
         else:
-            bound_value = bound_fn(shared["instance"], w)
+            bound_value = bound_fn(instance, w)
             within = bool(report.ratio <= bound_value + budget)
         return ResultRow(instance_id, algorithm, w, seed, cost, opt,
                          report.ratio, bound_value, within, budget)
-    except Exception as exc:  # per-run failures stay in-row
-        return ResultRow(instance_id, algorithm, w, seed,
-                         math.nan, math.nan, math.nan, math.nan, False, math.nan,
-                         error=f"{type(exc).__name__}: {exc}")
+
+    if isinstance(cost, _Failure):
+        result = cost
+    elif isinstance(oracle, _Failure):
+        result = oracle
+    else:
+        result = _attempt(scored)
+    if isinstance(result, ResultRow):
+        return result
+    return ResultRow(instance_id, algorithm, w, seed,
+                     math.nan, math.nan, math.nan, math.nan, False, math.nan,
+                     error=str(result))
+
+
+def _seed_rows(spec: dict, runs: list, seed: int, config: ExperimentConfig) -> list[ResultRow]:
+    """The rows of one (instance, seed), in ``runs`` order.  The offline
+    optimum is solved once, after the rows' runs, if any run succeeded."""
+    instance_id = spec.get("id") or "instance"
+    shared = _attempt(_prepare, spec, instance_id, seed)
+    if isinstance(shared, _Failure):
+        costs, oracle, instance = [shared] * len(runs), None, None
+    else:
+        instance, solver = shared["instance"], shared["solver"]
+        costs = _row_costs(instance, solver, runs, seed, config.checks)
+        oracle = None
+        if not all(isinstance(cost, _Failure) for cost in costs):
+            oracle = _attempt(_opt_and_budget, instance, config.oracle, shared["grid"], solver)
+    return [_row(instance_id, algo_spec["name"], w, seed, cost, oracle, instance,
+                 config.checks) for (algo_spec, w), cost in zip(runs, costs)]
 
 
 def run_suite(config: ExperimentConfig) -> tuple[list[ResultRow], dict]:
@@ -364,9 +440,7 @@ def run_suite(config: ExperimentConfig) -> tuple[list[ResultRow], dict]:
         by_seed: dict = {}
         for seed in seeds:
             if seed not in by_seed:
-                shared: dict = {}
-                by_seed[seed] = [_compute_row(spec, algo_spec, w, seed, config, shared)
-                                 for algo_spec, w in runs]
+                by_seed[seed] = _seed_rows(spec, runs, seed, config)
         rows += [by_seed[seed][k] for k in range(len(runs)) for seed in seeds]
 
     by_algo: dict[str, dict] = {}

@@ -5,19 +5,24 @@ over the segments between anchors.  ``offline_optimal`` is the one place
 that picks how the full-horizon optimum is computed: the closed-form
 tridiagonal solve for the quadratic family, the lattice DP
 (``solve_grid_dp``) over the window (0, T+1) for anything else (per
-coordinate where it separates, in any d).  ``constrained_offline``, the
-anchor-constrained optimum, solves the segments between anchors, which
-anchors decouple.  Reported costs always re-evaluate the reported
-trajectory, so they are attained, not just claimed.
+coordinate where it separates, in any d).  Given a ``WindowSolver``, the
+lattice DP runs on that solver's caches, so its cost tables and the
+stages it shares with windows solved before come from the stage memo.
+``constrained_offline``, the anchor-constrained optimum, solves the
+segments between anchors, which anchors decouple.  Reported costs always
+re-evaluate the reported trajectory, so they are attained, not just
+claimed.
 
 ``anchor_segments`` is the one place anchors become windows.  The offline
 runs of ``algorithms`` solve their windows in batches (``solve_segments``,
-also behind ``constrained_offline``); the online learners of ``adversary``
-solve one window at a time with ``solve_segment`` on the costs revealed so
-far.  Both return the same decisions for a window, since a batch equals
-each of its windows solved alone, bit for bit, so an online run and its
-offline counterpart are the same computation.  The learners' solver has
-no lattice, so they solve quadratic windows only.
+also behind ``constrained_offline``): the harness solves every anchored run
+of one (instance, seed), of all its algorithms and w, as one call.  The
+online learners of ``adversary`` solve one window at a time with
+``solve_segment`` on the costs revealed so far.  Both return the same
+decisions for a window, since a batch equals each of its windows solved
+alone, bit for bit, so an online run and its offline counterpart are the
+same computation.  The learners' solver has no lattice, so they solve
+quadratic windows only.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ import numpy as np
 from .model import Instance, Trajectory, evaluate_total_cost
 from .windows import (
     Grid,
-    WindowProblem,
-    WindowSolution,
     WindowSolver,
     build_window,
     default_grid,
@@ -61,25 +64,35 @@ def offline_optimal_quadratic(instance: Instance) -> OracleResult:
     return OracleResult(traj.total, traj, "exact_quadratic")
 
 
-def offline_optimal_grid(instance: Instance, grid: Grid | None = None) -> OracleResult:
-    """Exact minimum over the lattice: the grid DP over the whole horizon."""
-    grid = grid or default_grid(instance)
+def offline_optimal_grid(instance: Instance, grid: Grid | None = None,
+                         solver: WindowSolver | None = None) -> OracleResult:
+    """Exact minimum over the lattice: the grid DP over the whole horizon.
+
+    ``grid`` defaults to the solver's lattice, else ``default_grid``.  With
+    a ``solver`` (on the same lattice) the DP shares its caches and stage
+    memo."""
+    grid = grid or (solver.grid if solver is not None else None) or default_grid(instance)
+    if solver is not None and solver.grid != grid:
+        raise ValueError("the solver's lattice is not the oracle's grid")
     problem = build_window(instance, 0, instance.horizon + 1)
-    traj = evaluate_total_cost(instance, solve_grid_dp(problem, grid).free_points)
+    sol = solve_grid_dp(problem, grid, solver.cache if solver is not None else None)
+    traj = evaluate_total_cost(instance, sol.free_points)
     return OracleResult(traj.total, traj, "grid_dp")
 
 
 def offline_optimal(instance: Instance, grid: Grid | None = None,
-                    method: str = "auto") -> OracleResult:
+                    method: str = "auto", solver: WindowSolver | None = None) -> OracleResult:
     """The offline optimum by one of ``ORACLE_METHODS``; ``grid`` is the
-    lattice of the DP (``default_grid`` when None).  ``exact_quadratic``
-    off the quadratic family and an unknown method raise ValueError."""
+    lattice of the DP (``default_grid`` when None), and ``solver`` a window
+    solver on it whose caches the DP shares (``offline_optimal_grid``).
+    ``exact_quadratic`` off the quadratic family and an unknown method
+    raise ValueError."""
     if method not in ORACLE_METHODS:
         raise ValueError(f"unknown oracle method {method!r}; expected one of {ORACLE_METHODS}")
     if method == "exact_quadratic" or (
             method == "auto" and instance.family_tag == "strongly_convex"):
         return offline_optimal_quadratic(instance)
-    return offline_optimal_grid(instance, grid)
+    return offline_optimal_grid(instance, grid, solver)
 
 
 def anchor_segments(anchors, T: int) -> list[tuple[int, int]]:
@@ -102,36 +115,41 @@ def anchor_segments(anchors, T: int) -> list[tuple[int, int]]:
     return segments
 
 
-def _decisions(problem: WindowProblem, sol: WindowSolution) -> np.ndarray:
-    """The solved interior, then the right anchor when there is one."""
-    if problem.right_anchor is None:
-        return sol.free_points
-    return np.vstack([sol.free_points, problem.right_anchor])
-
-
 def solve_segment(instance: Instance, a: int, b: int,
                   solver: WindowSolver) -> tuple[str, np.ndarray]:
     """Solver tag and decisions for timesteps a+1 .. min(b, T) of the window
     (a, b]: the solved interior, then the anchor v_b when b <= T."""
     problem = build_window(instance, a, b)
     sol = solver(problem)
-    return sol.solver_tag, _decisions(problem, sol)
+    if problem.right_anchor is None:
+        return sol.solver_tag, sol.free_points
+    return sol.solver_tag, np.vstack([sol.free_points, problem.right_anchor])
 
 
 def solve_segments(instance: Instance, anchor_sets,
                    solver: WindowSolver) -> tuple[np.ndarray, list[set[str]]]:
     """Decisions of the anchored runs on each anchor set, shape (runs, T, d),
-    and each run's solver tags.  The windows of all runs are solved as one
-    batch, each exactly as ``solve_segment`` solves it alone."""
+    and each run's solver tags.
+
+    The distinct windows of all runs are one ``solve_batch`` call, each
+    solved exactly as ``solve_segment`` solves it alone; a window that
+    several runs share (the phases of ``sfhc``, ``dsfhc`` and ``rsfhc-a`` at
+    one w) is solved once.  Each window's points, then its right anchor,
+    are written straight into its runs' rows."""
     T = instance.horizon
-    windows = [(r, a, b) for r, anchors in enumerate(anchor_sets)
-               for a, b in anchor_segments(anchors, T)]
-    problems = [build_window(instance, a, b) for _, a, b in windows]
+    runs = [anchor_segments(anchors, T) for anchors in anchor_sets]
+    windows = list(dict.fromkeys(seg for segments in runs for seg in segments))
+    problems = [build_window(instance, a, b) for a, b in windows]
+    solved = dict(zip(windows, zip(problems, solver.solve_batch(problems))))
     points = np.empty((len(anchor_sets), T, instance.dim))
     tags = [set() for _ in anchor_sets]
-    for (r, a, b), problem, sol in zip(windows, problems, solver.solve_batch(problems)):
-        points[r, a:min(b, T)] = _decisions(problem, sol)
-        tags[r].add(sol.solver_tag)
+    for run, segments, run_tags in zip(points, runs, tags):
+        for a, b in segments:
+            problem, sol = solved[a, b]
+            run[a:a + problem.free_count] = sol.free_points
+            if problem.right_anchor is not None:
+                run[b - 1] = problem.right_anchor
+            run_tags.add(sol.solver_tag)
     return points, tags
 
 

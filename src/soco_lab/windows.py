@@ -34,25 +34,33 @@ to the lowest flat lattice index (ij order, last axis fastest); the
 per-coordinate solve breaks them to the lowest index per coordinate.
 
 Windows are solved in batches (``solve_grid_dp_batch``,
-``WindowSolver.solve_batch``): windows that share a free count,
-right-anchoring, movement and lattice form one (G, B) value table, one
-column per window, and each stage makes one prefix-min pass over all B
-columns.  The windows of an online algorithm are at most w stages on a
-few hundred points, so a per-window pass costs mostly numpy call
-overhead, which a batch pays once.  The dense product stays one window
-at a time inside the batch: its cost is arithmetic, and stacking it
-measured slower.  Every column equals its window solved alone, bit for
-bit; ``solve_grid_dp`` is the batch of one.
+``WindowSolver.solve_batch``): windows that share a movement and lattice
+form one batch, whatever their free counts and right anchors.  The batch
+advances stage by stage over the windows that still need a stage, and
+each stage makes one prefix-min pass over a (G, B) value table, one
+column per distinct stage.  Each window then takes its final argmin, and
+the windows of one free count and anchoring backtrack together.  The
+harness puts every anchored window of one (instance, seed) into one batch,
+so the windows of all its algorithms and w share each stage's call.  The
+windows of an online algorithm are at most w stages on a few hundred
+points, so a per-window pass costs mostly numpy call overhead, which a
+batch pays once.  The dense product stays one column at a time inside the
+batch: its cost is arithmetic, and stacking it measured slower.  Every
+window's points equal the window solved alone, bit for bit;
+``solve_grid_dp`` is the batch of one.
 
 A lattice DP stage is solved once per cache.  Stage s of a window depends
 only on the lattice, the movement, the snapped left anchor and the costs
 of its first s + 1 timesteps, not on the right anchor, so the cache keeps
 each stage's value and back-pointer columns under that key (the stage
-memo).  Windows that repeat or extend a solved one -- the phase windows
-``dsfhc``, ``sfhc`` and ``rsfhc-a`` share, (a, a+2] inside (a, a+4],
-``afhc`` chains that restart from one lattice point -- start from their
-deepest memoized stage.  A ``WindowSolver`` owns its cache, so the memo
-lives as long as the solver: the harness keeps one per (instance, seed).
+memo, a trie of cost prefixes per left anchor).  Windows that repeat or
+extend a solved one -- the phase windows ``dsfhc``, ``sfhc`` and
+``rsfhc-a`` share, (a, a+2] inside (a, a+4], the full-horizon oracle
+window, whose first stages are those of every window that starts at 0,
+``afhc`` chains that restart from one lattice point -- reuse its stages,
+within a batch as across batches.  A ``WindowSolver`` owns its cache, so
+the memo lives as long as the solver: the harness keeps one per
+(instance, seed).
 
 Quadratic windows are solved in batches too (``solve_quadratic_batch``):
 windows that share a free count, right-anchoring and m values share the
@@ -122,17 +130,17 @@ class Grid:
         snapped = self.snap_rows(p[None, :])[0]
         return snapped, float(np.sqrt(((snapped - p) ** 2).sum()))
 
-    def snap_rows(self, pts) -> np.ndarray:
-        """Nearest lattice point to each row of ``pts``; the first coordinate
-        outside the range, in row-major order, raises ValueError."""
-        pts = np.asarray(pts, dtype=float)
+    def snap_rows(self, pts: np.ndarray) -> np.ndarray:
+        """Nearest lattice point to each row of the stacked (n, d) float
+        array ``pts``; the first coordinate outside the range, in row-major
+        order, raises ValueError."""
         lo, low, high, step, top = _snap_arrays(self)
         outside = (pts < low) | (pts > high)
         if outside.any():
             i, j = np.argwhere(outside)[0]
             raise ValueError(f"point coordinate {pts[i, j]} outside grid range "
                              f"[{self.lo[j]}, {self.hi[j]}]")
-        idx = np.clip(np.rint((pts - lo) / step), 0, top)
+        idx = np.minimum(np.maximum(np.rint((pts - lo) / step), 0.0), top)
         return lo + idx * step
 
 
@@ -393,13 +401,20 @@ class _GridEval:
         self._moves: dict = {}
         self._stages: dict = {}
 
-    def cost_table(self, cost: HittingCost, grid: Grid) -> np.ndarray:
-        key = (id(cost), grid)
-        hit = self._costs.get(key)
-        if hit is None:
-            hit = (cost, cost.values(grid.points()))
-            self._costs[key] = hit
-        return hit[1]
+    def cost_tables(self, grid: Grid):
+        """The hitting-cost table lookup of one lattice.  Tables are kept
+        under the cost object, which hashes by identity and is held by the
+        key, so no key can be reused by a new object."""
+        tables = self._costs.setdefault(grid, {})
+        pts = grid.points()
+
+        def table(cost: HittingCost) -> np.ndarray:
+            hit = tables.get(cost)
+            if hit is None:
+                hit = tables[cost] = cost.values(pts)
+            return hit
+
+        return table
 
     def transition(self, movement: MovementCost, grid: Grid) -> np.ndarray | None:
         """Dense transition matrix, or None when it would not fit."""
@@ -413,45 +428,59 @@ class _GridEval:
             self._moves[key] = mat
         return mat[1]
 
-    def stages(self, batch: list[WindowProblem], lefts: np.ndarray, F: int,
-               grid: Grid) -> list[list[tuple[np.ndarray, np.ndarray | None]]]:
-        """The first F DP stages of each window of a batch that shares a
-        movement: per window, (value column, back-pointer column) per stage.
+    def stages(self, batch: list[WindowProblem], lefts: np.ndarray,
+               grid: Grid) -> list[list[tuple]]:
+        """The DP stages of each window of a batch that shares a movement:
+        per window, one (value column, back-pointer column, children) node
+        per free timestep.
 
         Stage s of a window depends only on the lattice, the movement, the
         snapped left anchor ``lefts[b]`` and the costs of its first s + 1
-        timesteps, so it is memoized under them.  The cost objects hash by
-        identity and the key holds them, so no key can be reused by a new
-        object.  Each window starts from its deepest memoized stage, and
-        stage s makes one min-plus call over the windows that still need it.
+        timesteps, so the memo is a trie per left anchor: a node's children
+        are keyed by the next cost.  The cost objects hash by identity and
+        the trie holds them, so no key can be reused by a new object.  The
+        batch advances stage by stage over the windows that still need one;
+        stage s makes one min-plus call over the distinct nodes it lacks, so
+        windows that share a left anchor and a cost prefix share the work.
         """
         movement = batch[0].movement
         by_left = self._stages.setdefault((grid, movement), {})
-        memos = [by_left.setdefault(left.tobytes(), {}) for left in lefts]
-        done = []
-        for memo, problem in zip(memos, batch):
-            have = []
-            for s in range(F):
-                entry = memo.get(problem.costs[:s + 1])
-                if entry is None:
-                    break
-                have.append(entry)
-            done.append(have)
-        for s in range(min(map(len, done)), F):
-            todo = [b for b, have in enumerate(done) if len(have) == s]
-            if s == 0:
-                value, back = movement.pairwise(grid.points(), lefts[todo]), None
-            else:
-                value, back = self.minplus(_columns([done[b][-1][0] for b in todo]),
-                                           movement, grid)
-                back.setflags(write=False)
-            value = value + _columns([self.cost_table(batch[b].costs[s], grid) for b in todo])
-            value.setflags(write=False)
-            for i, b in enumerate(todo):
-                entry = (value[:, i], None if back is None else back[:, i])
-                memos[b][batch[b].costs[:s + 1]] = entry
-                done[b].append(entry)
-        return done
+        table, pts = self.cost_tables(grid), grid.points()
+        costs = [p.costs for p in batch]
+        need = [p.free_count for p in batch]
+        paths = [[] for _ in batch]
+        # (window, the children of its last node) for every window that
+        # still needs a stage
+        active = [(b, by_left.setdefault(lefts[b].tobytes(), {}))
+                  for b in range(len(batch)) if need[b]]
+        s = 0
+        while active:
+            todo = {}
+            for b, children in active:
+                cost = costs[b][s]
+                if cost not in children:
+                    todo.setdefault((id(children), cost), (b, children, cost))
+            if todo:
+                todo = list(todo.values())
+                if s == 0:
+                    value, back = movement.pairwise(pts, lefts[[b for b, _, _ in todo]]), None
+                else:
+                    value, back = self.minplus(_columns([paths[b][-1][0] for b, _, _ in todo]),
+                                               movement, grid)
+                    back.setflags(write=False)
+                value = value + _columns([table(cost) for _, _, cost in todo])
+                value.setflags(write=False)
+                for i, (_, children, cost) in enumerate(todo):
+                    children[cost] = (value[:, i], None if back is None else back[:, i], {})
+            s += 1
+            still = []
+            for b, children in active:
+                node = children[costs[b][s - 1]]
+                paths[b].append(node)
+                if need[b] > s:
+                    still.append((b, node[2]))
+            active = still
+        return paths
 
     def minplus(self, value: np.ndarray, movement: MovementCost,
                 grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -508,14 +537,15 @@ def solve_grid_dp_batch(problems, grid: Grid,
                         cache: _GridEval | None = None) -> list[WindowSolution]:
     """Exact lattice optimum of each window, by stage-wise dynamic programming.
 
-    Windows that share a free count, right-anchoring, movement and kind of
-    solve are one batch: one value table with a column per window, one
-    min-plus call per stage.  Each column equals the window solved alone,
-    bit for bit.  Anchors are snapped to the nearest lattice point for the
-    search (an anchor outside the lattice raises ValueError naming the
-    coordinate); the free points returned are lattice points.  A window
-    that separates by coordinate is solved per lattice axis, ties to the
-    lowest index per coordinate; any other by the joint DP (d <= 2, <= 1e6
+    Windows that share a movement and kind of solve are one batch, whatever
+    their free counts and right anchors: each stage is one min-plus call
+    over the windows that need it (``_GridEval.stages``).  Each window's
+    points equal the window solved alone, bit for bit.  Anchors are snapped
+    to the nearest lattice point for the search (an anchor outside the
+    lattice raises ValueError naming the first such coordinate, in window
+    order); the free points returned are lattice points.  A window that
+    separates by coordinate is solved per lattice axis, ties to the lowest
+    index per coordinate; any other by the joint DP (d <= 2, <= 1e6
     points), ties to the lowest flat index.
     """
     cache = cache or _GridEval()
@@ -523,8 +553,7 @@ def solve_grid_dp_batch(problems, grid: Grid,
     for i, problem in enumerate(problems):
         if grid.dim != problem.dim:
             raise ValueError("grid dimension does not match problem")
-        key = (problem.free_count, problem.right_anchor is not None, problem.movement,
-               _split_moves(problem) is not None)
+        key = (problem.movement, _split_moves(problem) is not None)
         batches.setdefault(key, []).append(i)
     out = [None] * len(problems)
     for members in batches.values():
@@ -535,10 +564,11 @@ def solve_grid_dp_batch(problems, grid: Grid,
 
 
 def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[np.ndarray]:
-    """Free points of each window of a batch that shares free count,
-    right-anchoring, movement and kind of solve."""
+    """Free points of each window of a batch that shares movement and kind
+    of solve.  The windows of one free count and anchoring take the final
+    argmin and backtrack together, by array gathers."""
     first = batch[0]
-    F, d = first.free_count, first.dim
+    d = first.dim
     moves = _split_moves(first)
     if moves is not None:
         columns = [_grid_dp([p.axis(j, moves[j]) for p in batch], grid.axis(j), cache)
@@ -553,23 +583,35 @@ def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[n
         raise ValueError(
             f"grid has {grid.size} points (> 1e6); reduce n per dimension "
             f"(currently {grid.n})")
-    anchored = first.right_anchor is not None
-    snapped = grid.snap_rows([a for p in batch for a in (p.left_anchor, p.right_anchor)
-                              if a is not None])
-    if F == 0:
-        return [np.empty((0, d)) for _ in batch]
+    anchors, left_at, groups = [], [], {}
+    for b, p in enumerate(batch):
+        left_at.append(len(anchors))
+        anchors.append(p.left_anchor)
+        if p.right_anchor is not None:
+            anchors.append(p.right_anchor)
+        groups.setdefault((p.free_count, p.right_anchor is not None), []).append(b)
+    snapped = grid.snap_rows(np.array(anchors))
+    paths = cache.stages(batch, snapped[left_at], grid)
 
     pts = grid.points()
-    stages = cache.stages(batch, snapped[::2] if anchored else snapped, F, grid)
-    value = _columns([have[-1][0] for have in stages])
-    if anchored:
-        value = value + first.movement.pairwise(snapped[1::2], pts).T
-    out = []
-    for have, i in zip(stages, np.argmin(value, axis=0).tolist()):
-        idx = [i]
-        for _, back in have[:0:-1]:
-            idx.append(int(back[idx[-1]]))
-        out.append(pts[idx[::-1]])
+    out = [None] * len(batch)
+    for (F, anchored), members in groups.items():
+        if F == 0:
+            for b in members:
+                out[b] = np.empty((0, d))
+            continue
+        value = _columns([paths[b][-1][0] for b in members])
+        if anchored:
+            rights = snapped[[left_at[b] + 1 for b in members]]
+            value = value + first.movement.pairwise(rights, pts).T
+        idx = np.empty((len(members), F), dtype=np.int64)
+        idx[:, -1] = np.argmin(value, axis=0)
+        cols = np.arange(len(members))
+        for s in range(F - 1, 0, -1):
+            back = _columns([paths[b][s][1] for b in members])
+            idx[:, s - 1] = back[idx[:, s], cols]
+        for b, points in zip(members, pts[idx]):
+            out[b] = points
     return out
 
 
@@ -578,12 +620,12 @@ class WindowSolver:
     solver's lattice for all other windows, in any d.  A solver built
     without a lattice solves quadratic windows only and raises
     ``UnsupportedProblemError`` on any other.  Shares lattice evaluation
-    caches and the stage memo across calls, so reuse one solver for all
-    windows of a run; the memo is freed with the solver."""
+    caches and the stage memo (``cache``) across calls, so reuse one solver
+    for all windows of a run; the memo is freed with the solver."""
 
     def __init__(self, grid: Grid | None = None):
         self.grid = grid
-        self._cache = _GridEval()
+        self.cache = _GridEval()
 
     def __call__(self, problem: WindowProblem) -> WindowSolution:
         return self.solve_batch([problem])[0]
@@ -605,7 +647,7 @@ class WindowSolver:
         for i, sol in zip(quadratic, solve_quadratic_batch([problems[i] for i in quadratic])):
             out[i] = sol
         if lattice:
-            sols = solve_grid_dp_batch([problems[i] for i in lattice], self.grid, self._cache)
+            sols = solve_grid_dp_batch([problems[i] for i in lattice], self.grid, self.cache)
             for i, sol in zip(lattice, sols):
                 out[i] = sol
         return out

@@ -22,13 +22,22 @@ from soco_lab import (
     padded_movement,
     rsfhc_a_expected_cost,
     run_afhc,
+    run_afhc_many,
     run_dsfhc,
     run_greedy,
     run_rsfhc_a,
     run_rsfhc_b,
     run_sfhc,
     sfhc_subroutine_costs,
+    solve_plans,
     solver_for,
+)
+from soco_lab.algorithms import (
+    dsfhc_plan,
+    rsfhc_a_plan,
+    rsfhc_b_plan,
+    sfhc_plan,
+    subroutine_mean_plan,
 )
 from soco_lab.adversary import RandomWalk, minimizer_path
 
@@ -398,6 +407,41 @@ def test_phase_batch_equals_per_phase_runs(case, w):
     afhc = run_afhc(inst, w, solver)
     ref = afhc_per_phase_reference(inst, w, solver_for(inst))
     assert np.array_equal(afhc.points, ref.points) and afhc.total == ref.total
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_CALLER_CASES))
+@pytest.mark.parametrize("ws", [[1], [2, 4, 6], [5, 1, 3, 3], [6, 2]])
+def test_afhc_lockstep_equals_each_w_alone(case, ws):
+    # the chains of every w advance together, one batch per step, on one
+    # solver; each w still gets its per-phase chained run, bit for bit
+    inst = batched_caller_instance(case)
+    runs = run_afhc_many(inst, ws, solver_for(inst))
+    assert len(runs) == len(ws)
+    for w, got in zip(ws, runs):
+        ref = afhc_per_phase_reference(inst, w, solver_for(inst))
+        assert np.array_equal(got.points, ref.points) and got.total == ref.total
+    with pytest.raises(ValueError, match="w must be >= 1"):
+        run_afhc_many(inst, [2, 0])
+    assert run_afhc_many(inst, []) == []
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_CALLER_CASES))
+def test_plans_solved_together_equal_each_alone(case):
+    # the plans of many rows, some sharing windows, solved as one batch:
+    # each plan's runs are its runs solved alone, bit for bit
+    inst = batched_caller_instance(case)
+    T = inst.horizon
+    rng = np.random.default_rng(4)
+    plans = [sfhc_plan(2, 0, T), dsfhc_plan(2, T), dsfhc_plan(5, T), sfhc_plan(3, 1, T),
+             rsfhc_b_plan(6, T, rng), subroutine_mean_plan(4, T), rsfhc_a_plan(4, T, rng)]
+    together = solve_plans(inst, plans, solver_for(inst))
+    for plan, got in zip(plans, together):
+        alone = solve_plans(inst, [plan], solver_for(inst))[0]
+        assert got.shape == (len(plan.anchor_sets), T, inst.dim)
+        assert np.array_equal(got, alone)
+    assert together[0].shape[0] == 1 and np.array_equal(together[0][0], together[1][0])
+    assert plans[1].cost(inst, together[1]) == run_dsfhc(inst, 2).total
+    assert plans[5].cost(inst, together[5]) == rsfhc_a_expected_cost(inst, 4)
 
 
 def test_batched_callers_reject_off_lattice_anchor():

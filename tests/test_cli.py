@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soco_lab import default_grid, instance_to_spec, make_polyhedral, make_strongly_convex
-from soco_lab.cli import main
+from soco_lab.cli import build_parser, main
 from soco_lab.reductions import cbc_to_spec, CbcInstance, interval
 from soco_lab.model import movement_cost
 
@@ -261,3 +261,19 @@ def test_cli_game_spike_bound(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["mean_learner_cost"] <= 2.0 * payload["mean_adversary_cost"]
+
+
+def test_parser_is_built_once_and_parses_alike(capsys):
+    # the parser is cached; a parse, or a usage error, leaves it as it was
+    assert build_parser() is build_parser()
+    argv = ["run", "--config", "c.json", "--seed", "3"]
+    first = vars(build_parser().parse_args(argv))
+    for bad in (["sweep", "--config", "c.json"], ["run", "--format", "xml"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: soco-lab")
+    assert vars(build_parser().parse_args(argv)) == first
+    assert first["seed"] == 3 and first["out"] is None and first["format"] == "csv"
+    assert vars(build_parser().parse_args(["sweep", "--config", "c", "--out", "o"]))[
+        "format"] == "csv"

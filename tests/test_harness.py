@@ -2,13 +2,17 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from soco_lab import harness
+from soco_lab import harness, windows
+from soco_lab.algorithms import AnchorSet
 from soco_lab.oracle import ORACLE_METHODS
 from soco_lab.harness import (
     BOUNDS,
     CSV_HEADER,
     ExperimentConfig,
+    ResultRow,
     derive_seed,
     greedy_bound,
     prediction_bound,
@@ -19,11 +23,22 @@ from soco_lab.harness import (
     sweep_and_report,
 )
 from soco_lab import (
+    WindowSolver,
+    anchor_segments,
+    competitive_ratio,
+    default_grid,
     instance_to_spec,
     make_strongly_convex,
     offline_optimal,
     offline_optimal_grid,
     offline_optimal_quadratic,
+    rsfhc_a_expected_cost,
+    run_afhc,
+    run_dsfhc,
+    run_greedy,
+    run_rsfhc_a,
+    run_rsfhc_b,
+    run_sfhc,
     sfhc_subroutine_costs,
 )
 
@@ -308,9 +323,9 @@ def lattice_config(seeds=(1,)):
 def test_oracle_runs_once_per_instance_and_seed(monkeypatch):
     calls = []
 
-    def counting(instance, grid=None, method="auto"):
+    def counting(instance, grid=None, method="auto", solver=None):
         calls.append(instance)
-        return offline_optimal(instance, grid, method)
+        return offline_optimal(instance, grid, method, solver=solver)
 
     monkeypatch.setattr(harness, "offline_optimal", counting)
     rows, summary = run_suite(lattice_config())
@@ -322,7 +337,7 @@ def test_oracle_runs_once_per_instance_and_seed(monkeypatch):
 def test_oracle_failure_lands_in_every_row_of_its_instance(monkeypatch):
     calls = []
 
-    def failing(instance, grid=None, method="auto"):
+    def failing(instance, grid=None, method="auto", solver=None):
         calls.append(instance)
         raise RuntimeError("lattice exhausted")
 
@@ -416,3 +431,178 @@ def test_seed_state_dropped_before_next_seed_and_rows_in_config_order(monkeypatc
         (a, w, s) for a, w in (("greedy", 1), ("dsfhc", 2), ("dsfhc", 4))
         for s in (5, 3, 5, 9)]
     assert rows[0] == rows[2]   # a repeated seed repeats its rows
+
+
+# ---------------------------------------------------------------------------
+# One planned solve per (instance, seed)
+# ---------------------------------------------------------------------------
+
+#: case -> (family, params, d).  polyhedral p = 2 couples the coordinates,
+#: and its joint 2-D DP on the default 201 x 201 lattice takes minutes, so
+#: it runs in 1-D only.
+ROW_CASES = {
+    "polyhedral-p1-1d": ("polyhedral", {"alpha": 1.2, "p": 1}, 1),
+    "polyhedral-p1-2d": ("polyhedral", {"alpha": 1.2, "p": 1}, 2),
+    "polyhedral-p2-1d": ("polyhedral", {"alpha": 0.9, "p": 2}, 1),
+    "glb-1d": ("glb", {"e0": [0.5], "beta": [2.0], "mu": [1.5]}, 1),
+    "glb-2d": ("glb", {"e0": [0.5, 0.5], "beta": [2.0, 1.0], "mu": [1.5, 1.5]}, 2),
+    "ripple-1d": ("ripple", {"m": 2.0, "eps": 0.3, "k": 2.0}, 1),
+    "ripple-2d": ("ripple", {"m": 2.0, "eps": 0.3, "k": 2.0}, 2),
+    "strongly_convex-1d": ("strongly_convex", {"m": 1.5}, 1),
+    "strongly_convex-2d": ("strongly_convex", {"m": 1.5}, 2),
+}
+
+
+def reference_row(spec, algorithm, w, seed, config) -> ResultRow:
+    """One row computed alone on a fresh solver and a fresh oracle, with the
+    snap budget summed point by point: the row-by-row harness."""
+    instance_id = spec["id"]
+    try:
+        inst = harness._build_instance(spec, instance_id, seed)
+        grid = default_grid(inst)
+        solver = WindowSolver(grid)
+        bound_fn, kind = harness._select_check(config.checks, algorithm, w)
+        if kind == "subroutine_mean":
+            cost = rsfhc_a_expected_cost(inst, w, solver)
+        else:
+            cost = {
+                "greedy": lambda: run_greedy(inst),
+                "sfhc": lambda: run_sfhc(inst, w, 0, solver),
+                "dsfhc": lambda: run_dsfhc(inst, w, solver),
+                "rsfhc-a": lambda: run_rsfhc_a(inst, w, harness._rng(seed, "rsfhc-a", w),
+                                               solver),
+                "rsfhc-b": lambda: run_rsfhc_b(inst, w, harness._rng(seed, "rsfhc-b", w),
+                                               solver),
+                "afhc": lambda: run_afhc(inst, w, solver),
+            }[algorithm]().total
+        res = offline_optimal(inst, grid, config.oracle.get("method", "auto"))
+        opt, budget = res.cost, 1e-8
+        if res.method != "exact_quadratic":
+            snap = max(grid.snap(h.minimizer)[1] for h in inst.hitting)
+            snap = max(snap, grid.snap(inst.start)[1])
+            if snap > 0:
+                budget += snap * harness._grid_lipschitz(inst, grid) / max(opt, 1e-12)
+        ratio = competitive_ratio(cost, opt).ratio
+        if bound_fn is None:
+            bound_value, within = math.inf, True
+        else:
+            bound_value = bound_fn(inst, w)
+            within = bool(ratio <= bound_value + budget)
+        return ResultRow(instance_id, algorithm, w, seed, cost, opt, ratio, bound_value,
+                         within, budget)
+    except Exception as exc:
+        return ResultRow(instance_id, algorithm, w, seed, math.nan, math.nan, math.nan,
+                         math.nan, False, math.nan, error=f"{type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+@given(st.integers(3, 12), st.sets(st.integers(1, 6), min_size=1, max_size=3),
+       st.permutations(sorted(BOUNDS)),
+       st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=2))
+def test_rows_equal_each_row_computed_alone(case, T, ws, checks, seeds):
+    # every anchored row of one (instance, seed) is solved in one batch, the
+    # afhc rows in lockstep and the oracle on the shared solver; each row
+    # must still be the row computed alone, bit for bit, failures included
+    # (rsfhc-b at w = 3 cannot draw its anchors and fails alone).  Every
+    # bound check runs, in a drawn order, so a row takes the first that
+    # applies: the phase mean, its own run, or a check that raises.
+    family, params, d = ROW_CASES[case]
+    ws = sorted(ws)
+    spec = {"id": case, "generate": {
+        "family": family, "params": params, "T": T, "d": d,
+        "path": {"model": "random_walk", "step": 0.6}}}
+    config = ExperimentConfig.from_dict({
+        "instances": [spec],
+        "algorithms": [{"name": "greedy"}, {"name": "sfhc", "w": ws},
+                       {"name": "dsfhc", "w": ws}, {"name": "rsfhc-a", "w": ws},
+                       {"name": "rsfhc-b", "w": [3] + [w for w in ws if w >= 4]},
+                       {"name": "afhc", "w": ws}],
+        "seeds": seeds,
+        "checks": list(checks),
+    })
+    rows, _ = run_suite(config)
+    runs = [(a["name"], w) for a in config.algorithms for w in a.get("w", [1])]
+    assert [repr(r) for r in rows] == [
+        repr(reference_row(spec, a, w, seed, config)) for a, w in runs for seed in seeds]
+    assert all(r.error == "ValueError: randomized anchor schedule requires w >= 4"
+               for r in rows if r.algorithm == "rsfhc-b" and r.w == 3)
+    assert any(not r.error for r in rows)
+
+
+def _counting(monkeypatch, cls, name, counts):
+    method = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+#: min-plus calls per (instance, seed) of ``work_gate_config``, by family,
+#: for seeds 1301 and 7.  Solved row by row, the same rows took 51 batches
+#: and 104/111 (polyhedral), 95/100 (glb) and 106/110 (ripple) calls.
+MINPLUS_CALLS = {"polyhedral": [74, 73], "glb": [70, 71], "ripple": [71, 73]}
+
+
+def work_gate_config(family, params, seed):
+    return ExperimentConfig.from_dict({
+        "instances": [{"id": family, "generate": {
+            "family": family, "params": params, "T": 40, "d": 1,
+            "path": {"model": "random_walk", "step": 0.5}}}],
+        "algorithms": [{"name": "greedy"}] + [
+            {"name": name, "w": [2, 4, 6]}
+            for name in ("sfhc", "dsfhc", "rsfhc-a", "rsfhc-b", "afhc")],
+        "seeds": [seed],
+        "checks": ["greedy_bound", "prediction_bound", "semi_adaptive_bound"],
+    })
+
+
+@pytest.mark.parametrize("family,params", [
+    ("polyhedral", {"alpha": 1.0, "p": 1}),
+    ("glb", {"e0": [1.0], "beta": [1.0], "mu": [3.0]}),
+    ("ripple", {"m": 2.0, "eps": 0.3, "k": 2.0}),
+])
+def test_work_per_instance_and_seed(monkeypatch, family, params):
+    # the work of one (instance, seed) is deterministic, so it is gated
+    # exactly: one batch for every anchored row, one per step of the
+    # longest afhc chain, and a pinned number of min-plus calls
+    longest = max(len(anchor_segments(AnchorSet.phase(h, w, 40), 40))
+                  for w in (2, 4, 6) for h in range(w))
+    assert longest == 21
+    for seed, minplus in zip((1301, 7), MINPLUS_CALLS[family]):
+        counts = {}
+        _counting(monkeypatch, windows.WindowSolver, "solve_batch", counts)
+        _counting(monkeypatch, windows._GridEval, "minplus", counts)
+        rows, summary = run_suite(work_gate_config(family, params, seed))
+        monkeypatch.undo()
+        assert len(rows) == 16 and summary["failures"] == 1   # rsfhc-b at w = 2
+        assert counts == {"solve_batch": 1 + longest, "minplus": minplus}
+
+
+def test_failed_joint_solve_fails_only_the_rows_that_fail_alone(monkeypatch):
+    # a joint solve that raises is redone row by row, so only the rows that
+    # raise alone fail, each with its own error; the others are unchanged
+    clean, _ = run_suite(lattice_config())
+    solve_plans, run_afhc_many = harness.algs.solve_plans, harness.algs.run_afhc_many
+
+    def failing_plans(instance, plans, solver=None):
+        if any(plan.combine == "mean_points" for plan in plans):
+            raise RuntimeError("dsfhc window failed")
+        return solve_plans(instance, plans, solver)
+
+    def failing_afhc(instance, ws, solver=None):
+        if 3 in ws:
+            raise RuntimeError("afhc chain failed")
+        return run_afhc_many(instance, ws, solver)
+
+    monkeypatch.setattr(harness.algs, "solve_plans", failing_plans)
+    monkeypatch.setattr(harness.algs, "run_afhc_many", failing_afhc)
+    rows, summary = run_suite(lattice_config())
+    failed = {(r.algorithm, r.w): r.error for r in rows if r.error}
+    assert failed == {("dsfhc", 2): "RuntimeError: dsfhc window failed",
+                      ("dsfhc", 3): "RuntimeError: dsfhc window failed",
+                      ("dsfhc", 4): "RuntimeError: dsfhc window failed",
+                      ("afhc", 3): "RuntimeError: afhc chain failed"}
+    assert [r for r in rows if not r.error] == [r for r in clean
+                                                if (r.algorithm, r.w) not in failed]

@@ -18,6 +18,7 @@ from soco_lab import (
     offline_optimal_quadratic,
     padded_movement,
     run_greedy,
+    solve_segments,
 )
 from soco_lab.adversary import RandomWalk, minimizer_path
 from soco_lab.reductions import CbcInstance, cbc_to_indicator_instance, interval
@@ -123,6 +124,26 @@ def test_offline_optimal_dispatch(family, method, expected):
                  else offline_optimal_grid(inst, grid))
     assert res.cost == reference.cost
     assert np.array_equal(res.trajectory.points, reference.trajectory.points)
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_INSTANCES))
+def test_oracle_on_a_warm_solver_equals_a_cold_one(family):
+    # the oracle run on a window solver whose stage memo already holds the
+    # windows of every phase shares those stages and still gives the cold
+    # optimum, bit for bit; a solver on another lattice is refused
+    path = minimizer_path(RandomWalk(0.5), 9, 1, np.random.default_rng(5), base=np.zeros(1))
+    inst = ORACLE_INSTANCES[family](path)
+    grid = default_grid(inst, 101)
+    solver = WindowSolver(grid)
+    solve_segments(inst, [AnchorSet.phase(h, 3, 9) for h in range(3)], solver)
+    for method in ("auto", "grid"):
+        warm = offline_optimal(inst, grid, method, solver=solver)
+        cold = offline_optimal(inst, grid, method)
+        assert warm.method == cold.method and warm.cost == cold.cost
+        assert np.array_equal(warm.trajectory.points, cold.trajectory.points)
+    assert offline_optimal_grid(inst, solver=solver).cost == offline_optimal_grid(inst, grid).cost
+    with pytest.raises(ValueError, match="solver's lattice is not the oracle's grid"):
+        offline_optimal_grid(inst, default_grid(inst, 51), solver)
 
 
 def test_offline_optimal_rejects_bad_methods():

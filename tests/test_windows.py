@@ -588,6 +588,53 @@ def test_warm_stage_memo_equals_cold_solves(family, d, seed):
 
 @given(st.sampled_from(sorted(set(MEMO_FAMILIES) - {"strongly_convex"})),
        st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1))
+def test_one_batch_of_mixed_windows_equals_each_alone(family, d, seed):
+    # windows of every free count, anchored and not, repeated and sharing
+    # prefixes, with unanchored windows that start at lattice points (as
+    # afhc's do), all in one batch: each gets the points it gets alone
+    rng = np.random.default_rng(seed)
+    inst, grid = _memo_instance(family, d, rng)
+    problems = _random_anchor_windows(inst, rng)
+    pts = grid.points()
+    for a, b in ((0, inst.horizon + 1), (1, 3), (0, 2)):
+        if a < inst.horizon:
+            start = as_point(pts[rng.integers(grid.size)])
+            problems.append(WindowProblem(a, b, start, None,
+                                          tuple(inst.hitting[a:min(b, inst.horizon)]),
+                                          inst.movement))
+    problems = [problems[i] for i in rng.permutation(len(problems))]
+    batch = solve_grid_dp_batch(problems, grid, _GridEval())
+    for problem, sol in zip(problems, batch):
+        assert np.array_equal(sol.free_points, solve_grid_dp(problem, grid).free_points)
+
+
+def test_batch_solves_each_distinct_stage_once(monkeypatch):
+    # windows that share a left anchor and a cost prefix share their stages
+    # inside one batch: (0, 4] twice and (0, 3] need the stages of (0, 4]
+    # only, one min-plus column per stage
+    inst = make_polyhedral(1.0, [[0.5], [0.2], [1.0], [0.0], [0.3]], p=1, start=[0.0])
+    grid = Grid.make(-2.0, 2.0, 41, dim=1)
+    columns = []
+    minplus = _GridEval.minplus
+
+    def counted(self, value, movement, grid):
+        columns.append(value.shape[1])
+        return minplus(self, value, movement, grid)
+
+    monkeypatch.setattr(_GridEval, "minplus", counted)
+    problems = [build_window(inst, 0, 4), build_window(inst, 0, 4), build_window(inst, 0, 3),
+                build_window(inst, 0, 6)]
+    batch = solve_grid_dp_batch(problems, grid)
+    # (0, 4] and (0, 3] have free counts 3 and 2; (0, 6] is unanchored with
+    # 5 free steps, the first 3 shared with (0, 4]
+    assert columns == [1, 1, 1, 1]
+    monkeypatch.undo()
+    for problem, sol in zip(problems, batch):
+        assert np.array_equal(sol.free_points, solve_grid_dp(problem, grid).free_points)
+
+
+@given(st.sampled_from(sorted(set(MEMO_FAMILIES) - {"strongly_convex"})),
+       st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1))
 def test_solver_shared_by_two_instances_gives_each_its_cold_answer(family, d, seed):
     # one solver, and so one memo, used on two instances in turn: cost
     # objects key the memo, so neither instance reads the other's stages
