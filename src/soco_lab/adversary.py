@@ -7,10 +7,11 @@ point, and a quantized observation of that decision is disclosed back to
 the adversary.  The adversary can therefore adapt future costs to the
 learner's past, but never to decisions it has not yet seen.
 
-The anchored learners draw the anchor set of their offline counterpart
-(``AnchorSet.phase`` or ``gen_anchor_sequence``) at reset and, when a
-window's first timestep arrives, solve it with ``oracle.solve_segment`` on
-the costs revealed so far: against an oblivious adversary an online run
+The anchored learners play a plan of ``algorithms`` (``sfhc_plan``,
+``rsfhc_b_plan`` or ``dsfhc_plan``), drawn at reset.  When a window's first
+timestep arrives, each run's window is solved with ``oracle.solve_segment``
+on the costs revealed so far, and the learner plays its run, or the
+pointwise mean of its runs: against an oblivious adversary an online run
 equals the offline run of ``algorithms``.  Their window solver has no
 lattice, so a shell whose windows are not quadratic raises
 ``UnsupportedProblemError``.
@@ -31,7 +32,7 @@ from .families import FAMILIES, FamilyParams, Glb, make_instance
 from .model import HittingCost, Instance, MovementCost, Point, as_point, evaluate_total_cost
 from .windows import Grid, WindowSolver
 from .oracle import anchor_segments, solve_segment
-from .algorithms import AnchorSet, gap_support, gen_anchor_sequence
+from .algorithms import Plan, dsfhc_plan, gap_support, rsfhc_b_plan, sfhc_plan
 
 
 class ProtocolError(RuntimeError):
@@ -123,28 +124,35 @@ class GameShell:
 
 
 class _PlannedLearner:
-    """Solves each anchored segment when its first timestep arrives."""
+    """Plays the run of its plan, or the pointwise mean of its runs, solving
+    each run's window when the window's first timestep arrives."""
 
     def reset(self, shell: GameShell, w: int, rng: np.random.Generator | None = None):
         T = shell.horizon
         self.shell = shell
-        self._plan = np.empty((T, shell.dim))
+        self._plan = self.plan(w, T, rng)
+        self._runs = np.zeros((len(self._plan.anchor_sets), T, shell.dim))
         self._solver = WindowSolver()
-        self._segments = {a + 1: (a, b)
-                          for a, b in anchor_segments(self.anchors(T, w, rng), T)}
+        self._windows: dict[int, list] = {}
+        for r, anchors in enumerate(self._plan.anchor_sets):
+            for a, b in anchor_segments(anchors, T):
+                self._windows.setdefault(a + 1, []).append((r, a, b))
 
-    def anchors(self, T, w, rng) -> AnchorSet:  # pragma: no cover - abstract
+    def plan(self, w: int, T: int, rng) -> Plan:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def decide(self, t: int, costs: Sequence[HittingCost]) -> np.ndarray:
-        if t in self._segments:
-            a, b = self._segments[t]
-            shell, cap = self.shell, min(b, self.shell.horizon)
+        shell = self.shell
+        for r, a, b in self._windows.get(t, ()):
+            cap = min(b, shell.horizon)
             revealed = Instance(shell.dim, cap, shell.start, tuple(costs[:cap]),
                                 shell.movement)
-            _, decisions = solve_segment(revealed, a, b, self._solver)
-            self._plan[a:cap] = decisions
-        return self._plan[t - 1]
+            _, self._runs[r, a:cap] = solve_segment(revealed, a, b, self._solver)
+        if self._plan.combine == "run":
+            return self._runs[0, t - 1]
+        # the offline run's reduction over the same (runs, T, d) shape: a
+        # mean over one timestep's column alone may sum in another order
+        return self._runs.mean(axis=0)[t - 1]
 
 
 class GreedyLearner:
@@ -159,27 +167,22 @@ class SfhcLearner(_PlannedLearner):
     def __init__(self, h: int):
         self.h = h
 
-    def anchors(self, T, w, rng):
-        return AnchorSet.phase(self.h, w, T)
+    def plan(self, w, T, rng):
+        return sfhc_plan(w, self.h, T)
 
 
 class RsfhcBLearner(_PlannedLearner):
     """Randomized anchors drawn once at reset from the (w/2, w-1] gap law."""
 
-    def anchors(self, T, w, rng):
-        return gen_anchor_sequence(w, T, rng)
+    def plan(self, w, T, rng):
+        return rsfhc_b_plan(w, T, rng)
 
 
-class DsfhcLearner:
+class DsfhcLearner(_PlannedLearner):
     """Averages the w phase subroutines pointwise."""
 
-    def reset(self, shell, w, rng=None):
-        self._subs = [SfhcLearner(h) for h in range(w)]
-        for sub in self._subs:
-            sub.reset(shell, w, rng)
-
-    def decide(self, t, costs):
-        return np.mean([sub.decide(t, costs) for sub in self._subs], axis=0)
+    def plan(self, w, T, rng):
+        return dsfhc_plan(w, T)
 
 
 # ---------------------------------------------------------------------------

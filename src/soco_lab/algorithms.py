@@ -5,34 +5,30 @@ at most w, pin ("anchor") the decision at each window boundary to the
 revealed minimizer, and solve each window's interior exactly.  Anchors
 decouple the windows, so each run is a sequence of independent small
 solves, each reading only the costs inside its own prediction window.
-An anchored algorithm is fully given by its ``Plan``: the anchor sets it
-solves (drawn here, and only here) and how it combines their runs.
-Anchors become windows in ``oracle.anchor_segments``, and each window is
-solved exactly as the online learners of ``adversary`` solve it with
-``solve_segment``.
+Every algorithm is fully given by its ``Plan``: the anchor sets it solves
+(drawn here, and only here), whether its windows chain, and how it
+combines their runs.  Anchors become windows in ``oracle.anchor_segments``,
+and each window is solved exactly as the online learners of ``adversary``
+solve it with ``solve_segment``.
 
 Since a plan is known before any window is solved, plans are solved in
 batches: ``solve_plans`` solves the runs of many plans as one
-``oracle.solve_segments`` call, and the harness solves every anchored row
-of one (instance, seed) that way.  ``run_sfhc``, ``run_dsfhc``,
-``run_rsfhc_a``, ``run_rsfhc_b``, ``sfhc_subroutine_costs`` and
-``rsfhc_a_expected_cost`` solve one plan alone.  ``afhc`` chains each
-window to the previous one's end point, so it cannot be planned ahead;
-``run_afhc_many`` advances the phase chains of several w in lockstep, one
-batch per step.  On a lattice, a batch runs one min-plus call per DP stage
-for all its windows instead of one per window, which matters because these
-windows are small (at most w stages) and a per-window call costs mostly
-numpy overhead.
+``oracle.solve_segments`` call, and the harness solves every row of one
+(instance, seed) that way.  The ``run_*`` functions,
+``sfhc_subroutine_costs`` and ``rsfhc_a_expected_cost`` solve one plan
+alone.  On a lattice, a batch runs one min-plus call per DP stage for all
+its windows instead of one per window, which matters because these windows
+are small (at most w stages) and a per-window call costs mostly numpy
+overhead.
 
   greedy    w = 1: always pick the current minimizer.
   sfhc(h)   anchors at timesteps congruent to h modulo w.
   dsfhc     pointwise average of the w phase subroutines.
   rsfhc-a   one phase subroutine sampled uniformly at random.
   rsfhc-b   anchors at randomized gaps drawn from (w/2, w-1].
-  afhc      unanchored fixed-horizon baseline (no synchronization): its
-            windows come from ``anchor_segments`` too, but each starts at
-            the previous window's end point and has no right anchor, so it
-            keeps its own chaining loop.
+  afhc      unanchored fixed-horizon baseline (no synchronization): the
+            phase windows of ``dsfhc``, chained, so each starts at the
+            previous window's end point and has no right anchor.
 """
 
 from __future__ import annotations
@@ -42,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, Trajectory, evaluate_total_cost
-from .oracle import anchor_segments, solve_segments
-from .windows import WindowProblem, WindowSolver, solver_for
+from .oracle import solve_segments
+from .windows import WindowSolver, solver_for
 
 
 @dataclass(frozen=True)
@@ -72,13 +68,16 @@ class AnchorSet:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """The anchor sets an anchored algorithm solves, and how it combines
-    their runs: ``run`` scores its one run, ``mean_points`` the pointwise
-    mean of the runs (``dsfhc``), ``mean_costs`` is the mean of the runs'
-    costs (the subroutine mean of the bound checks)."""
+    """The anchor sets an algorithm solves, and how it combines their runs:
+    ``run`` scores its one run, ``mean_points`` the pointwise mean of the
+    runs (``dsfhc``, ``afhc``), ``mean_costs`` is the mean of the runs'
+    costs (the subroutine mean of the bound checks).  A ``chained`` plan
+    (``afhc``) starts each window of a run at the run's previous point,
+    with no right anchor."""
 
     anchor_sets: tuple[AnchorSet, ...]
     combine: str = "run"
+    chained: bool = False
 
     def trajectory(self, instance: Instance, points: np.ndarray) -> Trajectory:
         """The scored decisions of a ``run`` or ``mean_points`` plan, from
@@ -103,9 +102,11 @@ def run_costs(instance: Instance, points: np.ndarray) -> list[float]:
 def solve_plans(instance: Instance, plans,
                 solver: WindowSolver | None = None) -> list[np.ndarray]:
     """Each plan's runs, (runs, T, d), with the runs of all plans solved as
-    one batch; each equals its plan solved alone, bit for bit."""
+    one ``solve_segments`` call; each equals its plan solved alone, bit for
+    bit."""
     anchor_sets = [anchors for plan in plans for anchors in plan.anchor_sets]
-    points, _ = solve_segments(instance, anchor_sets, solver or solver_for(instance))
+    chained = [plan.chained for plan in plans for _ in plan.anchor_sets]
+    points, _ = solve_segments(instance, anchor_sets, solver or solver_for(instance), chained)
     ends = np.cumsum([0] + [len(plan.anchor_sets) for plan in plans])
     return [points[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
@@ -117,8 +118,6 @@ def sfhc_plan(w: int, h: int, T: int) -> Plan:
 
 def dsfhc_plan(w: int, T: int) -> Plan:
     """The pointwise mean of the w phase subroutines."""
-    if w < 1:
-        raise ValueError("w must be >= 1")
     return Plan(_phases(w, T), "mean_points")
 
 
@@ -142,7 +141,15 @@ def rsfhc_b_plan(w: int, T: int, rng: np.random.Generator) -> Plan:
     return Plan((gen_anchor_sequence(w, T, rng),))
 
 
+def afhc_plan(w: int, T: int) -> Plan:
+    """The pointwise mean of the w phase runs, each window chained to the
+    previous one's end point."""
+    return Plan(_phases(w, T), "mean_points", chained=True)
+
+
 def _phases(w: int, T: int) -> tuple[AnchorSet, ...]:
+    if w < 1:
+        raise ValueError("w must be >= 1")
     return tuple(AnchorSet.phase(h, w, T) for h in range(w))
 
 
@@ -218,38 +225,8 @@ def run_rsfhc_b(instance: Instance, w: int, rng: np.random.Generator,
 
 def run_afhc(instance: Instance, w: int,
              solver: WindowSolver | None = None) -> Trajectory:
-    """Unanchored fixed-horizon baseline, averaged over the w phases
-    (``run_afhc_many`` of one w)."""
-    return run_afhc_many(instance, [w], solver)[0]
-
-
-def run_afhc_many(instance: Instance, ws,
-                  solver: WindowSolver | None = None) -> list[Trajectory]:
-    """``afhc`` at each w of ``ws``, in order.
-
-    Each phase subroutine solves the windows of its phase anchor set from
-    its own current point with no terminal constraint (so not with
-    ``solve_segment``, which pins both ends); the committed point is the
-    phase average.  The (w, phase) chains of every w advance together:
-    step k solves the k-th window of every chain as one batch, so the run
-    takes as many batches as the longest chain has windows.
-    """
-    ws = [int(w) for w in ws]
-    if any(w < 1 for w in ws):
-        raise ValueError("w must be >= 1")
-    solver = solver or solver_for(instance)
-    T = instance.horizon
-    points = [np.empty((w, T, instance.dim)) for w in ws]
-    chains = [(points[i][h], anchor_segments(AnchorSet.phase(h, w, T), T))
-              for i, w in enumerate(ws) for h in range(w)]
-    current = [instance.start] * len(chains)
-    for k in range(max((len(windows) for _, windows in chains), default=0)):
-        step = [(c, *windows[k]) for c, (_, windows) in enumerate(chains) if k < len(windows)]
-        problems = [WindowProblem(a, b, current[c], None,
-                                  tuple(instance.hitting[a:min(b, T)]), instance.movement)
-                    for c, a, b in step]
-        for (c, a, b), sol in zip(step, solver.solve_batch(problems)):
-            run = chains[c][0]
-            run[a:min(b, T)] = sol.free_points
-            current[c] = run[min(b, T) - 1]
-    return [evaluate_total_cost(instance, p.mean(axis=0)) for p in points]
+    """Unanchored fixed-horizon baseline: each phase chains its windows from
+    its own current point with no terminal constraint, and the committed
+    point is the phase average."""
+    plan = afhc_plan(w, instance.horizon)
+    return plan.trajectory(instance, _alone(instance, plan, solver))

@@ -2,7 +2,8 @@
 
 An input file (config or instance) that cannot be read or does not fit its
 schema is reported on one line, ``soco-lab: error: <file>: <reason>``, exit
-2; exit 1 is kept for a failed bound check or an ``INCONSISTENT`` result.
+2, and so is a flag value out of its range (``soco-lab: error: <reason>``);
+exit 1 is kept for a failed bound check or an ``INCONSISTENT`` result.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def _load(path: str, parse):
         raise _InputError(f"{path}: {exc}") from exc
 
 
+def _at_least(flag: str, value, least):
+    """Raise _InputError unless the value of ``flag`` is at least ``least``."""
+    if value < least:
+        raise _InputError(f"{flag} must be at least {least}, not {value}")
+
+
 def _instance(raw) -> Instance:
     return instance_from_spec(check_instance_schema(raw))
 
@@ -99,11 +106,20 @@ def _cmd_rows(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _at_least("--grid-n", args.grid_n, 2)
     instance = _load(args.instance, _instance)
     if args.grid_lo is None:
         grid = default_grid(instance, args.grid_n)
     else:
+        if args.grid_lo >= args.grid_hi:
+            raise _InputError(f"--grid-lo must be below --grid-hi, "
+                              f"not {args.grid_lo} >= {args.grid_hi}")
         grid = Grid.make(args.grid_lo, args.grid_hi, args.grid_n, dim=instance.dim)
+        try:
+            grid.snap_rows(np.vstack([instance.start, instance.minimizers()]))
+        except ValueError as exc:
+            raise _InputError(f"--grid-lo and --grid-hi must cover the start point "
+                              f"and every minimizer: {exc}") from exc
     res = offline_optimal(instance, grid, args.method)
     payload = {"cost": res.cost, "trajectory": res.trajectory.points.tolist(),
                "method": res.method}
@@ -120,6 +136,17 @@ _LEARNERS = {
 
 
 def _cmd_game(args) -> int:
+    _at_least("--w", args.w, 1)
+    if args.learner == "rsfhc-b" and args.w < 4:
+        raise _InputError(f"--learner rsfhc-b needs --w of at least 4, not {args.w}")
+    _at_least("--T", args.T, 1)
+    if args.T < args.w - 1:
+        raise _InputError(f"--T must be at least --w - 1 = {args.w - 1}, not {args.T}")
+    _at_least("--seeds", args.seeds, 1)
+    _at_least("--inflation", args.inflation, 1)
+    if args.learner == "sfhc" and not 0 <= args.phase < args.w:
+        raise _InputError(f"--phase must be in 0..{args.w - 1} for --w {args.w}, "
+                          f"not {args.phase}")
     m = args.m
     shell = GameShell(1, args.T, np.zeros(1), movement_cost("sq_l2_half"),
                       lam=m / 2.0, family_tag="strongly_convex", params={"m": m})
@@ -165,6 +192,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify_conditions(args) -> int:
+    _at_least("--samples", args.samples, 1)
+    if args.radius <= 0:
+        raise _InputError(f"--radius must be positive, not {args.radius}")
     instance = _load(args.instance, _instance)
     rng = np.random.default_rng(args.seed)
     lam_hat, eta_hat = estimate_condition_constants(instance, args.radius,

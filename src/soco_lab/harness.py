@@ -10,21 +10,22 @@ in config order.
 The rows of one (instance, seed) are computed together, on its built
 instance, lattice and window solver (with its stage memo).  Every row's
 plan is drawn first (``algorithms.Plan``: the anchor sets of its run, or
-of the phase mean its bound check asks for); then every anchored run of
-every row is solved as one ``oracle.solve_segments`` call and each row is
-scored from its slice, the ``afhc`` rows of all w advance in lockstep
-(``algorithms.run_afhc_many``), and the offline optimum is solved last on
-the same solver, so its first stages come from the memo.  A row whose plan
-cannot be drawn fails alone; if a joint solve raises, its rows are solved
-one by one, so each reports its own error.  That state is dropped before
-the next seed's, so memory does not grow with the seed count.
+of the phase mean its bound check asks for, greedy and ``afhc`` included);
+then every run of every row is solved as one ``algorithms.solve_plans``
+call and each row is scored from its slice, and the offline optimum is
+solved last on the same solver, so its first stages come from the memo.  A
+row whose plan cannot be drawn fails alone; if the joint solve raises, the
+plans are solved one by one, so each row reports its own error.  That
+state is dropped before the next seed's, so memory does not grow with the
+seed count.
 
 ``ExperimentConfig.from_dict`` takes only the keys the harness reads (the
 README's "Experiment config" lists them, and the instance schema those of
-an inline instance): any other key, a missing required key or an unknown
+an inline instance): any other key, a missing required key, an unknown
 family, family parameter, path model, algorithm, bound check or oracle
-method raises ValueError naming it and where it sits.  Families
-are named in ``families.FAMILIES``, algorithms in ``ALGORITHMS``.
+method, and a count (``T``, ``d``, ``w``, a seed) that is not a JSON
+integer raises ValueError naming it and where it sits.  Families are
+named in ``families.FAMILIES``, algorithms in ``ALGORITHMS``.
 """
 
 from __future__ import annotations
@@ -148,18 +149,19 @@ def _rng(seed: int, algorithm: str, w: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, algorithm, w))
 
 
-#: name -> the plan of that anchored algorithm's run at (w, T, seed).  The
+#: name -> the plan of that algorithm's run at (w, T, seed).  The
 #: randomized plans draw from a generator keyed by (seed, name, w).
 PLANS = {
+    "greedy": lambda w, T, seed: algs.sfhc_plan(1, 0, T),
     "sfhc": lambda w, T, seed: algs.sfhc_plan(w, 0, T),
     "dsfhc": lambda w, T, seed: algs.dsfhc_plan(w, T),
     "rsfhc-a": lambda w, T, seed: algs.rsfhc_a_plan(w, T, _rng(seed, "rsfhc-a", w)),
     "rsfhc-b": lambda w, T, seed: algs.rsfhc_b_plan(w, T, _rng(seed, "rsfhc-b", w)),
+    "afhc": lambda w, T, seed: algs.afhc_plan(w, T),
 }
 
-#: The algorithms a config may name: greedy, the anchored ``PLANS``, and
-#: the unanchored ``afhc``.
-ALGORITHMS = ("greedy", *PLANS, "afhc")
+#: The algorithms a config may name.
+ALGORITHMS = tuple(PLANS)
 
 _PATHS = {"random_walk": RandomWalk, "spikes": Spikes, "constant": Constant}
 
@@ -184,6 +186,28 @@ def _fields(obj, where: str, params_cls, *extra: str) -> dict:
     """``_keys`` for the fields of a parameter dataclass, plus ``extra``."""
     return _keys(obj, where, (*extra, *(f.name for f in fields(params_cls))),
                  (*extra, *(f.name for f in fields(params_cls) if f.default is MISSING)))
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` itself, once it is checked to be a JSON integer (a bool, a
+    float or a string is not) of at least ``least``; ``what`` names its key
+    and place."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, not "
+                         f"{json.dumps(value, default=repr)}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, not {value}")
+    return value
+
+
+def _integers(value, key: str, where: str) -> list[int]:
+    """The integers of ``key`` in ``where``: one integer, or a nonempty list
+    of them."""
+    if not isinstance(value, list):
+        return [_integer(value, f"key {key!r} in {where}")]
+    if not value:
+        raise ValueError(f"key {key!r} in {where} must not be an empty list")
+    return [_integer(v, f"entry {i} of key {key!r} in {where}") for i, v in enumerate(value)]
 
 
 def _known(name, table, what: str, where: str):
@@ -218,6 +242,9 @@ def _check_instance_spec(spec, where: str):
     where += ".generate"
     gen = _keys(spec["generate"], where, ("family", "params", "T", "d", "path"),
                 ("family", "T"))
+    for key in ("T", "d"):
+        if key in gen:
+            _integer(gen[key], f"key {key!r} in {where}")
     _known(gen["family"], FAMILIES, "family", where)
     _fields(gen.get("params", {}), where + ".params", FAMILIES[gen["family"]][0])
     where += ".path"
@@ -246,19 +273,26 @@ class ExperimentConfig:
             where = f"algorithms[{i}]"
             _keys(spec, where, ("name", "w"), ("name",))
             _known(spec["name"], ALGORITHMS, "algorithm", where)
+            if "w" in spec:
+                _integers(spec["w"], "w", where)
         seeds = raw.get("seeds", [0])
         if isinstance(seeds, dict):
             _keys(seeds, "seeds", ("master", "count"), ("count",))
-            master = int(seeds.get("master", 0))
-            seeds = [derive_seed(master, "seed", i) % (2 ** 31)
-                     for i in range(int(seeds["count"]))]
+            master = _integer(seeds.get("master", 0), "key 'master' in seeds")
+            count = _integer(seeds["count"], "key 'count' in seeds", least=1)
+            seeds = [derive_seed(master, "seed", i) % (2 ** 31) for i in range(count)]
+        elif isinstance(seeds, list):
+            _integers(seeds, "seeds", "config")
+        else:
+            raise ValueError(f"key 'seeds' in config must be a JSON list or object, not "
+                             f"{json.dumps(seeds, default=repr)}")
         checks = list(raw.get("checks", []))
         for name in checks:
             _known(name, BOUNDS, "bound check", "checks")
         oracle = dict(_keys(raw.get("oracle", {}), "oracle", ("method",)))
         _known(oracle.get("method", "auto"), ORACLE_METHODS, "oracle method", "oracle")
         return cls(list(raw.get("instances", [])), list(raw.get("algorithms", [])),
-                   [int(s) for s in seeds], oracle, checks)
+                   list(seeds), oracle, checks)
 
 
 def _build_instance(spec: dict, instance_id: str, seed: int) -> Instance:
@@ -337,10 +371,9 @@ def _attempt(fn, *args):
 
 def _row_costs(instance: Instance, solver: WindowSolver, runs: list, seed: int,
                checks: list[str]) -> list:
-    """Each row's cost, or its ``_Failure``: every plan is drawn, then all
-    anchored runs are one solve and all ``afhc`` rows one lockstep run.  A
-    joint solve that raises is redone row by row, so each row reports what
-    it raises alone."""
+    """Each row's cost, or its ``_Failure``: every row's plan is drawn, then
+    all plans are one solve.  A joint solve that raises is redone plan by
+    plan, so each row reports what it raises alone."""
     T = instance.horizon
     plans = []
     for algo_spec, w in runs:
@@ -348,37 +381,20 @@ def _row_costs(instance: Instance, solver: WindowSolver, runs: list, seed: int,
         if _select_check(checks, name, w)[1] == "subroutine_mean":
             plans.append(_attempt(algs.subroutine_mean_plan, w, T))
         else:
-            plans.append(_attempt(PLANS[name], w, T, seed) if name in PLANS else None)
+            plans.append(_attempt(PLANS[name], w, T, seed))
 
-    anchored = [plan for plan in plans if isinstance(plan, algs.Plan)]
-    solved = _attempt(algs.solve_plans, instance, anchored, solver) if anchored else []
+    drawn = [plan for plan in plans if isinstance(plan, algs.Plan)]
+    solved = _attempt(algs.solve_plans, instance, drawn, solver) if drawn else []
     if isinstance(solved, _Failure):
-        solved = [_attempt(algs.solve_plans, instance, [plan], solver) for plan in anchored]
+        solved = [_attempt(algs.solve_plans, instance, [plan], solver) for plan in drawn]
         solved = [s if isinstance(s, _Failure) else s[0] for s in solved]
-    solved = dict(zip(map(id, anchored), solved))
-
-    afhc_ws = list(dict.fromkeys(w for (spec, w), plan in zip(runs, plans)
-                                 if plan is None and spec["name"] == "afhc"))
-    afhc = _attempt(algs.run_afhc_many, instance, afhc_ws, solver) if afhc_ws else []
-    if isinstance(afhc, _Failure):
-        afhc = [_attempt(algs.run_afhc, instance, w, solver) for w in afhc_ws]
-    afhc = dict(zip(afhc_ws, afhc))
+    solved = dict(zip(map(id, drawn), solved))
 
     costs = []
-    for (algo_spec, w), plan in zip(runs, plans):
-        if isinstance(plan, algs.Plan):
-            points = solved[id(plan)]
-            if isinstance(points, _Failure):
-                cost = points
-            else:
-                cost = _attempt(plan.cost, instance, points)
-        elif plan is not None:
-            cost = plan
-        elif algo_spec["name"] == "greedy":
-            cost = _attempt(lambda: algs.run_greedy(instance).total)
-        else:
-            cost = afhc[w] if isinstance(afhc[w], _Failure) else afhc[w].total
-        costs.append(cost)
+    for plan in plans:
+        points = solved[id(plan)] if isinstance(plan, algs.Plan) else plan
+        costs.append(points if isinstance(points, _Failure)
+                     else _attempt(plan.cost, instance, points))
     return costs
 
 

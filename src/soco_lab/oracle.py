@@ -14,15 +14,17 @@ re-evaluate the reported trajectory, so they are attained, not just
 claimed.
 
 ``anchor_segments`` is the one place anchors become windows.  The offline
-runs of ``algorithms`` solve their windows in batches (``solve_segments``,
-also behind ``constrained_offline``): the harness solves every anchored run
-of one (instance, seed), of all its algorithms and w, as one call.  The
-online learners of ``adversary`` solve one window at a time with
-``solve_segment`` on the costs revealed so far.  Both return the same
-decisions for a window, since a batch equals each of its windows solved
-alone, bit for bit, so an online run and its offline counterpart are the
-same computation.  The learners' solver has no lattice, so they solve
-quadratic windows only.
+runs of ``algorithms`` solve their windows in steps (``solve_segments``,
+also behind ``constrained_offline``): step 0 is one batch of every
+anchored window and the first window of each chained (``afhc``) run, and
+step k the k-th window of each chained run, which starts at the point the
+run reached.  The harness solves every run of one (instance, seed), of all
+its algorithms and w, as one call.  The online learners of ``adversary``
+solve one window at a time with ``solve_segment`` on the costs revealed
+so far.  Both return the same decisions for a window, since a batch equals
+each of its windows solved alone, bit for bit, so an online run and its
+offline counterpart are the same computation.  The learners' solver has
+no lattice, so they solve quadratic windows only.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from .model import Instance, Trajectory, evaluate_total_cost
 from .windows import (
     Grid,
+    WindowProblem,
     WindowSolver,
     build_window,
     default_grid,
@@ -126,30 +129,51 @@ def solve_segment(instance: Instance, a: int, b: int,
     return sol.solver_tag, np.vstack([sol.free_points, problem.right_anchor])
 
 
-def solve_segments(instance: Instance, anchor_sets,
-                   solver: WindowSolver) -> tuple[np.ndarray, list[set[str]]]:
-    """Decisions of the anchored runs on each anchor set, shape (runs, T, d),
-    and each run's solver tags.
+def solve_segments(instance: Instance, anchor_sets, solver: WindowSolver,
+                   chained=None) -> tuple[np.ndarray, list[set[str]]]:
+    """Decisions of the runs on each anchor set, shape (runs, T, d), and
+    each run's solver tags.  ``chained`` flags the runs whose windows chain
+    (``afhc``); the others are anchored.
 
-    The distinct windows of all runs are one ``solve_batch`` call, each
-    solved exactly as ``solve_segment`` solves it alone; a window that
-    several runs share (the phases of ``sfhc``, ``dsfhc`` and ``rsfhc-a`` at
-    one w) is solved once.  Each window's points, then its right anchor,
-    are written straight into its runs' rows."""
+    The runs are solved in steps, one ``solve_batch`` call each.  Step 0
+    holds every distinct anchored window, each solved exactly as
+    ``solve_segment`` solves it alone (a window that several runs share,
+    such as the phases of ``sfhc``, ``dsfhc`` and ``rsfhc-a`` at one w, is
+    solved once), and the first window of each chained run.  Step k holds
+    the k-th window of each chained run: it starts at the run's previous
+    point and has no right anchor.  Each window's points, then its right
+    anchor, are written straight into its runs' rows."""
     T = instance.horizon
     runs = [anchor_segments(anchors, T) for anchors in anchor_sets]
-    windows = list(dict.fromkeys(seg for segments in runs for seg in segments))
-    problems = [build_window(instance, a, b) for a, b in windows]
-    solved = dict(zip(windows, zip(problems, solver.solve_batch(problems))))
-    points = np.empty((len(anchor_sets), T, instance.dim))
-    tags = [set() for _ in anchor_sets]
-    for run, segments, run_tags in zip(points, runs, tags):
-        for a, b in segments:
-            problem, sol = solved[a, b]
-            run[a:a + problem.free_count] = sol.free_points
-            if problem.right_anchor is not None:
-                run[b - 1] = problem.right_anchor
-            run_tags.add(sol.solver_tag)
+    chained = [False] * len(runs) if chained is None else list(chained)
+    anchored = list(dict.fromkeys(seg for segments, c in zip(runs, chained) if not c
+                                  for seg in segments))
+    points = np.empty((len(runs), T, instance.dim))
+    tags = [set() for _ in runs]
+
+    def write(r: int, problem, sol):
+        points[r, problem.tau1:problem.tau1 + problem.free_count] = sol.free_points
+        if problem.right_anchor is not None:
+            points[r, problem.tau2 - 1] = problem.right_anchor
+        tags[r].add(sol.solver_tag)
+
+    solved = {}
+    steps = max((len(segments) for segments, c in zip(runs, chained) if c), default=1)
+    for k in range(steps):
+        keys = anchored if k == 0 else []
+        step = [(r, *segments[k]) for r, (segments, c) in enumerate(zip(runs, chained))
+                if c and k < len(segments)]
+        problems = [build_window(instance, a, b) for a, b in keys] + [
+            WindowProblem(a, b, points[r, a - 1] if a else instance.start, None,
+                          tuple(instance.hitting[a:min(b, T)]), instance.movement)
+            for r, a, b in step]
+        pairs = list(zip(problems, solver.solve_batch(problems)))
+        solved.update(zip(keys, pairs))
+        for (r, _, _), pair in zip(step, pairs[len(keys):]):
+            write(r, *pair)
+    for r, segments in enumerate(runs):
+        for seg in () if chained[r] else segments:
+            write(r, *solved[seg])
     return points, tags
 
 

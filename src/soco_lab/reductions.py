@@ -64,11 +64,7 @@ class ConvexBody:
         if self.contains(p, tol=0.0):
             return as_point(p)
         d = self.data
-        if self.variant == "halfspace":
-            a = d["a"]
-            gap = (float(a @ p) - d["b"]) / float(a @ a)
-            return as_point(p - gap * a)
-        if self.variant == "hyperplane":
+        if self.variant in ("halfspace", "hyperplane"):
             a = d["a"]
             gap = (float(a @ p) - d["b"]) / float(a @ a)
             return as_point(p - gap * a)

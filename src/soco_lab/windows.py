@@ -417,16 +417,17 @@ class _GridEval:
         return table
 
     def transition(self, movement: MovementCost, grid: Grid) -> np.ndarray | None:
-        """Dense transition matrix, or None when it would not fit."""
+        """Dense transition matrix, or None when it would not fit.  Kept
+        under the movement object, which hashes by identity and is held by
+        the key, as the stage memo and the cost tables are."""
         if grid.size * grid.size > _DENSE_TRANSITION_LIMIT:
             return None
-        key = (id(movement), movement.kind, grid)
+        key = (movement, grid)
         mat = self._moves.get(key)
         if mat is None:
             pts = grid.points()
-            mat = (movement, movement.pairwise(pts, pts))
-            self._moves[key] = mat
-        return mat[1]
+            mat = self._moves[key] = movement.pairwise(pts, pts)
+        return mat
 
     def stages(self, batch: list[WindowProblem], lefts: np.ndarray,
                grid: Grid) -> list[list[tuple]]:

@@ -97,12 +97,13 @@ def test_oblivious_game_equals_fixed_instance_run():
     assert np.allclose(transcript.learner_points, offline.points)
 
 
-@pytest.mark.parametrize("w", [4, 6])
+@pytest.mark.parametrize("w", [4, 6, 9])
 @pytest.mark.parametrize("name", ["dsfhc", "rsfhc-b"])
 def test_online_learner_equals_offline_run(name, w):
     # against a fixed cost sequence the online learner makes the offline
     # run's decisions; rsfhc-b draws its anchors from the learner seed that
-    # play_semi_adaptive derives from the game rng
+    # play_semi_adaptive derives from the game rng.  At w = 9 numpy sums a
+    # lone (w, 1) column pairwise, in another order than the offline mean
     sh = shell(T=23)
     for seed in range(3):
         inst = generate_oblivious_instance(StronglyConvex(2.0), RandomWalk(0.5), 23, 1,

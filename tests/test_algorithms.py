@@ -22,7 +22,6 @@ from soco_lab import (
     padded_movement,
     rsfhc_a_expected_cost,
     run_afhc,
-    run_afhc_many,
     run_dsfhc,
     run_greedy,
     run_rsfhc_a,
@@ -33,6 +32,7 @@ from soco_lab import (
     solver_for,
 )
 from soco_lab.algorithms import (
+    afhc_plan,
     dsfhc_plan,
     rsfhc_a_plan,
     rsfhc_b_plan,
@@ -415,25 +415,28 @@ def test_afhc_lockstep_equals_each_w_alone(case, ws):
     # the chains of every w advance together, one batch per step, on one
     # solver; each w still gets its per-phase chained run, bit for bit
     inst = batched_caller_instance(case)
-    runs = run_afhc_many(inst, ws, solver_for(inst))
+    plans = [afhc_plan(w, inst.horizon) for w in ws]
+    runs = [plan.trajectory(inst, points)
+            for plan, points in zip(plans, solve_plans(inst, plans, solver_for(inst)))]
     assert len(runs) == len(ws)
     for w, got in zip(ws, runs):
         ref = afhc_per_phase_reference(inst, w, solver_for(inst))
         assert np.array_equal(got.points, ref.points) and got.total == ref.total
     with pytest.raises(ValueError, match="w must be >= 1"):
-        run_afhc_many(inst, [2, 0])
-    assert run_afhc_many(inst, []) == []
+        [afhc_plan(w, inst.horizon) for w in [2, 0]]
+    assert solve_plans(inst, []) == []
 
 
 @pytest.mark.parametrize("case", sorted(BATCHED_CALLER_CASES))
 def test_plans_solved_together_equal_each_alone(case):
-    # the plans of many rows, some sharing windows, solved as one batch:
-    # each plan's runs are its runs solved alone, bit for bit
+    # the plans of many rows, some sharing windows and some chained, solved
+    # as one batch: each plan's runs are its runs solved alone, bit for bit
     inst = batched_caller_instance(case)
     T = inst.horizon
     rng = np.random.default_rng(4)
     plans = [sfhc_plan(2, 0, T), dsfhc_plan(2, T), dsfhc_plan(5, T), sfhc_plan(3, 1, T),
-             rsfhc_b_plan(6, T, rng), subroutine_mean_plan(4, T), rsfhc_a_plan(4, T, rng)]
+             rsfhc_b_plan(6, T, rng), subroutine_mean_plan(4, T), rsfhc_a_plan(4, T, rng),
+             afhc_plan(3, T), afhc_plan(5, T)]
     together = solve_plans(inst, plans, solver_for(inst))
     for plan, got in zip(plans, together):
         alone = solve_plans(inst, [plan], solver_for(inst))[0]

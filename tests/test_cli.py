@@ -277,3 +277,40 @@ def test_parser_is_built_once_and_parses_alike(capsys):
     assert first["seed"] == 3 and first["out"] is None and first["format"] == "csv"
     assert vars(build_parser().parse_args(["sweep", "--config", "c", "--out", "o"]))[
         "format"] == "csv"
+
+
+# (command, reason): a flag value out of its range; each used to print a
+# traceback and exit 1, and --seeds 0 printed NaN and exited 0
+BAD_FLAGS = [
+    (["oracle", "--grid-n", "1"], "--grid-n must be at least 2, not 1"),
+    (["oracle", "--grid-lo", "1", "--grid-hi", "1"], "--grid-lo must be below --grid-hi"),
+    (["oracle", "--grid-lo", "2", "--grid-hi", "-2"], "--grid-lo must be below --grid-hi"),
+    (["oracle", "--grid-lo", "0.7", "--grid-hi", "3"],
+     "--grid-lo and --grid-hi must cover the start point and every minimizer: "
+     "point coordinate 0.0 outside grid range [0.7, 3.0]"),
+    (["oracle", "--method", "grid", "--grid-lo", "-2", "--grid-hi", "1.2"],
+     "--grid-lo and --grid-hi must cover the start point and every minimizer: "
+     "point coordinate 1.5 outside grid range [-2.0, 1.2]"),
+    (["game", "--w", "0"], "--w must be at least 1, not 0"),
+    (["game", "--T", "0"], "--T must be at least 1, not 0"),
+    (["game", "--T", "4"], "--T must be at least --w - 1 = 5, not 4"),
+    (["game", "--learner", "sfhc", "--phase", "7", "--w", "6"],
+     "--phase must be in 0..5 for --w 6, not 7"),
+    (["game", "--learner", "sfhc", "--phase", "-1"], "--phase must be in 0..5 for --w 6"),
+    (["game", "--w", "3"], "--learner rsfhc-b needs --w of at least 4, not 3"),
+    (["game", "--seeds", "0"], "--seeds must be at least 1, not 0"),
+    (["game", "--inflation", "0.5"], "--inflation must be at least 1, not 0.5"),
+    (["verify-conditions", "--samples", "0"], "--samples must be at least 1, not 0"),
+    (["verify-conditions", "--radius", "0"], "--radius must be positive, not 0.0"),
+]
+
+
+@pytest.mark.parametrize("command, reason", BAD_FLAGS)
+def test_cli_bad_flag_value_exits_two_on_one_line(quad_instance_file, capsys, command,
+                                                  reason):
+    if command[0] != "game":
+        command = command + ["--instance", str(quad_instance_file)]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"soco-lab: error: {reason}")
+    assert captured.err.count("\n") == 1 and captured.out == ""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -166,6 +167,42 @@ def test_unknown_name_or_shape_rejected_at_load(where, key, value, message):
         ExperimentConfig.from_dict(config)
 
 
+# (where, key, value, message): a count that is not a JSON integer, an
+# empty list of them, or a seed count below 1; each used to run, truncated
+# (w 2.7 ran as w = 2, T 6.9 as T = 6), coerced (w true ran as w = 1, "3"
+# as 3) or with no rows at all (count -2)
+BAD_COUNTS = [
+    (("algorithms", 1), "w", 2.7,
+     r"key 'w' in algorithms\[1\] must be a JSON integer, not 2\.7$"),
+    (("algorithms", 1), "w", [2, True],
+     r"entry 1 of key 'w' in algorithms\[1\] must be a JSON integer, not true$"),
+    (("algorithms", 1), "w", "3", r"key 'w' in algorithms\[1\] must be a JSON integer, not \"3\"$"),
+    (("algorithms", 1), "w", [], r"key 'w' in algorithms\[1\] must not be an empty list$"),
+    (("algorithms", 1), "w", [4.0], r"entry 0 of key 'w' in algorithms\[1\] must be a JSON integer"),
+    (("instances", 0, "generate"), "T", 6.9,
+     r"key 'T' in instances\[0\]\.generate must be a JSON integer, not 6\.9$"),
+    (("instances", 0, "generate"), "T", "6", r"key 'T' in instances\[0\]\.generate must be"),
+    (("instances", 0, "generate"), "d", True,
+     r"key 'd' in instances\[0\]\.generate must be a JSON integer, not true$"),
+    (("seeds",), "count", -2, r"key 'count' in seeds must be at least 1, not -2$"),
+    (("seeds",), "count", 0, r"key 'count' in seeds must be at least 1, not 0$"),
+    (("seeds",), "count", 2.5, r"key 'count' in seeds must be a JSON integer, not 2\.5$"),
+    (("seeds",), "master", "3", r"key 'master' in seeds must be a JSON integer, not \"3\"$"),
+    ((), "seeds", [], r"key 'seeds' in config must not be an empty list$"),
+    ((), "seeds", [1, 2.0], r"entry 1 of key 'seeds' in config must be a JSON integer, not 2\.0$"),
+    ((), "seeds", [False], r"entry 0 of key 'seeds' in config must be a JSON integer, not false$"),
+    ((), "seeds", 5, r"key 'seeds' in config must be a JSON list or object, not 5$"),
+]
+
+
+@pytest.mark.parametrize("where, key, value, message", BAD_COUNTS)
+def test_non_integer_count_rejected_at_load(where, key, value, message):
+    config = schema_config()
+    at(config, *where)[key] = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(config)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda spec: spec.pop("x0"), r"missing required key 'x0' in instances\[0\]\.instance$"),
     (lambda spec: spec.update(horizon=3), r"unknown key 'horizon' in instances\[0\]\.instance;"),
@@ -205,7 +242,7 @@ def test_empty_instances_empty_rows():
 
 
 def test_single_greedy_run_bounded_by_four():
-    config = quad_config(seeds=(3,), ws=())
+    config = quad_config(seeds=(3,))
     config.algorithms = [{"name": "greedy"}]
     rows, summary = run_suite(config)
     assert len(rows) == 1
@@ -500,8 +537,8 @@ def reference_row(spec, algorithm, w, seed, config) -> ResultRow:
        st.permutations(sorted(BOUNDS)),
        st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=2))
 def test_rows_equal_each_row_computed_alone(case, T, ws, checks, seeds):
-    # every anchored row of one (instance, seed) is solved in one batch, the
-    # afhc rows in lockstep and the oracle on the shared solver; each row
+    # every row of one (instance, seed) is solved in one planned solve, the
+    # afhc chains in lockstep, and the oracle on the shared solver; each row
     # must still be the row computed alone, bit for bit, failures included
     # (rsfhc-b at w = 3 cannot draw its anchors and fails alone).  Every
     # bound check runs, in a drawn order, so a row takes the first that
@@ -565,8 +602,9 @@ def work_gate_config(family, params, seed):
 ])
 def test_work_per_instance_and_seed(monkeypatch, family, params):
     # the work of one (instance, seed) is deterministic, so it is gated
-    # exactly: one batch for every anchored row, one per step of the
-    # longest afhc chain, and a pinned number of min-plus calls
+    # exactly: one batch per step of the longest afhc chain, the first of
+    # which also holds every anchored window, and a pinned number of
+    # min-plus calls
     longest = max(len(anchor_segments(AnchorSet.phase(h, w, 40), 40))
                   for w in (2, 4, 6) for h in range(w))
     assert longest == 21
@@ -577,27 +615,23 @@ def test_work_per_instance_and_seed(monkeypatch, family, params):
         rows, summary = run_suite(work_gate_config(family, params, seed))
         monkeypatch.undo()
         assert len(rows) == 16 and summary["failures"] == 1   # rsfhc-b at w = 2
-        assert counts == {"solve_batch": 1 + longest, "minplus": minplus}
+        assert counts == {"solve_batch": longest, "minplus": minplus}
 
 
 def test_failed_joint_solve_fails_only_the_rows_that_fail_alone(monkeypatch):
     # a joint solve that raises is redone row by row, so only the rows that
     # raise alone fail, each with its own error; the others are unchanged
     clean, _ = run_suite(lattice_config())
-    solve_plans, run_afhc_many = harness.algs.solve_plans, harness.algs.run_afhc_many
+    solve_plans = harness.algs.solve_plans
 
     def failing_plans(instance, plans, solver=None):
-        if any(plan.combine == "mean_points" for plan in plans):
+        if any(plan.combine == "mean_points" and not plan.chained for plan in plans):
             raise RuntimeError("dsfhc window failed")
+        if any(plan.chained and len(plan.anchor_sets) == 3 for plan in plans):
+            raise RuntimeError("afhc chain failed")
         return solve_plans(instance, plans, solver)
 
-    def failing_afhc(instance, ws, solver=None):
-        if 3 in ws:
-            raise RuntimeError("afhc chain failed")
-        return run_afhc_many(instance, ws, solver)
-
     monkeypatch.setattr(harness.algs, "solve_plans", failing_plans)
-    monkeypatch.setattr(harness.algs, "run_afhc_many", failing_afhc)
     rows, summary = run_suite(lattice_config())
     failed = {(r.algorithm, r.w): r.error for r in rows if r.error}
     assert failed == {("dsfhc", 2): "RuntimeError: dsfhc window failed",
@@ -606,3 +640,55 @@ def test_failed_joint_solve_fails_only_the_rows_that_fail_alone(monkeypatch):
                       ("afhc", 3): "RuntimeError: afhc chain failed"}
     assert [r for r in rows if not r.error] == [r for r in clean
                                                 if (r.algorithm, r.w) not in failed]
+
+
+# ---------------------------------------------------------------------------
+# Byte-identity pin for lattice rows
+# ---------------------------------------------------------------------------
+
+#: (family, params, d) of each instance of ``lattice_pin_config``.
+LATTICE_PIN_FAMILIES = [
+    ("polyhedral", {"alpha": 1.3, "p": 1}, 1),
+    ("glb", {"e0": [1.0], "beta": [2.0], "mu": [3.0]}, 1),
+    ("ripple", {"m": 2.0, "eps": 0.3, "k": 2.0}, 1),
+    ("strongly_convex", {"m": 2.0}, 1),
+    ("glb", {"e0": [1.0, 0.5], "beta": [2.0, 1.0], "mu": [3.0, 2.5]}, 2),
+]
+
+
+def lattice_pin_config():
+    """Every algorithm on four 1-D families and 2-D ``glb`` at T = 40.  The
+    check order makes ``dsfhc`` score the mean of its phase points,
+    ``rsfhc-a`` the mean of its phase costs and ``sfhc`` its one run."""
+    return {
+        "instances": [{"id": f"{family}-{d}d", "generate": {
+            "family": family, "params": params, "T": 40, "d": d,
+            "path": {"model": "random_walk", "step": 0.5}}}
+            for family, params, d in LATTICE_PIN_FAMILIES],
+        "algorithms": [{"name": "greedy"}, {"name": "sfhc", "w": [2, 4, 6]},
+                       {"name": "dsfhc", "w": [2, 4, 6]},
+                       {"name": "rsfhc-a", "w": [2, 4, 6]},
+                       {"name": "rsfhc-b", "w": [4, 6]},
+                       {"name": "afhc", "w": [2, 4, 6]}],
+        "seeds": [1301, 7],
+        "checks": ["prediction_bound", "subroutine_average_bound", "greedy_bound",
+                   "semi_adaptive_bound"],
+    }
+
+
+#: sha256 of the CSV and of the summary JSON that ``sweep_and_report``
+#: writes for ``lattice_pin_config``.  A change to these bytes must be
+#: explained to the last ulp before the values here are updated.
+LATTICE_PIN_SHA256 = (
+    "2796544abf2c1d7b9e086d5372f0f24ab317d00f296629a59bf715a24d73d766",
+    "e30ddfc3467a44587c7d2e065a5da710937d0acba6792ac92f4d79d06d422e0e",
+)
+
+
+def test_lattice_rows_are_byte_stable(tmp_path):
+    out = tmp_path / "rows.csv"
+    _, summary = sweep_and_report(ExperimentConfig.from_dict(lattice_pin_config()), str(out))
+    assert summary["rows"] == 5 * 2 * 15 and summary["failures"] == 0, summary["errors"]
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, tmp_path / "rows.summary.json"))
+    assert digests == LATTICE_PIN_SHA256
