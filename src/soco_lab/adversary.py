@@ -7,14 +7,14 @@ point, and a quantized observation of that decision is disclosed back to
 the adversary.  The adversary can therefore adapt future costs to the
 learner's past, but never to decisions it has not yet seen.
 
-The anchored learners play a plan of ``algorithms`` (``sfhc_plan``,
-``rsfhc_b_plan`` or ``dsfhc_plan``), drawn at reset.  When a window's first
-timestep arrives, each run's window is solved with ``oracle.solve_segment``
-on the costs revealed so far, and the learner plays its run, or the
-pointwise mean of its runs: against an oblivious adversary an online run
-equals the offline run of ``algorithms``.  Their window solver has no
-lattice, so a shell whose windows are not quadratic raises
-``UnsupportedProblemError``.
+The learners play a plan of ``algorithms`` (``sfhc_plan``, at w = 1 for
+greedy, ``rsfhc_b_plan`` or ``dsfhc_plan``), drawn at reset.  When a
+window's first timestep arrives, each run's window is solved with
+``oracle.solve_segment`` on the costs revealed so far, or written if it is
+an anchor alone, and the learner plays its run, or the pointwise mean of
+its runs: against an oblivious adversary an online run equals the offline
+run of ``algorithms``.  Their window solver has no lattice, so a shell
+whose windows are not quadratic raises ``UnsupportedProblemError``.
 
 Also here: oblivious instance generators, a phase-tracking "spike" stress
 policy, Monte Carlo estimates of randomized-anchor hit probabilities, and
@@ -144,6 +144,9 @@ class _PlannedLearner:
     def decide(self, t: int, costs: Sequence[HittingCost]) -> np.ndarray:
         shell = self.shell
         for r, a, b in self._windows.get(t, ()):
+            if b == a + 1 <= shell.horizon:   # no free timestep: the anchor
+                self._runs[r, a] = costs[a].minimizer
+                continue
             cap = min(b, shell.horizon)
             revealed = Instance(shell.dim, cap, shell.start, tuple(costs[:cap]),
                                 shell.movement)
@@ -155,12 +158,11 @@ class _PlannedLearner:
         return self._runs.mean(axis=0)[t - 1]
 
 
-class GreedyLearner:
-    def reset(self, shell, w, rng=None):
-        pass
+class GreedyLearner(_PlannedLearner):
+    """Plays each revealed minimizer: ``sfhc`` at w = 1, whatever the w."""
 
-    def decide(self, t, costs):
-        return costs[t - 1].minimizer
+    def plan(self, w, T, rng):
+        return sfhc_plan(1, 0, T)
 
 
 class SfhcLearner(_PlannedLearner):
@@ -360,19 +362,18 @@ class SpikeAdversary:
     oblivious spike generator.
     """
 
-    def __init__(self, quantization_bins: int, inflation: float, *,
-                 base_step: float = 0.1, amplitude: float = 1.0):
+    BASE_STEP, AMPLITUDE = 0.1, 1.0   # the base path's walk step, the spike size
+
+    def __init__(self, quantization_bins: int, inflation: float):
         if inflation < 1:
             raise ValueError("inflation factor must be >= 1")
         self.bins = quantization_bins
         self.inflation = inflation
-        self.base_step = base_step
-        self.amplitude = amplitude
 
     def reset(self, shell: GameShell, w, rng, psi=None):
         self.shell, self.w, self.rng = shell, w, rng
         if psi is None:
-            span = 4.0 * max(self.amplitude, 1.0) * max(self.inflation, 1.0)
+            span = 4.0 * max(self.AMPLITUDE, 1.0) * max(self.inflation, 1.0)
             grid = Grid.make(-span, span, self.bins, dim=shell.dim)
             psi = grid_quantizer(grid)
         self.psi = psi
@@ -384,7 +385,7 @@ class SpikeAdversary:
         self._last_commit = np.asarray(shell.start, dtype=float).copy()
 
     def _design(self, t: int):
-        self.base = self.base + self.base_step * self.rng.standard_normal(self.shell.dim)
+        self.base = self.base + self.BASE_STEP * self.rng.standard_normal(self.shell.dim)
         scale = 1.0
         if self.counts.max() >= 2 and t % self.w == int(np.argmax(self.counts)):
             scale = self.inflation
@@ -392,7 +393,7 @@ class SpikeAdversary:
         # alternate the displacement sign so interior (non-anchored) decisions
         # smooth between minimizers and stay distinguishable from them
         v = self.base.copy()
-        v[0] += self.amplitude * scale * (1.0 if t % 2 == 0 else -1.0)
+        v[0] += self.AMPLITUDE * scale * (1.0 if t % 2 == 0 else -1.0)
         self.minimizers[t] = v
         m = self.m
         commit = (m * v + self._last_commit) / (m + 1.0)
@@ -416,9 +417,9 @@ class SpikeAdversary:
             self.counts[tau % self.w] += 1
 
 
-def spike_adversary(quantization_bins: int, inflation: float, **kwargs) -> SpikeAdversary:
+def spike_adversary(quantization_bins: int, inflation: float) -> SpikeAdversary:
     """Phase-tracking stress policy for the commit-reveal game."""
-    return SpikeAdversary(quantization_bins, inflation, **kwargs)
+    return SpikeAdversary(quantization_bins, inflation)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,8 @@ def _cmd_game(args) -> int:
         raise _InputError(f"--T must be at least --w - 1 = {args.w - 1}, not {args.T}")
     _at_least("--seeds", args.seeds, 1)
     _at_least("--inflation", args.inflation, 1)
+    if args.m <= 0:
+        raise _InputError(f"--m must be positive, not {args.m}")
     if args.learner == "sfhc" and not 0 <= args.phase < args.w:
         raise _InputError(f"--phase must be in 0..{args.w - 1} for --w {args.w}, "
                           f"not {args.phase}")
@@ -181,6 +183,7 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _at_least("--w", args.w, 1)
     if args.mode == "duplicate":
         instance = _load(args.instance, cbc_from_spec)
         reduced = duplicate_cbc_instance(instance, args.w)

@@ -23,9 +23,9 @@ seed count.
 README's "Experiment config" lists them, and the instance schema those of
 an inline instance): any other key, a missing required key, an unknown
 family, family parameter, path model, algorithm, bound check or oracle
-method, and a count (``T``, ``d``, ``w``, a seed) that is not a JSON
-integer raises ValueError naming it and where it sits.  Families are
-named in ``families.FAMILIES``, algorithms in ``ALGORITHMS``.
+method, a count (``T``, ``d``, ``w``, a seed) that is not a JSON integer
+and a greedy ``w`` but 1 raise ValueError naming it and where it sits.
+Families are named in ``families.FAMILIES``, algorithms in ``ALGORITHMS``.
 """
 
 from __future__ import annotations
@@ -273,8 +273,9 @@ class ExperimentConfig:
             where = f"algorithms[{i}]"
             _keys(spec, where, ("name", "w"), ("name",))
             _known(spec["name"], ALGORITHMS, "algorithm", where)
-            if "w" in spec:
-                _integers(spec["w"], "w", where)
+            ws = _integers(spec["w"], "w", where) if "w" in spec else [1]
+            if spec["name"] == "greedy" and set(ws) != {1}:
+                raise ValueError(f"key 'w' in {where} must be 1 for greedy, not {spec['w']}")
         seeds = raw.get("seeds", [0])
         if isinstance(seeds, dict):
             _keys(seeds, "seeds", ("master", "count"), ("count",))

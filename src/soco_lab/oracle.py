@@ -13,18 +13,18 @@ segments between anchors, which anchors decouple.  Reported costs always
 re-evaluate the reported trajectory, so they are attained, not just
 claimed.
 
-``anchor_segments`` is the one place anchors become windows.  The offline
-runs of ``algorithms`` solve their windows in steps (``solve_segments``,
-also behind ``constrained_offline``): step 0 is one batch of every
-anchored window and the first window of each chained (``afhc``) run, and
-step k the k-th window of each chained run, which starts at the point the
-run reached.  The harness solves every run of one (instance, seed), of all
-its algorithms and w, as one call.  The online learners of ``adversary``
-solve one window at a time with ``solve_segment`` on the costs revealed
-so far.  Both return the same decisions for a window, since a batch equals
-each of its windows solved alone, bit for bit, so an online run and its
-offline counterpart are the same computation.  The learners' solver has
-no lattice, so they solve quadratic windows only.
+``anchor_segments`` is the one place anchors become windows; the decision
+at an anchor, its minimizer, is written, never solved.  The offline runs of
+``algorithms`` solve their windows with a free timestep in steps
+(``solve_segments``, also behind ``constrained_offline``): step 0 is one
+batch of every anchored window and the first window of each chained
+(``afhc``) run, and step k the k-th window of each chained run, which
+starts at the point the run reached.  The harness solves every run of one
+(instance, seed) as one call.  The online learners of ``adversary`` solve
+one window at a time with ``solve_segment`` on the costs revealed so far,
+and get the same decisions, since a batch equals each of its windows
+solved alone, bit for bit.  The learners' solver has no lattice, so they
+solve quadratic windows only.
 """
 
 from __future__ import annotations
@@ -121,40 +121,40 @@ def anchor_segments(anchors, T: int) -> list[tuple[int, int]]:
 def solve_segment(instance: Instance, a: int, b: int,
                   solver: WindowSolver) -> tuple[str, np.ndarray]:
     """Solver tag and decisions for timesteps a+1 .. min(b, T) of the window
-    (a, b]: the solved interior, then the anchor v_b when b <= T."""
-    problem = build_window(instance, a, b)
-    sol = solver(problem)
-    if problem.right_anchor is None:
-        return sol.solver_tag, sol.free_points
-    return sol.solver_tag, np.vstack([sol.free_points, problem.right_anchor])
+    (a, b]: the solved interior, then the anchor v_b when b <= T.  A window
+    (a, a+1] with a < T is its anchor alone, tagged ``anchors``, unsolved."""
+    anchor = [cost.minimizer for cost in instance.hitting[b - 1:b]]   # v_b, if b <= T
+    if b == a + 1 <= instance.horizon:
+        return "anchors", np.vstack(anchor)
+    sol = solver(build_window(instance, a, b))
+    return sol.solver_tag, np.vstack([sol.free_points, *anchor])
 
 
 def solve_segments(instance: Instance, anchor_sets, solver: WindowSolver,
                    chained=None) -> tuple[np.ndarray, list[set[str]]]:
     """Decisions of the runs on each anchor set, shape (runs, T, d), and
-    each run's solver tags.  ``chained`` flags the runs whose windows chain
-    (``afhc``); the others are anchored.
+    each run's solver tags (none if it solved no window).  ``chained`` flags
+    the runs whose windows chain (``afhc``); the others are anchored.
 
-    The runs are solved in steps, one ``solve_batch`` call each.  Step 0
-    holds every distinct anchored window, each solved exactly as
-    ``solve_segment`` solves it alone (a window that several runs share,
-    such as the phases of ``sfhc``, ``dsfhc`` and ``rsfhc-a`` at one w, is
-    solved once), and the first window of each chained run.  Step k holds
-    the k-th window of each chained run: it starts at the run's previous
-    point and has no right anchor.  Each window's points, then its right
-    anchor, are written straight into its runs' rows."""
+    Every run starts as the minimizers, which puts each anchor in place.
+    Windows with a free timestep are then solved in steps, one
+    ``solve_batch`` call each.  Step 0 holds every distinct anchored window
+    (a, b] with b > a + 1, each solved exactly as ``solve_segment`` solves
+    it alone (a window that several runs share, as the phases of ``sfhc``,
+    ``dsfhc`` and ``rsfhc-a`` at one w, is solved once), and the first
+    window of each chained run.  Step k holds the k-th window of each
+    chained run: it starts at the run's previous point and has no right
+    anchor.  Free points go straight into their runs' rows."""
     T = instance.horizon
     runs = [anchor_segments(anchors, T) for anchors in anchor_sets]
     chained = [False] * len(runs) if chained is None else list(chained)
     anchored = list(dict.fromkeys(seg for segments, c in zip(runs, chained) if not c
-                                  for seg in segments))
-    points = np.empty((len(runs), T, instance.dim))
+                                  for seg in segments if seg[1] - seg[0] > 1))
+    points = np.repeat(instance.minimizers()[None], len(runs), axis=0)   # anchors in place
     tags = [set() for _ in runs]
 
     def write(r: int, problem, sol):
         points[r, problem.tau1:problem.tau1 + problem.free_count] = sol.free_points
-        if problem.right_anchor is not None:
-            points[r, problem.tau2 - 1] = problem.right_anchor
         tags[r].add(sol.solver_tag)
 
     solved = {}
@@ -167,13 +167,14 @@ def solve_segments(instance: Instance, anchor_sets, solver: WindowSolver,
             WindowProblem(a, b, points[r, a - 1] if a else instance.start, None,
                           tuple(instance.hitting[a:min(b, T)]), instance.movement)
             for r, a, b in step]
-        pairs = list(zip(problems, solver.solve_batch(problems)))
+        pairs = list(zip(problems, solver.solve_batch(problems) if problems else []))
         solved.update(zip(keys, pairs))
         for (r, _, _), pair in zip(step, pairs[len(keys):]):
             write(r, *pair)
     for r, segments in enumerate(runs):
         for seg in () if chained[r] else segments:
-            write(r, *solved[seg])
+            if seg in solved:
+                write(r, *solved[seg])
     return points, tags
 
 
@@ -182,9 +183,11 @@ def constrained_offline(instance: Instance, anchors,
     """Optimum of the total cost subject to x_t = v_t at every anchor t >= 1.
 
     The inter-anchor windows are solved independently (anchors decouple
-    them), as one batch.  Anchor gaps of 1 are permitted.
+    them), as one batch.  Anchor gaps of 1 are permitted.  The method is
+    the windows' one solver tag, ``mixed`` for several, ``anchors`` for none.
     """
     solver = solver or solver_for(instance)
     points, (tags,) = solve_segments(instance, [anchors], solver)
     traj = evaluate_total_cost(instance, points[0])
-    return OracleResult(traj.total, traj, tags.pop() if len(tags) == 1 else "mixed")
+    method = "mixed" if len(tags) > 1 else min(tags, default="anchors")
+    return OracleResult(traj.total, traj, method)

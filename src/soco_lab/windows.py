@@ -494,31 +494,20 @@ class _GridEval:
         prices = _axis_prices(movement, grid.dim)
         if prices is not None:
             return _separable_minplus(value, grid, prices)
-        cols = value.reshape(grid.size, -1)
+        trans, pts, G = self.transition(movement, grid), grid.points(), grid.size
+        cols = value.reshape(G, -1)
         best, arg = np.empty(cols.shape), np.empty(cols.shape, dtype=np.int64)
-        for b in range(cols.shape[1]):
-            best[:, b], arg[:, b] = self._dense_minplus(cols[:, b], movement, grid)
+        # row blocks: the cached matrix is one of all G rows, else the
+        # (block, G, d) differences ``pairwise`` makes stay within the limit
+        block = G if trans is not None else max(1, _DENSE_TRANSITION_LIMIT // (G * grid.dim))
+        for start in range(0, G, block):
+            rows = slice(start, min(start + block, G))
+            moves = trans if trans is not None else movement.pairwise(pts[rows], pts)
+            for b in range(cols.shape[1]):
+                step = moves + cols[:, b]
+                arg[rows, b] = np.argmin(step, axis=1)
+                best[rows, b] = step[np.arange(step.shape[0]), arg[rows, b]]
         return best.reshape(value.shape), arg.reshape(value.shape)
-
-    def _dense_minplus(self, value: np.ndarray, movement: MovementCost,
-                       grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        trans = self.transition(movement, grid)
-        pts = grid.points()
-        if trans is not None:
-            step = trans + value[None, :]
-            arg = np.argmin(step, axis=1)
-            return step[np.arange(grid.size), arg], arg
-        # rows per block: the (block, G, d) differences ``pairwise`` makes
-        # stay within the limit
-        block = max(1, _DENSE_TRANSITION_LIMIT // (grid.size * grid.dim))
-        best = np.empty(grid.size)
-        arg = np.empty(grid.size, dtype=np.int64)
-        for start in range(0, grid.size, block):
-            stop = min(start + block, grid.size)
-            step = movement.pairwise(pts[start:stop], pts) + value[None, :]
-            arg[start:stop] = np.argmin(step, axis=1)
-            best[start:stop] = step[np.arange(stop - start), arg[start:stop]]
-        return best, arg
 
 
 def _split_moves(problem: WindowProblem) -> tuple[MovementCost, ...] | None:

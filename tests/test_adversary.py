@@ -39,8 +39,8 @@ from soco_lab.adversary import (
     ProtocolError,
     sample_anchor_hits,
 )
-from soco_lab.model import HittingCost, as_point
-from soco_lab.windows import UnsupportedProblemError
+from soco_lab.model import HittingCost, Instance, as_point
+from soco_lab.windows import UnsupportedProblemError, WindowSolver
 
 
 def shell(T=30, m=2.0):
@@ -98,17 +98,20 @@ def test_oblivious_game_equals_fixed_instance_run():
 
 
 @pytest.mark.parametrize("w", [4, 6, 9])
-@pytest.mark.parametrize("name", ["dsfhc", "rsfhc-b"])
+@pytest.mark.parametrize("name", ["greedy", "dsfhc", "rsfhc-b"])
 def test_online_learner_equals_offline_run(name, w):
     # against a fixed cost sequence the online learner makes the offline
     # run's decisions; rsfhc-b draws its anchors from the learner seed that
     # play_semi_adaptive derives from the game rng.  At w = 9 numpy sums a
-    # lone (w, 1) column pairwise, in another order than the offline mean
+    # lone (w, 1) column pairwise, in another order than the offline mean.
+    # Greedy plays sfhc at w = 1 whatever the game's w
     sh = shell(T=23)
     for seed in range(3):
         inst = generate_oblivious_instance(StronglyConvex(2.0), RandomWalk(0.5), 23, 1,
                                            np.random.default_rng(100 + seed))
-        if name == "dsfhc":
+        if name == "greedy":
+            learner, offline = GreedyLearner(), run_greedy(inst)
+        elif name == "dsfhc":
             learner, offline = DsfhcLearner(), run_dsfhc(inst, w)
         else:
             seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=3)
@@ -118,6 +121,33 @@ def test_online_learner_equals_offline_run(name, w):
                                         np.random.default_rng(seed))
         assert np.array_equal(transcript.learner_points, offline.points)
         assert transcript.learner_cost == offline.total
+
+
+@pytest.mark.parametrize("family", ["strongly_convex", "polyhedral"])
+def test_greedy_game_solves_no_window(monkeypatch, family):
+    # every greedy timestep is an anchor, the revealed minimizer: the game
+    # solves no window and builds no revealed instance per step (only the
+    # realized one at its end), so it runs on a shell no learner's solver
+    # could solve, and greedy has no decision path of its own
+    params = {"m": 2.0} if family == "strongly_convex" else {"alpha": 1.0, "p": 1}
+    family_params = StronglyConvex(2.0) if family == "strongly_convex" else Polyhedral(1.0, p=1)
+    inst = generate_oblivious_instance(family_params, RandomWalk(0.4), 20, 1,
+                                       np.random.default_rng(3))
+    sh = GameShell(1, 20, np.zeros(1), inst.movement, lam=inst.lam,
+                   family_tag=family, params=params)
+
+    def solve_batch(self, problems):
+        raise AssertionError(f"solved {len(problems)} windows")
+
+    built = []
+    monkeypatch.setattr(WindowSolver, "solve_batch", solve_batch)
+    monkeypatch.setattr("soco_lab.adversary.Instance",
+                        lambda *args, **kw: built.append(args) or Instance(*args, **kw))
+    transcript = play_semi_adaptive(GreedyLearner(), ObliviousAdversary(inst), sh, 3, PSI,
+                                    np.random.default_rng(0))
+    assert len(built) == 1
+    assert np.array_equal(transcript.learner_points, run_greedy(inst).points)
+    assert [k for k in vars(GreedyLearner) if not k.startswith("__")] == ["plan"]
 
 
 def test_planned_learner_rejects_lattice_family_game():

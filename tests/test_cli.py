@@ -280,7 +280,8 @@ def test_parser_is_built_once_and_parses_alike(capsys):
 
 
 # (command, reason): a flag value out of its range; each used to print a
-# traceback and exit 1, and --seeds 0 printed NaN and exited 0
+# traceback and exit 1, except --seeds 0, which printed NaN, and --m 0,
+# which played an all-zero game, both exiting 0
 BAD_FLAGS = [
     (["oracle", "--grid-n", "1"], "--grid-n must be at least 2, not 1"),
     (["oracle", "--grid-lo", "1", "--grid-hi", "1"], "--grid-lo must be below --grid-hi"),
@@ -302,6 +303,9 @@ BAD_FLAGS = [
     (["game", "--inflation", "0.5"], "--inflation must be at least 1, not 0.5"),
     (["verify-conditions", "--samples", "0"], "--samples must be at least 1, not 0"),
     (["verify-conditions", "--radius", "0"], "--radius must be positive, not 0.0"),
+    (["game", "--m", "0"], "--m must be positive, not 0.0"),
+    (["game", "--m", "-1", "--adversary", "oblivious"], "--m must be positive, not -1.0"),
+    (["reduce", "--mode", "duplicate", "--w", "0"], "--w must be at least 1, not 0"),
 ]
 
 

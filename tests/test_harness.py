@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -201,6 +202,19 @@ def test_non_integer_count_rejected_at_load(where, key, value, message):
     at(config, *where)[key] = value
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("w", [3, [1, 3], 0, [2]])
+def test_greedy_w_other_than_one_rejected_at_load(w):
+    # greedy is the w = 1 algorithm; a greedy w = 3 row used to run as
+    # greedy, labelled w = 3, and skip greedy_bound (bound inf)
+    config = schema_config()
+    config["algorithms"][0]["w"] = w
+    with pytest.raises(ValueError, match=r"key 'w' in algorithms\[0\] must be 1 for greedy, "
+                                         rf"not {re.escape(json.dumps(w))}$"):
+        ExperimentConfig.from_dict(config)
+    config["algorithms"][0]["w"] = [1, 1] if isinstance(w, list) else 1
+    assert ExperimentConfig.from_dict(config).algorithms[0]["name"] == "greedy"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -566,11 +580,15 @@ def test_rows_equal_each_row_computed_alone(case, T, ws, checks, seeds):
     assert any(not r.error for r in rows)
 
 
-def _counting(monkeypatch, cls, name, counts):
+def _counting(monkeypatch, cls, name, counts, items=None):
+    """Count the calls of ``cls.name``, and under ``items`` the summed
+    length of their first argument."""
     method = getattr(cls, name)
 
     def counted(self, *args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
+        if items:
+            counts[items] = counts.get(items, 0) + len(args[0])
         return method(self, *args, **kwargs)
 
     monkeypatch.setattr(cls, name, counted)
@@ -580,6 +598,12 @@ def _counting(monkeypatch, cls, name, counts):
 #: for seeds 1301 and 7.  Solved row by row, the same rows took 51 batches
 #: and 104/111 (polyhedral), 95/100 (glb) and 106/110 (ripple) calls.
 MINPLUS_CALLS = {"polyhedral": [74, 73], "glb": [70, 71], "ripple": [71, 73]}
+
+#: Windows handed to ``solve_batch`` per (instance, seed) of
+#: ``work_gate_config``, for seeds 1301 and 7 (the ``rsfhc-b`` draws
+#: differ); any family.  Solving the greedy row's T = 40 windows (k, k+1],
+#: which hold no free timestep, made them 302 and 303.
+SOLVED_WINDOWS = [262, 263]
 
 
 def work_gate_config(family, params, seed):
@@ -603,19 +627,38 @@ def work_gate_config(family, params, seed):
 def test_work_per_instance_and_seed(monkeypatch, family, params):
     # the work of one (instance, seed) is deterministic, so it is gated
     # exactly: one batch per step of the longest afhc chain, the first of
-    # which also holds every anchored window, and a pinned number of
-    # min-plus calls
+    # which also holds every anchored window with a free timestep, and a
+    # pinned number of windows and min-plus calls
     longest = max(len(anchor_segments(AnchorSet.phase(h, w, 40), 40))
                   for w in (2, 4, 6) for h in range(w))
     assert longest == 21
-    for seed, minplus in zip((1301, 7), MINPLUS_CALLS[family]):
+    for seed, minplus, solved in zip((1301, 7), MINPLUS_CALLS[family], SOLVED_WINDOWS):
         counts = {}
-        _counting(monkeypatch, windows.WindowSolver, "solve_batch", counts)
+        _counting(monkeypatch, windows.WindowSolver, "solve_batch", counts, "windows")
         _counting(monkeypatch, windows._GridEval, "minplus", counts)
         rows, summary = run_suite(work_gate_config(family, params, seed))
         monkeypatch.undo()
         assert len(rows) == 16 and summary["failures"] == 1   # rsfhc-b at w = 2
-        assert counts == {"solve_batch": longest, "minplus": minplus}
+        assert counts == {"solve_batch": longest, "windows": solved, "minplus": minplus}
+
+
+@pytest.mark.parametrize("family,params", [
+    ("polyhedral", {"alpha": 1.0, "p": 1}),
+    ("strongly_convex", {"m": 2.0}),
+])
+def test_greedy_rows_solve_no_window(monkeypatch, family, params):
+    # every timestep of a greedy run, or of an anchored run at w = 1, is an
+    # anchor, written from the minimizers: no window is solved, and each
+    # row costs what run_greedy's points cost
+    config = work_gate_config(family, params, 1301)
+    config.algorithms = [{"name": name, "w": 1} for name in ("greedy", "sfhc", "dsfhc",
+                                                             "rsfhc-a")]
+    counts = {}
+    _counting(monkeypatch, windows.WindowSolver, "solve_batch", counts)
+    rows, summary = run_suite(config)
+    assert counts == {} and summary["failures"] == 0
+    inst = harness._build_instance(config.instances[0], family, 1301)
+    assert [r.cost for r in rows] == [run_greedy(inst).total] * 4
 
 
 def test_failed_joint_solve_fails_only_the_rows_that_fail_alone(monkeypatch):

@@ -18,8 +18,10 @@ from soco_lab import (
     offline_optimal_quadratic,
     padded_movement,
     run_greedy,
+    solve_segment,
     solve_segments,
 )
+from soco_lab.model import Instance
 from soco_lab.adversary import RandomWalk, minimizer_path
 from soco_lab.reductions import CbcInstance, cbc_to_indicator_instance, interval
 
@@ -200,6 +202,43 @@ def test_constrained_gap_one_allowed():
     assert res.cost == pytest.approx(run_greedy(inst).total, rel=1e-12)
     with pytest.raises(ValueError):
         constrained_offline(inst, [0, 3, 9])  # beyond the horizon
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_INSTANCES))
+def test_anchors_are_written_not_solved(monkeypatch, family):
+    # an anchored timestep is data: its decision is the minimizer, a run
+    # anchored at every timestep calls no solver and reports the method
+    # "anchors", and a window (a, a+1] is its anchor alone
+    path = minimizer_path(RandomWalk(0.5), 7, 1, np.random.default_rng(5), base=np.zeros(1))
+    inst = ORACLE_INSTANCES[family](path)
+    solver = WindowSolver(default_grid(inst))
+    anchors = [0, 1, 2, 5, 7]
+    some = constrained_offline(inst, anchors, solver)
+    assert some.method == ("exact_quadratic" if family == "strongly_convex" else "grid_dp")
+    assert np.array_equal(some.trajectory.points[[0, 1, 4, 6]],
+                          inst.minimizers()[[0, 1, 4, 6]])
+
+    def solve_batch(self, problems):
+        raise AssertionError(f"solved {len(problems)} windows")
+
+    monkeypatch.setattr(WindowSolver, "solve_batch", solve_batch)
+    every = constrained_offline(inst, AnchorSet.phase(0, 1, 7), solver)
+    assert every.method == "anchors" and every.cost == run_greedy(inst).total
+    assert np.array_equal(every.trajectory.points, inst.minimizers())
+    for a in range(7):
+        tag, points = solve_segment(inst, a, a + 1, solver)
+        assert tag == "anchors" and np.array_equal(points, inst.minimizers()[a:a + 1])
+
+
+def test_constrained_method_of_several_solvers_is_mixed():
+    # quadratic windows take the closed form, the others the lattice DP
+    path = minimizer_path(RandomWalk(0.5), 6, 1, np.random.default_rng(6), base=np.zeros(1))
+    quad, ripple = make_strongly_convex(2.0, path), make_ripple(0.5, 1.0, 4.0, path)
+    inst = Instance(1, 6, np.zeros(1), quad.hitting[:3] + ripple.hitting[3:], quad.movement)
+    solver = WindowSolver(default_grid(inst))
+    assert constrained_offline(inst, [0, 3], solver).method == "mixed"
+    # pinned windows add no tag: the one solved window is (0, 2]
+    assert constrained_offline(inst, [0, 2, 3, 4, 5, 6], solver).method == "exact_quadratic"
 
 
 def test_monolithic_matches_segments_on_lattice():

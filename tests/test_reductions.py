@@ -274,6 +274,48 @@ def test_cbc_requires_norm_movement():
         CbcInstance(1, np.zeros(1), (interval(0, 1),), movement_cost("sq_l2_half"))
 
 
+#: variant -> a body of it: every branch of ``cbc_from_spec``
+SPEC_BODIES = {
+    "interval": lambda: interval(-0.5, 1.25),
+    "box": lambda: box([-1.0, 0.25], [0.5, 2.0]),
+    "ball": lambda: ball([0.3, -0.7], 1.1),
+    "halfspace": lambda: halfspace([1.0, -2.0], 0.4),
+    "hyperplane": lambda: hyperplane([0.6, 0.8], -0.3),
+    "zero_plane": lambda: zero_plane(2),
+    "polyhedral epigraph": lambda: epigraph(
+        make_polyhedral(1.5, [[0.25]], p=1).hitting[0], 2),
+    "strongly_convex epigraph": lambda: epigraph(
+        make_strongly_convex(2.0, [[-0.4, 0.9]]).hitting[0], 3),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SPEC_BODIES))
+def test_every_body_variant_round_trips(variant, tmp_path, capsys):
+    # cbc_to_spec then cbc_from_spec, directly and through `reduce --mode
+    # duplicate`, gives back the spec and the same membership
+    from soco_lab.cli import main
+
+    body = SPEC_BODIES[variant]()
+    movement = movement_cost("norm_l1")
+    inst = CbcInstance(body.dim, np.zeros(body.dim), (body,), movement)
+    spec = json.loads(json.dumps(cbc_to_spec(inst)))
+    again = cbc_from_spec(spec)
+    assert cbc_to_spec(again) == spec
+    path = tmp_path / "cbc.json"
+    path.write_text(json.dumps(spec))
+    assert main(["reduce", "--mode", "duplicate", "--instance", str(path), "--w", "2"]) == 0
+    dup_spec = json.loads(capsys.readouterr().out)
+    assert dup_spec == dict(spec, bodies=spec["bodies"] * 2)
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-2.0, 2.0, size=(40, body.dim))
+    pts = np.vstack([pts, [body.project(p) for p in pts[:6]]])
+    inside = body.contains_stack(pts)
+    assert inside.any() and not inside.all()
+    for rebuilt in (*again.bodies, *cbc_from_spec(dup_spec).bodies):
+        assert rebuilt.variant == body.variant
+        assert np.array_equal(rebuilt.contains_stack(pts), inside)
+
+
 def test_cbc_spec_roundtrip():
     rng = np.random.default_rng(4)
     inst = random_interval_instance(rng, T=3)
