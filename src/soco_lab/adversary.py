@@ -9,11 +9,12 @@ learner's past, but never to decisions it has not yet seen.
 
 The learners play a plan of ``algorithms`` (``sfhc_plan``, at w = 1 for
 greedy, ``rsfhc_b_plan`` or ``dsfhc_plan``), drawn at reset.  When a
-window's first timestep arrives, each run's window is solved with
-``oracle.solve_segment`` on the costs revealed so far, or written if it is
-an anchor alone, and the learner plays its run, or the pointwise mean of
-its runs: against an oblivious adversary an online run equals the offline
-run of ``algorithms``.  Their window solver has no lattice, so a shell
+window's first timestep arrives, each run's window is built from the
+revealed costs it spans and its anchors alone, as ``build_window`` builds it,
+and solved, or written if it is an anchor alone, so a game is linear in T.
+The learner plays its run, or the pointwise mean of its runs: against an
+oblivious adversary an online run equals the offline run of
+``algorithms``.  Their window solver has no lattice, so a shell
 whose windows are not quadratic raises ``UnsupportedProblemError``.
 
 Also here: oblivious instance generators, a phase-tracking "spike" stress
@@ -30,8 +31,8 @@ import numpy as np
 
 from .families import FAMILIES, FamilyParams, Glb, make_instance
 from .model import HittingCost, Instance, MovementCost, Point, as_point, evaluate_total_cost
-from .windows import Grid, WindowSolver
-from .oracle import anchor_segments, solve_segment
+from .windows import Grid, WindowProblem, WindowSolver
+from .oracle import anchor_segments
 from .algorithms import Plan, dsfhc_plan, gap_support, rsfhc_b_plan, sfhc_plan
 
 
@@ -142,15 +143,19 @@ class _PlannedLearner:
         raise NotImplementedError
 
     def decide(self, t: int, costs: Sequence[HittingCost]) -> np.ndarray:
-        shell = self.shell
+        shell, T = self.shell, self.shell.horizon
         for r, a, b in self._windows.get(t, ()):
-            if b == a + 1 <= shell.horizon:   # no free timestep: the anchor
-                self._runs[r, a] = costs[a].minimizer
+            # the window ``build_window`` makes of the revealed costs, from
+            # costs a+1 .. min(b, T) and its anchors alone
+            right = costs[b - 1].minimizer if b <= T else None
+            if right is not None:
+                self._runs[r, b - 1] = right
+            if b == a + 1:   # no free timestep: the anchor alone
                 continue
-            cap = min(b, shell.horizon)
-            revealed = Instance(shell.dim, cap, shell.start, tuple(costs[:cap]),
-                                shell.movement)
-            _, self._runs[r, a:cap] = solve_segment(revealed, a, b, self._solver)
+            left = shell.start if a == 0 else costs[a - 1].minimizer
+            window = WindowProblem(a, b, left, right, tuple(costs[a:min(b, T)]), shell.movement)
+            free = self._solver(window).free_points
+            self._runs[r, a:a + len(free)] = free
         if self._plan.combine == "run":
             return self._runs[0, t - 1]
         # the offline run's reduction over the same (runs, T, d) shape: a

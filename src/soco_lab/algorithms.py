@@ -9,7 +9,7 @@ Every algorithm is fully given by its ``Plan``: the anchor sets it solves
 (drawn here, and only here), whether its windows chain, and how it
 combines their runs.  Anchors become windows in ``oracle.anchor_segments``,
 and each window is solved exactly as the online learners of ``adversary``
-solve it with ``solve_segment``.
+solve it.
 
 Since a plan is known before any window is solved, plans are solved in
 batches: ``solve_plans`` solves the runs of many plans as one

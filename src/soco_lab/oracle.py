@@ -21,7 +21,7 @@ batch of every anchored window and the first window of each chained
 (``afhc``) run, and step k the k-th window of each chained run, which
 starts at the point the run reached.  The harness solves every run of one
 (instance, seed) as one call.  The online learners of ``adversary`` solve
-one window at a time with ``solve_segment`` on the costs revealed so far,
+one window at a time, built from the costs revealed so far that it spans,
 and get the same decisions, since a batch equals each of its windows
 solved alone, bit for bit.  The learners' solver has no lattice, so they
 solve quadratic windows only.

@@ -33,6 +33,15 @@ O(G^2) product, row-blocked on large lattices.  The joint DP breaks ties
 to the lowest flat lattice index (ij order, last axis fastest); the
 per-coordinate solve breaks them to the lowest index per coordinate.
 
+A 1-D stage keeps its back-pointer column; a joint 2-D stage keeps its
+values only, and backtracking recomputes the back-pointer at each point it
+visits (``_back_pointer``), from the previous stage's values by the same
+float operations, so it is the pointer a kept column would hold.  On the
+2-D lattice the column costs more than the values, and a window reads
+F - 1 pointers of it.  On a 1-D lattice one recomputed point costs about
+as much as the whole column, and columns are shared: about 262 windows
+per ``sweep-1d`` item backtrack through about 72 shared stage calls.
+
 Windows are solved in batches (``solve_grid_dp_batch``,
 ``WindowSolver.solve_batch``): windows that share a movement and lattice
 form one batch, whatever their free counts and right anchors.  The batch
@@ -52,13 +61,12 @@ window's points equal the window solved alone, bit for bit;
 A lattice DP stage is solved once per cache.  Stage s of a window depends
 only on the lattice, the movement, the snapped left anchor and the costs
 of its first s + 1 timesteps, not on the right anchor, so the cache keeps
-each stage's value and back-pointer columns under that key (the stage
-memo, a trie of cost prefixes per left anchor).  Windows that repeat or
-extend a solved one -- the phase windows ``dsfhc``, ``sfhc`` and
-``rsfhc-a`` share, (a, a+2] inside (a, a+4], the full-horizon oracle
-window, whose first stages are those of every window that starts at 0,
-``afhc`` chains that restart from one lattice point -- reuse its stages,
-within a batch as across batches.  A ``WindowSolver`` owns its cache, so
+each stage's columns under that key (the stage memo, a trie of cost
+prefixes per left anchor).  Windows that repeat or extend a solved one --
+the phase windows ``dsfhc``, ``sfhc`` and ``rsfhc-a`` share, (a, a+2]
+inside (a, a+4], the full-horizon oracle window, whose first stages are
+those of every window that starts at 0, ``afhc`` chains that restart from
+one lattice point -- reuse its stages, within a batch as across batches.  A ``WindowSolver`` owns its cache, so
 the memo lives as long as the solver: the harness keeps one per
 (instance, seed).
 
@@ -342,9 +350,10 @@ def _axis_prices(movement: MovementCost, dim: int) -> list[tuple[float, float]] 
             else (1.0, 1.0) for m in axes]
 
 
-def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float,
-                    down: float) -> tuple[np.ndarray, np.ndarray]:
-    """min over j of value[j] + the axis price of x_j -> x_i, along axis 0.
+def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float, down: float,
+                    back: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """min over j of value[j] + the axis price of x_j -> x_i, along axis 0,
+    and with ``back`` its argmin (else None).
 
     The forward pass covers j <= i, the backward pass j >= i.  Forward
     records need strict <, backward records <=, and the forward candidate
@@ -352,38 +361,72 @@ def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float,
     """
     n = x.shape[0]
     x = x.reshape((n,) + (1,) * (value.ndim - 1))
+    fkey = value - up * x
+    frun = np.minimum.accumulate(fkey, axis=0)
+    bkey = (value + down * x)[::-1]
+    brun = np.minimum.accumulate(bkey, axis=0)
+    fwd, bwd = frun + up * x, brun[::-1] - down * x
+    take_bwd = bwd < fwd
+    best = np.where(take_bwd, bwd, fwd)
+    if not back:
+        return best, None
+
     idx = np.arange(n).reshape(x.shape)
     rec = np.ones(value.shape, dtype=bool)
-
-    key = value - up * x
-    run = np.minimum.accumulate(key, axis=0)
-    rec[1:] = key[1:] < run[:-1]
+    rec[1:] = fkey[1:] < frun[:-1]
     fwd_arg = np.maximum.accumulate(np.where(rec, idx, 0), axis=0)
-    fwd = run + up * x
-
-    key = (value + down * x)[::-1]
-    run = np.minimum.accumulate(key, axis=0)
-    rec[1:] = key[1:] <= run[:-1]
+    rec[1:] = bkey[1:] <= brun[:-1]
     bwd_arg = (n - 1 - np.maximum.accumulate(np.where(rec, idx, 0), axis=0))[::-1]
-    bwd = run[::-1] - down * x
+    return best, np.where(take_bwd, bwd_arg, fwd_arg)
 
+
+def _prefix_point(rows: np.ndarray, x: np.ndarray, i: int, up: float,
+                  down: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_prefix_minplus`` at target i alone, for each row of ``rows`` (the
+    lattice axis last): its value and argmin, by the same float operations.
+    The slices keep the kernel's ties: an all-inf forward slice gives index
+    0, and the backward candidate wins only when strictly smaller."""
+    fkey = rows[..., :i + 1] - up * x[:i + 1]
+    bkey = rows[..., i:] + down * x[i:]
+    fwd = fkey.min(axis=-1) + up * x[i]
+    bwd = bkey.min(axis=-1) - down * x[i]
     take_bwd = bwd < fwd
-    return np.where(take_bwd, bwd, fwd), np.where(take_bwd, bwd_arg, fwd_arg)
+    return (np.where(take_bwd, bwd, fwd),
+            np.where(take_bwd, bkey.argmin(axis=-1) + i, fkey.argmin(axis=-1)))
 
 
 def _separable_minplus(value: np.ndarray, grid: Grid,
-                       prices: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+                       prices: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray | None]:
     """Min-plus for a coordinate-separable movement: one prefix-min pass per
-    axis, the last axis first, so the back-pointer composes in ij order.
-    Trailing dimensions of ``value`` (one per window of a batch) ride along."""
+    axis, the last axis first.  Trailing dimensions of ``value`` (one per
+    window of a batch) ride along.  Only a 1-D lattice returns back-pointers;
+    on the joint 2-D lattice ``_back_pointer`` recomputes them."""
     axes = grid.axes()
     if grid.dim == 1:
-        return _prefix_minplus(value, axes[0], *prices[0])
+        return _prefix_minplus(value, axes[0], *prices[0], back=True)
     (n0, n1), B = grid.n, value.size // grid.size
-    inner, a1 = _prefix_minplus(value.reshape(n0, n1, B).swapaxes(0, 1), axes[1], *prices[1])
-    best, a0 = _prefix_minplus(inner.swapaxes(0, 1), axes[0], *prices[0])
-    arg = a0 * n1 + a1.reshape(n1, n0 * B)[np.arange(n1)[:, None], a0 * B + np.arange(B)]
-    return best.reshape(value.shape), arg.reshape(value.shape)
+    inner, _ = _prefix_minplus(value.reshape(n0, n1, B).swapaxes(0, 1), axes[1], *prices[1],
+                               back=False)
+    best, _ = _prefix_minplus(inner.swapaxes(0, 1), axes[0], *prices[0], back=False)
+    return best.reshape(value.shape), None
+
+
+def _back_pointer(prev: np.ndarray, i: int, movement: MovementCost, grid: Grid) -> int:
+    """The lowest flat index j minimizing prev[j] + c(p_i, p_j) on the joint
+    2-D lattice: the back-pointer ``_GridEval.minplus`` does not keep,
+    recomputed at one point by the float operations of its kernel, so it is
+    the pointer a kept column would hold.  Separable movements take the
+    axis-1 pass per row, then the axis-0 pass over that column; the dense
+    kinds take one row of the product."""
+    prices = _axis_prices(movement, grid.dim)
+    if prices is None:
+        pts = grid.points()
+        return int(np.argmin(movement.pairwise(pts[i:i + 1], pts)[0] + prev))
+    (n0, n1), (x0, x1) = grid.n, grid.axes()
+    i0, i1 = divmod(i, n1)
+    inner, a1 = _prefix_point(prev.reshape(n0, n1), x1, i1, *prices[1])
+    _, a0 = _prefix_point(inner, x0, i0, *prices[0])
+    return int(a0) * n1 + int(a1[a0])
 
 
 def _columns(arrays) -> np.ndarray:
@@ -433,7 +476,9 @@ class _GridEval:
                grid: Grid) -> list[list[tuple]]:
         """The DP stages of each window of a batch that shares a movement:
         per window, one (value column, back-pointer column, children) node
-        per free timestep.
+        per free timestep.  The back-pointer column is None on the first
+        stage and on the joint 2-D lattice, where ``_back_pointer``
+        recomputes the pointers backtracking reads.
 
         Stage s of a window depends only on the lattice, the movement, the
         snapped left anchor ``lefts[b]`` and the costs of its first s + 1
@@ -468,7 +513,8 @@ class _GridEval:
                 else:
                     value, back = self.minplus(_columns([paths[b][-1][0] for b, _, _ in todo]),
                                                movement, grid)
-                    back.setflags(write=False)
+                    if back is not None:
+                        back.setflags(write=False)
                 value = value + _columns([table(cost) for _, _, cost in todo])
                 value.setflags(write=False)
                 for i, (_, children, cost) in enumerate(todo):
@@ -484,19 +530,23 @@ class _GridEval:
         return paths
 
     def minplus(self, value: np.ndarray, movement: MovementCost,
-                grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+                grid: Grid) -> tuple[np.ndarray, np.ndarray | None]:
         """(best value, argmin prev index) of value[j] + c(p_i, p_j) per i.
 
         ``value`` is (G,) or (G, B), one column per window.  The prefix-min
         kernel takes all columns in one pass; the dense product takes one
         column at a time, since its cost is arithmetic, not call overhead.
+        Only a 1-D lattice gets its back-pointers here; on the joint 2-D
+        lattice the second entry is None, and ``_back_pointer`` recomputes
+        the pointer at each point backtracking visits.
         """
         prices = _axis_prices(movement, grid.dim)
         if prices is not None:
             return _separable_minplus(value, grid, prices)
         trans, pts, G = self.transition(movement, grid), grid.points(), grid.size
         cols = value.reshape(G, -1)
-        best, arg = np.empty(cols.shape), np.empty(cols.shape, dtype=np.int64)
+        best = np.empty(cols.shape)
+        arg = np.empty(cols.shape, dtype=np.int64) if grid.dim == 1 else None
         # row blocks: the cached matrix is one of all G rows, else the
         # (block, G, d) differences ``pairwise`` makes stay within the limit
         block = G if trans is not None else max(1, _DENSE_TRANSITION_LIMIT // (G * grid.dim))
@@ -505,9 +555,12 @@ class _GridEval:
             moves = trans if trans is not None else movement.pairwise(pts[rows], pts)
             for b in range(cols.shape[1]):
                 step = moves + cols[:, b]
-                arg[rows, b] = np.argmin(step, axis=1)
-                best[rows, b] = step[np.arange(step.shape[0]), arg[rows, b]]
-        return best.reshape(value.shape), arg.reshape(value.shape)
+                if arg is None:
+                    best[rows, b] = step.min(axis=1)
+                else:
+                    arg[rows, b] = np.argmin(step, axis=1)
+                    best[rows, b] = step[np.arange(step.shape[0]), arg[rows, b]]
+        return best.reshape(value.shape), None if arg is None else arg.reshape(value.shape)
 
 
 def _split_moves(problem: WindowProblem) -> tuple[MovementCost, ...] | None:
@@ -556,7 +609,9 @@ def solve_grid_dp_batch(problems, grid: Grid,
 def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[np.ndarray]:
     """Free points of each window of a batch that shares movement and kind
     of solve.  The windows of one free count and anchoring take the final
-    argmin and backtrack together, by array gathers."""
+    argmin and backtrack together: by array gathers from the back-pointer
+    columns on a 1-D lattice, by one recomputed back-pointer per window and
+    step on the joint 2-D lattice."""
     first = batch[0]
     d = first.dim
     moves = _split_moves(first)
@@ -598,8 +653,12 @@ def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[n
         idx[:, -1] = np.argmin(value, axis=0)
         cols = np.arange(len(members))
         for s in range(F - 1, 0, -1):
-            back = _columns([paths[b][s][1] for b in members])
-            idx[:, s - 1] = back[idx[:, s], cols]
+            if d == 1:
+                back = _columns([paths[b][s][1] for b in members])
+                idx[:, s - 1] = back[idx[:, s], cols]
+            else:
+                idx[:, s - 1] = [_back_pointer(paths[b][s - 1][0], i, first.movement, grid)
+                                 for b, i in zip(members, idx[:, s])]
         for b, points in zip(members, pts[idx]):
             out[b] = points
     return out

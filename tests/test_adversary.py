@@ -150,6 +150,32 @@ def test_greedy_game_solves_no_window(monkeypatch, family):
     assert [k for k in vars(GreedyLearner) if not k.startswith("__")] == ["plan"]
 
 
+def test_planned_game_builds_no_instance_per_window(monkeypatch):
+    # a learner builds each window from the costs it spans and its anchors
+    # alone: the game's only Instance is the realized one at its end, so a
+    # game is linear in T, and its run is still the offline run
+    T, w = 30, 6
+    inst = generate_oblivious_instance(StronglyConvex(2.0), RandomWalk(0.5), T, 1,
+                                       np.random.default_rng(4))
+    built, windows = [], []
+    solve_batch = WindowSolver.solve_batch
+
+    def counted(self, problems):
+        windows.extend(problems)
+        return solve_batch(self, problems)
+
+    monkeypatch.setattr(WindowSolver, "solve_batch", counted)
+    monkeypatch.setattr("soco_lab.adversary.Instance",
+                        lambda *args, **kw: built.append(args) or Instance(*args, **kw))
+    transcript = play_semi_adaptive(DsfhcLearner(), ObliviousAdversary(inst), shell(T=T), w,
+                                    PSI, np.random.default_rng(0))
+    assert len(built) == 1 and len(windows) > T // w
+    monkeypatch.undo()
+    offline = run_dsfhc(inst, w)
+    assert np.array_equal(transcript.learner_points, offline.points)
+    assert transcript.learner_cost == offline.total
+
+
 def test_planned_learner_rejects_lattice_family_game():
     # a learner's window solver has no lattice, and none is made up per
     # window, so a lattice-family game fails loudly

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -32,6 +33,7 @@ from soco_lab import (
     run_cbc_greedy_projection,
     zero_plane,
 )
+from soco_lab import windows
 from soco_lab.adversary import RandomWalk, minimizer_path
 
 
@@ -267,6 +269,45 @@ def test_cbc_grid_oracle_on_reduced_instance():
     grid = Grid.make([-2.0, 0.0], [2.0, 4.0], [41, 41], dim=2)
     res = cbc_opt_grid(cbc, grid)
     assert res.cost == pytest.approx(1.0, abs=1e-9)  # touch apex (1, 0), return free
+
+
+def test_lift_oracle_work_on_the_chase_shape(monkeypatch):
+    # the A10 lift oracle on a T = 5 path and the 61 x 61 lift lattice is
+    # one unanchored window of F = 10 free steps: one min-plus call per
+    # stage after the first, one back-pointer recomputed per backtracked
+    # step (F - 1), and no memo node keeps a back-pointer array.  Cost and
+    # trajectory bytes are those the eager back-pointer kernel gave
+    path = np.linspace(-3.0, 3.0, 61)[[35, 40, 33, 25, 20]]
+    reduced = epigraph_reduce(make_polyhedral(1.0, path[:, None], p=1, start=[0.0]))
+    grid = Grid.make([-3.0, 0.0], [3.0, 6.0], [61, 61], dim=2)
+    counts, caches = {"minplus": 0, "back_pointer": 0}, []
+    minplus, back_pointer = windows._GridEval.minplus, windows._back_pointer
+
+    def counted_minplus(self, *args):
+        counts["minplus"] += 1
+        caches.append(self)
+        return minplus(self, *args)
+
+    def counted_back_pointer(*args):
+        counts["back_pointer"] += 1
+        return back_pointer(*args)
+
+    monkeypatch.setattr(windows._GridEval, "minplus", counted_minplus)
+    monkeypatch.setattr(windows, "_back_pointer", counted_back_pointer)
+    res = cbc_opt_grid(reduced, grid)
+    assert counts == {"minplus": 9, "back_pointer": 9}
+    nodes = [node for by_left in caches[0]._stages.values() for children in by_left.values()
+             for node in children.values()]
+    walked = 0
+    while nodes:
+        value, back, children = nodes.pop()
+        assert value.shape == (grid.size,) and back is None
+        nodes.extend(children.values())
+        walked += 1
+    assert walked == 10
+    assert res.cost == 3.0
+    assert hashlib.sha256(res.trajectory.points.tobytes()).hexdigest() == (
+        "a7bccdbd854d889d0f3bf1c829eda6c494894b433f0f0e8bd598c0d452c699b6")
 
 
 def test_cbc_requires_norm_movement():

@@ -30,7 +30,7 @@ from soco_lab import (
     solve_quadratic_chain,
     window_objective,
 )
-from soco_lab.windows import UnsupportedProblemError, _GridEval
+from soco_lab.windows import UnsupportedProblemError, _back_pointer, _GridEval
 
 
 def quad_instance(T=10, m=2.0, seed=0):
@@ -198,7 +198,8 @@ SEPARABLE_CASES = [("norm_l1", 1), ("rectified_linear", 1), ("norm_l2", 1),
 def test_separable_minplus_matches_dense(case, integer_valued, seed):
     # the prefix-min kernel against the dense reference pairwise(pts, pts) + v;
     # integer values on a unit lattice give exact ties, where the lowest
-    # flat index must win exactly as numpy's argmin picks it
+    # flat index must win exactly as numpy's argmin picks it.  A 2-D stage
+    # keeps no back-pointers: they are recomputed at each point
     kind, dim = case
     rng = np.random.default_rng(seed)
     n = rng.integers(2, 12, dim)
@@ -215,6 +216,9 @@ def test_separable_minplus_matches_dense(case, integer_valued, seed):
     cache = _GridEval()
     best, arg = cache.minplus(value, movement, grid)
     assert not cache._moves
+    if dim == 2:
+        assert arg is None
+        arg = np.array([_back_pointer(value, i, movement, grid) for i in range(grid.size)])
     pts = grid.points()
     dense = movement.pairwise(pts, pts) + value[None, :]
     ref = dense.min(axis=1)
@@ -703,13 +707,17 @@ def test_quadratic_batch_equals_each_window_alone(F, anchored, d, B, seed):
 def test_blocked_dense_minplus_bounds_its_temporaries(monkeypatch):
     # a 2-D norm_l2 stage on a lattice too large for the transition matrix
     # takes row blocks; the (block, G, d) differences and every array made
-    # from them stay within the limit, and the result is the unblocked one
+    # from them stay within the limit, and the result is the unblocked one.
+    # The recomputed back-pointers stay within it too, and are the dense
+    # reference's argmins
     import soco_lab.windows as windows_mod
 
     grid = Grid.make([-1.0, 0.0], [2.0, 1.5], [9, 7], dim=2)
     value = np.random.default_rng(8).normal(size=grid.size)
     movement = movement_cost("norm_l2")
-    ref_best, ref_arg = _GridEval().minplus(value, movement, grid)
+    ref_best, _ = _GridEval().minplus(value, movement, grid)
+    pts = grid.points()
+    ref_arg = (movement.pairwise(pts, pts) + value).argmin(axis=1)
     limit, sizes = 500, []
     of_difference = MovementCost.of_difference
 
@@ -721,5 +729,82 @@ def test_blocked_dense_minplus_bounds_its_temporaries(monkeypatch):
     monkeypatch.setattr(windows_mod, "_DENSE_TRANSITION_LIMIT", limit)
     monkeypatch.setattr(MovementCost, "of_difference", recording)
     best, arg = _GridEval().minplus(value, movement, grid)
-    assert np.array_equal(best, ref_best) and np.array_equal(arg, ref_arg)
+    back = [_back_pointer(value, i, movement, grid) for i in range(grid.size)]
+    assert arg is None and np.array_equal(best, ref_best) and np.array_equal(back, ref_arg)
     assert sizes and max(sizes) <= limit
+
+
+JOINT_KINDS = ["norm_l1", "rectified_linear", "norm_l2", "norm_linf"]
+
+
+@given(st.sampled_from(JOINT_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_recomputed_back_pointer_is_lowest_dense_argmin(kind, seed):
+    # a joint 2-D stage keeps values only; the back-pointer recomputed at a
+    # point is the lowest flat index of the dense pairwise(pts, pts) + v at
+    # every point.  Integer values on a unit lattice tie exactly; +inf
+    # entries, an all-inf lattice row and an all-inf prefix or suffix of
+    # another are where the kernel's forward index 0 and backward index i
+    # must survive
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 9, 2)
+    grid = Grid.make(np.zeros(2), n - 1.0, n, dim=2)
+    beta = rng.integers(1, 4, 2).astype(float)
+    movement = movement_cost(kind, beta=beta if kind == "rectified_linear" else None)
+    value = rng.integers(0, 4, grid.size).astype(float)
+    value[rng.random(grid.size) < rng.uniform(0.0, 0.5)] = np.inf
+    rows = value.reshape(n[0], n[1])
+    rows[rng.integers(n[0])] = np.inf
+    cut, row = int(rng.integers(1, n[1] + 1)), rng.integers(n[0])
+    if rng.random() < 0.5:
+        rows[row, :cut] = np.inf
+    else:
+        rows[row, -cut:] = np.inf
+    if rng.random() < 0.1:
+        value[:] = np.inf
+    best, arg = _GridEval().minplus(value, movement, grid)
+    pts = grid.points()
+    dense = movement.pairwise(pts, pts) + value[None, :]
+    assert arg is None
+    assert np.array_equal(best, dense.min(axis=1))
+    back = [_back_pointer(value, i, movement, grid) for i in range(grid.size)]
+    assert np.array_equal(back, dense.argmin(axis=1))
+
+
+def _dense_dp(problem, grid):
+    """Test-only reference: the joint lattice DP by the dense product, with
+    every stage's back-pointer column kept."""
+    pts, movement, F = grid.points(), problem.movement, problem.free_count
+    if F == 0:
+        return np.empty((0, problem.dim))
+    move = movement.pairwise(pts, pts)
+    left = grid.snap(problem.left_anchor)[0]
+    value = movement.pairwise(pts, left[None, :])[:, 0] + problem.costs[0].values(pts)
+    backs = []
+    for cost in problem.costs[1:F]:
+        step = move + value
+        backs.append(step.argmin(axis=1))
+        value = step[np.arange(grid.size), backs[-1]] + cost.values(pts)
+    if problem.right_anchor is not None:
+        right = grid.snap(problem.right_anchor)[0]
+        value = value + movement.pairwise(right[None, :], pts)[0]
+    idx = [int(np.argmin(value))]
+    for back in reversed(backs):
+        idx.append(int(back[idx[-1]]))
+    return pts[idx[::-1]]
+
+
+@given(st.sampled_from(JOINT_KINDS), st.booleans(), st.booleans(), st.integers(0, 4),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_joint_dp_equals_dense_reference(kind, anchored, integer_valued, F, B, seed):
+    # small 2-D windows, batched and alone, against the dense DP that keeps
+    # its back-pointers, bit for bit.  The separable kinds take exact
+    # integer values: their prefix-min values may differ from the dense
+    # product's in the last ulp off the integers
+    rng = np.random.default_rng(seed)
+    integer_valued = integer_valued or kind in ("norm_l1", "rectified_linear")
+    grid, problems = _table_batch(2, kind, anchored, integer_valued, F, B, rng)
+    batch = solve_grid_dp_batch(problems, grid, _GridEval())
+    for problem, sol in zip(problems, batch):
+        ref = _dense_dp(problem, grid)
+        assert np.array_equal(sol.free_points, ref)
+        assert np.array_equal(solve_grid_dp(problem, grid).free_points, ref)
