@@ -1,5 +1,7 @@
 """Online optimization with switching costs: algorithms, oracles, and games."""
 
+import numpy as _np
+
 from .model import (
     HittingCost,
     Instance,
@@ -124,3 +126,13 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+# glibc's malloc serves blocks of 128 KiB or more by a fresh mmap and hands
+# heap memory back whenever 128 KiB is free at its top, so the lattice and
+# window temporaries of every item page-fault anew: about 600 faults per
+# 1-D sweep item and 120 per 2-D chasing chain.  Freeing one mmap'd block
+# raises both thresholds to its size (the top one to twice it; see
+# mallopt(3), M_MMAP_THRESHOLD).  Importing scipy happens to do that; this
+# package does it itself.  The block is never touched, so it costs no
+# memory.
+_np.empty(1 << 19)  # 4 MiB

@@ -2,8 +2,9 @@
 
 An input file (config or instance) that cannot be read or does not fit its
 schema is reported on one line, ``soco-lab: error: <file>: <reason>``, exit
-2, and so is a flag value out of its range (``soco-lab: error: <reason>``);
-exit 1 is kept for a failed bound check or an ``INCONSISTENT`` result.
+2, and so is a flag value out of its range (``soco-lab: error: <reason>``),
+a NaN or infinite float flag included; exit 1 is kept for a failed bound
+check or an ``INCONSISTENT`` result.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -69,6 +71,14 @@ def _at_least(flag: str, value, least):
     """Raise _InputError unless the value of ``flag`` is at least ``least``."""
     if value < least:
         raise _InputError(f"{flag} must be at least {least}, not {value}")
+
+
+def _finite_flags(args):
+    """Raise _InputError for a NaN or infinite float flag: argparse's
+    ``float`` reads "nan" and "inf", which no range check below rejects."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _InputError(f"--{dest.replace('_', '-')} must be finite, not {value}")
 
 
 def _instance(raw) -> Instance:
@@ -278,6 +288,7 @@ def main(argv=None) -> int:
     if args.command == "oracle" and (args.grid_lo is None) != (args.grid_hi is None):
         parser.error("--grid-lo and --grid-hi must be given together")
     try:
+        _finite_flags(args)
         return args.fn(args)
     except _InputError as exc:
         sys.stderr.write(f"soco-lab: error: {exc}\n")

@@ -78,6 +78,14 @@ def _as_path(path, dim: int | None = None) -> np.ndarray:
     return pts
 
 
+def _require_finite(**params):
+    """Reject a NaN or infinite family parameter by name; the sign checks
+    that follow it let both through, and JSON configs can spell them."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, not {np.asarray(value).tolist()}")
+
+
 def _default_start(dim: int) -> np.ndarray:
     return np.zeros(dim)
 
@@ -106,6 +114,7 @@ def _cost(f, v, *args) -> HittingCost:
 
 def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
     """Scaled-norm hitting costs with lp movement; eta = 1, lam = alpha/2."""
+    _require_finite(alpha=alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     pts = _as_path(path)
@@ -135,6 +144,7 @@ def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
 
 def make_strongly_convex(m: float, path, start=None) -> Instance:
     """Quadratic hitting costs with half-squared-l2 movement; eta = 2, lam = m/2."""
+    _require_finite(m=m)
     if m <= 0:
         raise ValueError("m must be positive")
     pts = _as_path(path)
@@ -166,6 +176,7 @@ def make_glb(e0, beta, mu, path, start=None) -> Instance:
     e0 = np.atleast_1d(np.asarray(e0, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    _require_finite(e0=e0, beta=beta, mu=mu)
     d = e0.shape[0]
     if beta.shape != (d,) or mu.shape != (d,):
         raise ValueError("e0, beta, mu must share one dimension")
@@ -209,6 +220,7 @@ def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
     quadratic part, and f(x) + (alpha/2)||x||^2 is convex for
     alpha = max(0, eps k^2 - m).
     """
+    _require_finite(m=m, eps=eps, k=k)
     if m < 0 or eps < 0 or k <= 0:
         raise ValueError("need m >= 0, eps >= 0, k > 0")
     pts = _as_path(path)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .model import (
     PENALTY,
@@ -127,6 +126,8 @@ def _project_epigraph(cost: HittingCost, p: np.ndarray) -> Point:
     Scaled-abs costs get the exact wedge formula; otherwise a coarse scan
     plus a local polish, which is enough for desk-scale accuracy because
     every downstream inequality is re-verified at the produced points.
+    The polish imports ``scipy.optimize`` where it runs, so the module,
+    and every command that reaches only the wedge formula, loads no scipy.
     """
     x0, q = p[:-1], float(p[-1])
     if cost.family_tag == "polyhedral" and x0.shape[0] == 1 and cost.params.get("p", 2) in (1, 2):
@@ -142,6 +143,8 @@ def _project_epigraph(cost: HittingCost, p: np.ndarray) -> Point:
 
     d = x0.shape[0]
     if d == 1:
+        from scipy.optimize import minimize_scalar
+
         v = float(cost.minimizer[0])
         radius = abs(float(x0[0]) - v) + abs(q) + 1.0
 
@@ -155,6 +158,8 @@ def _project_epigraph(cost: HittingCost, p: np.ndarray) -> Point:
                               options={"xatol": 1e-12})
         xstar = float(res.x)
         return as_point([xstar, cost([xstar])])
+
+    from scipy.optimize import minimize
 
     def sqdist(x):
         return float(((x - x0) ** 2).sum() + (cost(x) - q) ** 2)

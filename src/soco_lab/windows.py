@@ -72,8 +72,10 @@ the memo lives as long as the solver: the harness keeps one per
 
 Quadratic windows are solved in batches too (``solve_quadratic_batch``):
 windows that share a free count, right-anchoring and m values share the
-tridiagonal matrix, and are one ``solve_banded`` call over stacked
-right-hand sides; ``solve_quadratic_chain`` is the batch of one.
+tridiagonal matrix, which is factored once and applied to each stacked
+right-hand side (``_solve_tridiagonal``, LAPACK ``gtsv``'s arithmetic in
+Python floats, so the module loads no scipy); ``solve_quadratic_chain``
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import HittingCost, Instance, MovementCost, Point
 
@@ -288,8 +289,8 @@ def solve_quadratic_batch(problems) -> list[WindowSolution]:
     there is no right anchor.  Strict convexity makes this the global
     optimum.  The matrix depends only on the free count, the right-anchoring
     and the m values, so the windows that share them are one
-    ``solve_banded`` call over stacked right-hand sides; each column is
-    solved on its own, so every window gets the points it gets alone.
+    ``_solve_tridiagonal`` call over stacked right-hand sides; each column
+    is solved on its own, so every window gets the points it gets alone.
     """
     groups: dict = {}
     for i, problem in enumerate(problems):
@@ -310,7 +311,9 @@ def solve_quadratic_batch(problems) -> list[WindowSolution]:
 
 def _quadratic_group(group: list[WindowProblem], F: int, anchored: bool, d: int,
                      m: np.ndarray) -> list[np.ndarray]:
-    """Free points of quadratic windows that share one tridiagonal matrix."""
+    """Free points of quadratic windows that share one tridiagonal matrix:
+    off-diagonals -1, diagonal m_t + 2, and m_F + 1 on the last row of an
+    unanchored window."""
     if F == 0:
         return [np.empty((0, d)) for _ in group]
     diag = m + 2.0
@@ -321,17 +324,58 @@ def _quadratic_group(group: list[WindowProblem], F: int, anchored: bool, d: int,
     rhs[0] += np.stack([p.left_anchor for p in group])
     if anchored:
         rhs[-1] += np.stack([p.right_anchor for p in group])
-    rhs = rhs.reshape(F, -1)
-
-    if F == 1:
-        free = rhs / diag[:, None]
-    else:
-        ab = np.zeros((3, F))
-        ab[0, 1:] = -1.0
-        ab[1, :] = diag
-        ab[2, :-1] = -1.0
-        free = solve_banded((1, 1), ab, rhs)
+    free = _solve_tridiagonal(diag, rhs.reshape(F, -1))
     return list(free.reshape(F, len(group), d).swapaxes(0, 1))
+
+
+def _solve_tridiagonal(diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs for each column of rhs (F, K), where A has diagonal
+    ``diag`` and -1 on both off-diagonals, by the steps LAPACK ``dgtsv``
+    takes without row interchanges, in its order:
+
+        fact = dl_i / d_i,  d_{i+1} -= fact * du_i,  b_{i+1} -= fact * b_i,
+        x_F = b_F / d_F,    x_i = (b_i - du_i x_{i+1} - du2_i x_{i+2}) / d_i,
+
+    with dl_i = du_i = -1 and du2_i = 0, the second superdiagonal that an
+    interchange would fill.  The unit factors are left out where that
+    changes no bit: d - fact * (-1) is d + fact, and b - (-1) * x is b + x.
+    The 0 * x_{i+2} term stays, as dgtsv computes it: it turns a -0.0 into
+    +0.0.  Row F-1 has no such term in dgtsv; x2 starts at +0.0 there, and
+    subtracting +0.0 changes no bit.
+
+    No interchange is the branch dgtsv takes here, so these are its bits
+    (given a dgtsv build without fused multiply-adds; the tests compare
+    with ``scipy.linalg.solve_banded``, which calls it).  It interchanges
+    rows i and i+1 only when |d_i| < |dl_i| = 1, and every pivot
+    d_1 .. d_{F-1} is at least 1, computed in floats: those rows hold
+    m + 2 with m > 0, so diag_i >= 2 after rounding, and by induction
+    d_{i+1} = fl(diag_{i+1} + fact) with -1 <= fact = fl(-1 / d_i) < 0 is
+    at least fl(2 - 1) = 1.  The last pivot is at least 1 on an anchored
+    window and at least 0 on an unanchored one (diagonal m_F + 1); were it
+    0, dgtsv would report a singular matrix, and the division here raises
+    ZeroDivisionError.
+
+    The factorization is shared and each column costs O(F) Python float
+    operations, so a call costs O(F K) with no fixed set-up.
+    """
+    d = diag.tolist()
+    fact = []
+    for i in range(len(d) - 1):
+        fact.append(-1.0 / d[i])
+        d[i + 1] += fact[-1]
+    last = d[-1]
+    back = list(zip(range(len(d) - 2, -1, -1), reversed(d[:-1])))
+    cols = rhs.T.tolist()
+    for b in cols:
+        y = b[0]
+        for i, f in enumerate(fact, 1):
+            y = b[i] = b[i] - f * y
+        x1, x2 = y / last, 0.0
+        b[-1] = x1
+        for i, di in back:
+            x1, x2 = (b[i] + x1 - 0.0 * x2) / di, x1
+            b[i] = x1
+    return np.array(cols).T
 
 
 #: Largest dense transition matrix kept in memory (entries); bigger grids

@@ -306,6 +306,14 @@ BAD_FLAGS = [
     (["game", "--m", "0"], "--m must be positive, not 0.0"),
     (["game", "--m", "-1", "--adversary", "oblivious"], "--m must be positive, not -1.0"),
     (["reduce", "--mode", "duplicate", "--w", "0"], "--w must be at least 1, not 0"),
+    (["game", "--m", "nan"], "--m must be finite, not nan"),
+    (["game", "--m", "inf"], "--m must be finite, not inf"),
+    (["game", "--inflation", "nan"], "--inflation must be finite, not nan"),
+    (["game", "--inflation", "inf"], "--inflation must be finite, not inf"),
+    (["verify-conditions", "--radius", "nan"], "--radius must be finite, not nan"),
+    (["verify-conditions", "--radius", "inf"], "--radius must be finite, not inf"),
+    (["oracle", "--grid-lo", "nan", "--grid-hi", "2"], "--grid-lo must be finite, not nan"),
+    (["oracle", "--grid-lo", "-2", "--grid-hi", "inf"], "--grid-hi must be finite, not inf"),
 ]
 
 

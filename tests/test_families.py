@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -103,6 +104,27 @@ def test_ripple_rejects_bad_params():
         make_ripple(-1.0, 1.0, 2.0, [[0.0]])
     with pytest.raises(ValueError):
         make_ripple(1.0, 1.0, 0.0, [[0.0]])
+
+
+NON_FINITE_PARAMS = [
+    (lambda x: make_polyhedral(x, [[0.0]]), "alpha"),
+    (lambda x: make_strongly_convex(x, [[0.0]]), "m"),
+    (lambda x: make_ripple(x, 1.0, 2.0, [[0.0]]), "m"),
+    (lambda x: make_ripple(1.0, x, 2.0, [[0.0]]), "eps"),
+    (lambda x: make_ripple(1.0, 1.0, x, [[0.0]]), "k"),
+    (lambda x: make_glb([x], [1.0], [3.0], [[1.0]]), "e0"),
+    (lambda x: make_glb([1.0], [x], [3.0], [[1.0]]), "beta"),
+    (lambda x: make_glb([1.0], [1.0], [x], [[1.0]]), "mu"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, name", NON_FINITE_PARAMS)
+def test_constructors_reject_non_finite_params(build, name, value):
+    # a NaN passes every sign check and +inf passes most; both fail here,
+    # by name, before any cost is built
+    with pytest.raises(ValueError, match=f"^{name} must be finite, not "):
+        build(value)
 
 
 FAMILY_INSTANCES = [

@@ -330,6 +330,19 @@ def test_failures_recorded_in_row_not_raised():
     assert rows_to_csv(rows) == CSV_HEADER + "\nbroken,greedy,1,1,nan,nan,nan,nan,false,nan\n"
 
 
+def test_non_finite_family_param_fails_its_row_by_name():
+    # Python's json reads NaN and Infinity; the constructor names the
+    # parameter instead of the row failing later on non-finite points
+    config = ExperimentConfig.from_dict(json.loads("""{
+        "instances": [{"id": "nan-m", "generate": {"family": "strongly_convex",
+                       "params": {"m": NaN}, "T": 4, "d": 1}}],
+        "algorithms": [{"name": "greedy"}, {"name": "dsfhc", "w": [2]}],
+        "seeds": [1]}"""))
+    rows, summary = run_suite(config)
+    assert [r.error for r in rows] == ["ValueError: m must be finite, not nan"] * 2
+    assert summary["failures"] == 2
+
+
 def test_added_algorithm_does_not_perturb_rows():
     base = quad_config(seeds=(1, 2), ws=(2,))
     rows_before, _ = run_suite(base)

@@ -150,3 +150,36 @@ def test_oracle_cli_output_is_byte_stable(tmp_path):
             *flags, "--out", str(out))
         digests[family, method, flags] = sha256(out.read_bytes())
     assert digests == ORACLE_SHA256
+
+
+#: Runs every start-up path the lab's short commands take, then prints the
+#: scipy modules loaded.  scipy stays a dependency of the projection polish
+#: in ``reductions``; any other use imports it inside the function that
+#: needs it, so these commands never pay its import.
+NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from soco_lab.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code == 0, (argv, code, err.getvalue())
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_short_commands_load_no_scipy(tmp_path):
+    quad = oracle_instance_file(tmp_path, "strongly_convex")
+    poly = oracle_instance_file(tmp_path, "polyhedral")
+    commands = [
+        ["sweep", "--config", str(ROOT / "configs" / name), "--out", str(tmp_path / name)]
+        for name in ("quadratic_sweep.json", "dimension_sweep.json")]
+    commands += [
+        ["oracle", "--instance", str(quad)],
+        ["oracle", "--instance", str(poly)],
+        ["game", "--seeds", "2", "--T", "12"],
+        ["reduce", "--mode", "epigraph", "--instance", str(poly)],
+        ["verify-conditions", "--instance", str(quad), "--samples", "200"],
+    ]
+    stdout = run("-c", NO_SCIPY_PROBE, json.dumps(commands))
+    assert json.loads(stdout.splitlines()[-1]) == []

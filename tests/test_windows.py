@@ -22,6 +22,7 @@ from soco_lab import (
     make_ripple,
     make_strongly_convex,
     movement_cost,
+    offline_optimal_quadratic,
     run_afhc,
     run_dsfhc,
     solve_grid_dp,
@@ -30,7 +31,12 @@ from soco_lab import (
     solve_quadratic_chain,
     window_objective,
 )
-from soco_lab.windows import UnsupportedProblemError, _back_pointer, _GridEval
+from soco_lab.windows import (
+    UnsupportedProblemError,
+    _back_pointer,
+    _GridEval,
+    _solve_tridiagonal,
+)
 
 
 def quad_instance(T=10, m=2.0, seed=0):
@@ -655,6 +661,17 @@ def test_solver_shared_by_two_instances_gives_each_its_cold_answer(family, d, se
             assert np.array_equal(run(solver).points, run(WindowSolver(grid)).points)
 
 
+def _banded_reference(diag, rhs):
+    """``scipy.linalg.solve_banded`` on the quadratic windows' matrix:
+    ``diag`` on the diagonal and -1 on both off-diagonals."""
+    F = len(diag)
+    if F == 1:
+        return rhs / diag[:, None]
+    ab = np.zeros((3, F))
+    ab[0, 1:], ab[1], ab[2, :-1] = -1.0, diag, -1.0
+    return solve_banded((1, 1), ab, rhs)
+
+
 def _chain_reference(problem):
     """One window's tridiagonal solve on its own, the reference for
     ``solve_quadratic_batch``."""
@@ -670,19 +687,15 @@ def _chain_reference(problem):
     rhs[0] += problem.left_anchor
     if anchored:
         rhs[-1] += problem.right_anchor
-    if F == 1:
-        return rhs / diag[:, None]
-    ab = np.zeros((3, F))
-    ab[0, 1:], ab[1], ab[2, :-1] = -1.0, diag, -1.0
-    return solve_banded((1, 1), ab, rhs)
+    return _banded_reference(diag, rhs)
 
 
 @given(st.sampled_from([0, 1, 2, 5]), st.booleans(), st.sampled_from([1, 3]),
        st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
 def test_quadratic_batch_equals_each_window_alone(F, anchored, d, B, seed):
-    # B windows of two instances (two values of m) share one solve_banded
-    # call per group of equal matrices; each window gets the bits of its
-    # own solve
+    # B windows of two instances (two values of m) share one tridiagonal
+    # solve per group of equal matrices; each window gets the bits of its
+    # own solve_banded call
     rng = np.random.default_rng(seed)
     T = F + 6
     insts = [make_strongly_convex(m, rng.uniform(-3, 3, (T, d)) * 10.0 ** rng.uniform(-3, 3),
@@ -702,6 +715,69 @@ def test_quadratic_batch_equals_each_window_alone(F, anchored, d, B, seed):
         assert sol.free_points.shape == (F, d)
         assert np.array_equal(sol.free_points, ref)
         assert np.array_equal(solve_quadratic_chain(problem).free_points, ref)
+
+
+@given(st.integers(1, 64), st.booleans(), st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+def test_tridiagonal_solve_is_solve_banded_bit_for_bit(F, anchored, K, seed):
+    # m per row log-uniform on [1e-3, 1e3], right-hand sides over 10^-6..10^6,
+    # one to sixteen stacked columns, with signed zeros mixed in
+    rng = np.random.default_rng(seed)
+    m = 10.0 ** rng.uniform(-3, 3, F)
+    diag = m + 2.0
+    if not anchored:
+        diag[-1] = m[-1] + 1.0
+    rhs = rng.normal(size=(F, K)) * 10.0 ** rng.uniform(-6, 6, (F, K))
+    rhs[rng.random((F, K)) < 0.1] = 0.0
+    rhs[rng.random((F, K)) < 0.1] = -0.0
+    got, ref = _solve_tridiagonal(diag, rhs), _banded_reference(diag, rhs)
+    assert got.shape == (F, K)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_tridiagonal_solve_keeps_lapacks_signed_zeros():
+    # an all -0.0 right-hand side: dgtsv's 0 * x_{i+2} term turns every
+    # row but the last two into +0.0
+    for F in range(1, 6):
+        rhs = np.full((F, 2), -0.0)
+        got = _solve_tridiagonal(np.full(F, 3.0), rhs)
+        ref = _banded_reference(np.full(F, 3.0), rhs)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.signbit(got).tolist() == [[i >= F - 2] * 2 for i in range(F)]
+
+
+@given(st.integers(1, 64), st.booleans(), st.sampled_from([1, 2, 4]), st.integers(1, 16),
+       st.integers(0, 2 ** 32 - 1))
+def test_quadratic_batch_with_per_step_m_is_solve_banded(F, anchored, d, B, seed):
+    # windows whose m differs per timestep, batched with windows of other
+    # m values; each gets solve_banded's bits for its own matrix
+    rng = np.random.default_rng(seed)
+    B = max(1, B // d)          # at most 16 stacked right-hand sides a matrix
+    m_rows = [10.0 ** rng.uniform(-3, 3, F + 1) for _ in range(2)]
+    problems = []
+    for _ in range(B):
+        m = m_rows[rng.integers(2)]
+        scale = 10.0 ** rng.uniform(-6, 6)
+        costs = tuple(make_strongly_convex(m_t, [rng.normal(size=d) * scale]).hitting[0]
+                      for m_t in m)
+        right = rng.normal(size=d) * scale if anchored else None
+        problems.append(WindowProblem(0, F + 1, as_point(rng.normal(size=d) * scale), right,
+                                      costs if anchored else costs[:F],
+                                      movement_cost("sq_l2_half")))
+    for problem, sol in zip(problems, solve_quadratic_batch(problems)):
+        ref = _chain_reference(problem)
+        assert sol.free_points.shape == (F, d)
+        assert np.array_equal(sol.free_points, ref)
+
+
+def test_long_horizon_quadratic_oracle_is_solve_banded():
+    # the full-horizon window at T = 200: unanchored, one column a coordinate
+    rng = np.random.default_rng(5)
+    for d in (1, 3):
+        inst = make_strongly_convex(0.37, np.cumsum(rng.normal(size=(200, d)), axis=0),
+                                    start=rng.normal(size=d))
+        ref = _chain_reference(build_window(inst, 0, inst.horizon + 1))
+        assert np.array_equal(offline_optimal_quadratic(inst).trajectory.points, ref)
 
 
 def test_blocked_dense_minplus_bounds_its_temporaries(monkeypatch):
