@@ -116,7 +116,8 @@ def _cmd_rows(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _at_least("--grid-n", args.grid_n, 2)
+    if args.grid_n is not None:
+        _at_least("--grid-n", args.grid_n, 2)
     instance = _load(args.instance, _instance)
     if args.grid_lo is None:
         grid = default_grid(instance, args.grid_n)
@@ -124,7 +125,7 @@ def _cmd_oracle(args) -> int:
         if args.grid_lo >= args.grid_hi:
             raise _InputError(f"--grid-lo must be below --grid-hi, "
                               f"not {args.grid_lo} >= {args.grid_hi}")
-        grid = Grid.make(args.grid_lo, args.grid_hi, args.grid_n, dim=instance.dim)
+        grid = Grid.make(args.grid_lo, args.grid_hi, args.grid_n or 201, dim=instance.dim)
         try:
             grid.snap_rows(np.vstack([instance.start, instance.minimizers()]))
         except ValueError as exc:
@@ -198,8 +199,7 @@ def _cmd_reduce(args) -> int:
         instance = _load(args.instance, cbc_from_spec)
         reduced = duplicate_cbc_instance(instance, args.w)
     else:
-        instance = _load(args.instance, _instance)
-        reduced = epigraph_reduce(instance)
+        reduced = _load(args.instance, lambda raw: epigraph_reduce(_instance(raw)))
     _emit(json.dumps(cbc_to_spec(reduced), indent=2) + "\n", args.out)
     return 0
 
@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=ORACLE_METHODS, default="auto")
     p.add_argument("--grid-lo", type=float, default=None)
     p.add_argument("--grid-hi", type=float, default=None)
-    p.add_argument("--grid-n", type=int, default=201)
+    p.add_argument("--grid-n", type=int, default=None,
+                   help="points per axis of a uniform lattice (default: the family's "
+                        "breakpoint lattice, else 201)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_oracle)
 

@@ -346,7 +346,9 @@ def _prepare(spec: dict, instance_id: str, seed: int) -> dict:
 
 def _opt_and_budget(instance: Instance, oracle_spec: dict, grid: Grid,
                     solver: WindowSolver) -> tuple[float, float]:
-    """Offline optimum, and the ratio's tolerance budget for lattice snapping."""
+    """Offline optimum, and the ratio's tolerance budget for lattice
+    snapping: 1e-8, plus a slope bound times the snap distance when an
+    anchor is off the lattice (never on a breakpoint lattice)."""
     res = offline_optimal(instance, grid, oracle_spec.get("method", "auto"), solver=solver)
     if res.method == "exact_quadratic":
         return res.cost, 1e-8

@@ -5,7 +5,10 @@ over the segments between anchors.  ``offline_optimal`` is the one place
 that picks how the full-horizon optimum is computed: the closed-form
 tridiagonal solve for the quadratic family, the lattice DP
 (``solve_grid_dp``) over the window (0, T+1) for anything else (per
-coordinate where it separates, in any d).  Given a ``WindowSolver``, the
+coordinate where it separates, in any d).  On the default lattice of the
+piecewise-linear families, their breakpoints, that DP is the exact
+optimum; on a uniform lattice it is the lattice optimum, an upper bound on
+it.  Given a ``WindowSolver``, the
 lattice DP runs on that solver's caches, so its cost tables and the
 stages it shares with windows solved before come from the stage memo.
 ``constrained_offline``, the anchor-constrained optimum, solves the

@@ -8,13 +8,18 @@ free variables of a small optimization solved by one of two backends:
 
   exact_quadratic  closed-form tridiagonal solve (quadratic costs,
                    half-squared-l2 movement),
-  grid_dp          stage-wise dynamic programming over a uniform lattice;
+  grid_dp          stage-wise dynamic programming over a product lattice;
                    the full-horizon lattice oracle is this DP over the
                    window (0, T+1).
 
 The lattice is the run's (``default_grid`` of the instance, or one the
 caller gives), never one made up per window: a ``WindowSolver`` built
-without a lattice solves quadratic windows only.
+without a lattice solves quadratic windows only.  A lattice axis is either
+uniform or a list of coordinates.  The piecewise-linear families
+(``polyhedral`` p = 1 in any d and any p in 1-D, ``glb``) default to their
+breakpoint lattice -- the start, the minimizers and 0 for ``glb`` -- on
+which the DP, and every window anchored at lattice points, is exact; the
+other families default to 201 uniform points per axis.
 
 In d >= 2 a window whose costs (``HittingCost.axes``) and movement
 (``MovementCost.split``) separate by coordinate -- ``polyhedral`` p = 1,
@@ -40,7 +45,7 @@ float operations, so it is the pointer a kept column would hold.  On the
 2-D lattice the column costs more than the values, and a window reads
 F - 1 pointers of it.  On a 1-D lattice one recomputed point costs about
 as much as the whole column, and columns are shared: about 262 windows
-per ``sweep-1d`` item backtrack through about 72 shared stage calls.
+per ``sweep-1d`` item backtrack through 45 to 73 shared stage calls.
 
 Windows are solved in batches (``solve_grid_dp_batch``,
 ``WindowSolver.solve_batch``): windows that share a movement and lattice
@@ -83,6 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -95,11 +101,23 @@ class UnsupportedProblemError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform lattice: per-dimension closed ranges with n points each."""
+    """Product lattice, per axis either uniform -- n points spanning the
+    closed range [lo, hi] (``make``) -- or given by its sorted coordinates
+    (``from_axes``; ``coords`` holds them, lo and hi are the end ones).
+
+    A grid keys the stage memo, the cost tables and the lattice caches, so
+    its hash is computed once, when it is built."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     n: tuple[int, ...]
+    coords: tuple[tuple[float, ...], ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.n, self.coords)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(cls, lo, hi, n, dim: int = 1) -> "Grid":
@@ -112,6 +130,19 @@ class Grid:
             raise ValueError("grid needs lo < hi and n >= 2 per dimension")
         return cls(lo, hi, n)
 
+    @classmethod
+    def from_axes(cls, axes) -> "Grid":
+        """Coordinate lattice: the distinct values of each axis, sorted
+        (-0.0 is kept as 0.0).  An axis may hold a single coordinate."""
+        coords = tuple(tuple((np.unique(np.asarray(a, dtype=float)) + 0.0).tolist())
+                       for a in axes)
+        if not coords or not all(coords):
+            raise ValueError("grid needs at least one coordinate per axis")
+        if not all(math.isfinite(x) for axis in coords for x in axis):
+            raise ValueError("grid needs finite coordinates")
+        return cls(tuple(c[0] for c in coords), tuple(c[-1] for c in coords),
+                   tuple(map(len, coords)), coords)
+
     @property
     def dim(self) -> int:
         return len(self.lo)
@@ -122,12 +153,17 @@ class Grid:
 
     def axis(self, j: int) -> "Grid":
         """The 1-D lattice along axis j."""
-        return Grid(self.lo[j:j + 1], self.hi[j:j + 1], self.n[j:j + 1])
+        return Grid(self.lo[j:j + 1], self.hi[j:j + 1], self.n[j:j + 1],
+                    None if self.coords is None else self.coords[j:j + 1])
 
     def axes(self) -> tuple[np.ndarray, ...]:
         return _axes(self)
 
     def spacing(self) -> np.ndarray:
+        """Per-axis step of a uniform lattice; a coordinate lattice has none
+        and raises ValueError."""
+        if self.coords is not None:
+            raise ValueError("a coordinate lattice has no uniform spacing")
         return np.array([(b - a) / (k - 1) for a, b, k in zip(self.lo, self.hi, self.n)])
 
     def points(self) -> np.ndarray:
@@ -142,31 +178,49 @@ class Grid:
     def snap_rows(self, pts: np.ndarray) -> np.ndarray:
         """Nearest lattice point to each row of the stacked (n, d) float
         array ``pts``; the first coordinate outside the range, in row-major
-        order, raises ValueError."""
-        lo, low, high, step, top = _snap_arrays(self)
+        order, raises ValueError.  A uniform axis rounds its index half to
+        even.  A coordinate axis takes the nearest coordinate, the lower one
+        on a tie: it splits at the midpoints of neighbouring coordinates (as
+        rounded to floats), and a point on a midpoint takes the lower one."""
+        low, high, snap = _snapper(self)
         outside = (pts < low) | (pts > high)
         if outside.any():
             i, j = np.argwhere(outside)[0]
             raise ValueError(f"point coordinate {pts[i, j]} outside grid range "
                              f"[{self.lo[j]}, {self.hi[j]}]")
-        idx = np.minimum(np.maximum(np.rint((pts - lo) / step), 0.0), top)
-        return lo + idx * step
+        return snap(pts)
 
 
 @lru_cache(maxsize=32)
-def _snap_arrays(grid: Grid) -> tuple[np.ndarray, ...]:
-    """``snap_rows``'s arrays: lo, the range with its 1e-9 slack, the
-    spacing and the top index per axis."""
+def _snapper(grid: Grid) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """``snap_rows``'s range per axis, with its 1e-9 slack, and its map from
+    in-range rows to lattice points."""
     lo = np.array(grid.lo)
-    arrays = (lo, lo - 1e-9, np.array(grid.hi) + 1e-9, grid.spacing(), np.array(grid.n) - 1)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    low, high = lo - 1e-9, np.array(grid.hi) + 1e-9
+    low.setflags(write=False)
+    high.setflags(write=False)
+    if grid.coords is None:
+        step, top = grid.spacing(), np.array(grid.n) - 1
+
+        def snap(pts):
+            return lo + np.minimum(np.maximum(np.rint((pts - lo) / step), 0.0), top) * step
+    else:
+        cells = [(x, (x[1:] + x[:-1]) / 2) for x in grid.axes()]
+
+        def snap(pts):
+            out = np.empty(pts.shape)
+            for j, (x, mid) in enumerate(cells):
+                out[:, j] = x[np.searchsorted(mid, pts[:, j])]
+            return out
+    return low, high, snap
 
 
 @lru_cache(maxsize=32)
 def _axes(grid: Grid) -> tuple[np.ndarray, ...]:
-    axes = tuple(np.linspace(a, b, k) for a, b, k in zip(grid.lo, grid.hi, grid.n))
+    if grid.coords is not None:
+        axes = tuple(np.array(c) for c in grid.coords)
+    else:
+        axes = tuple(np.linspace(a, b, k) for a, b, k in zip(grid.lo, grid.hi, grid.n))
     for axis in axes:
         axis.setflags(write=False)
     return axes
@@ -181,10 +235,22 @@ def _lattice(grid: Grid) -> np.ndarray:
     return pts
 
 
-def default_grid(instance: Instance, n: int = 201) -> Grid:
-    """Lattice over the bounding box of the start point and all minimizers,
-    widened on every side by twice its largest span (at least 1), and cut
-    at 0 for ``glb``, whose decisions are nonnegative."""
+def default_grid(instance: Instance, n: int | None = None) -> Grid:
+    """The run's lattice.
+
+    With no ``n``, the piecewise-linear families -- ``glb`` and
+    ``polyhedral`` p = 1 in any d, ``polyhedral`` of any p in 1-D -- get
+    their breakpoint lattice (``_breakpoint_axes``), on which the lattice DP
+    is exact.  Every other instance, and every instance when ``n`` is
+    given, gets a uniform lattice of ``n`` points per axis (201 by default)
+    over the bounding box of the start point and all minimizers, widened on
+    every side by twice its largest span (at least 1), and cut at 0 for
+    ``glb``, whose decisions are nonnegative."""
+    if n is None:
+        axes = _breakpoint_axes(instance)
+        if axes is not None:
+            return Grid.from_axes(axes)
+        n = 201
     anchors = np.vstack([instance.minimizers(), instance.start[None, :]])
     lo, hi = anchors.min(axis=0), anchors.max(axis=0)
     span = max(float((hi - lo).max()), 1.0)
@@ -192,6 +258,26 @@ def default_grid(instance: Instance, n: int = 201) -> Grid:
     if instance.family_tag == "glb":
         lo = np.maximum(lo, 0.0)
     return Grid.make(lo, hi, n, dim=instance.dim)
+
+
+def _breakpoint_axes(instance: Instance) -> list[np.ndarray] | None:
+    """Per-axis breakpoints of a separable convex piecewise-linear instance
+    with l1 or ramp movement, else None: the start coordinate, every
+    minimizer coordinate, and 0, the orthant's edge, for ``glb``.
+
+    Every DP value function of such an instance is convex and piecewise
+    linear per axis, with kinks only at these points, so the lattice DP on
+    their product is exact, and so is every window whose anchors are
+    lattice points.  That covers ``glb`` and ``polyhedral`` p = 1 in any d,
+    and ``polyhedral`` of any p in 1-D, where each norm is |x|."""
+    tag = instance.family_tag
+    if not (tag == "glb" or tag == "polyhedral"
+            and (instance.dim == 1 or instance.hitting[0].params["p"] == 1)):
+        return None
+    points = np.vstack([instance.start[None, :], instance.minimizers()])
+    if tag == "glb":
+        points = np.vstack([points, np.zeros((1, instance.dim))])
+    return list(points.T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from soco_lab import default_grid, instance_to_spec, make_polyhedral, make_strongly_convex
+from soco_lab import (
+    default_grid,
+    instance_to_spec,
+    make_glb,
+    make_polyhedral,
+    make_strongly_convex,
+)
 from soco_lab.cli import build_parser, main
 from soco_lab.reductions import cbc_to_spec, CbcInstance, interval
 from soco_lab.model import movement_cost
@@ -315,6 +321,21 @@ BAD_FLAGS = [
     (["oracle", "--grid-lo", "nan", "--grid-hi", "2"], "--grid-lo must be finite, not nan"),
     (["oracle", "--grid-lo", "-2", "--grid-hi", "inf"], "--grid-hi must be finite, not inf"),
 ]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_strongly_convex(2.0, [[1.0], [0.5]], start=[0.0]),
+    lambda: make_glb([1.0], [2.0], [3.0], [[1.0], [0.5]], start=[0.0]),
+])
+def test_cli_epigraph_of_non_norm_movement_exits_two_on_one_line(tmp_path, capsys, make):
+    # used to print a ValueError traceback and exit 1
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_spec(make())))
+    assert main(["reduce", "--mode", "epigraph", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"soco-lab: error: {path}: epigraph reduction is defined "
+                            "for norm movement costs\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command, reason", BAD_FLAGS)

@@ -609,8 +609,12 @@ def _counting(monkeypatch, cls, name, counts, items=None):
 
 #: min-plus calls per (instance, seed) of ``work_gate_config``, by family,
 #: for seeds 1301 and 7.  Solved row by row, the same rows took 51 batches
-#: and 104/111 (polyhedral), 95/100 (glb) and 106/110 (ripple) calls.
-MINPLUS_CALLS = {"polyhedral": [74, 73], "glb": [70, 71], "ripple": [71, 73]}
+#: and 104/111 (polyhedral), 95/100 (glb) and 106/110 (ripple) calls on the
+#: 201-point uniform lattice, and jointly 74/73 (polyhedral) and 70/71
+#: (glb).  On the breakpoint lattice an ``afhc`` chain that restarts from a
+#: minimizer restarts from the left anchor of the phase windows that start
+#: there, so it shares their stages more often.
+MINPLUS_CALLS = {"polyhedral": [68, 73], "glb": [45, 45], "ripple": [71, 73]}
 
 #: Windows handed to ``solve_batch`` per (instance, seed) of
 #: ``work_gate_config``, for seeds 1301 and 7 (the ``rsfhc-b`` draws
@@ -653,6 +657,25 @@ def test_work_per_instance_and_seed(monkeypatch, family, params):
         monkeypatch.undo()
         assert len(rows) == 16 and summary["failures"] == 1   # rsfhc-b at w = 2
         assert counts == {"solve_batch": longest, "windows": solved, "minplus": minplus}
+
+
+@pytest.mark.parametrize("family,params", [
+    ("polyhedral", {"alpha": 1.0, "p": 1}),
+    ("glb", {"e0": [1.0], "beta": [1.0], "mu": [3.0]}),
+    ("ripple", {"m": 2.0, "eps": 0.3, "k": 2.0}),
+])
+def test_work_gate_lattice_size(family, params):
+    # the piecewise-linear families run on their distinct breakpoints -- the
+    # start, 40 minimizers and 0 for glb -- instead of 201 uniform points
+    for seed in (1301, 7):
+        inst = harness._build_instance(work_gate_config(family, params, seed).instances[0],
+                                       family, seed)
+        size = default_grid(inst).size
+        if family == "ripple":
+            assert size == 201
+        else:
+            points = {0.0, *inst.minimizers()[:, 0].tolist(), *inst.start.tolist()}
+            assert size == len(points) <= 42
 
 
 @pytest.mark.parametrize("family,params", [
@@ -736,8 +759,8 @@ def lattice_pin_config():
 #: writes for ``lattice_pin_config``.  A change to these bytes must be
 #: explained to the last ulp before the values here are updated.
 LATTICE_PIN_SHA256 = (
-    "2796544abf2c1d7b9e086d5372f0f24ab317d00f296629a59bf715a24d73d766",
-    "e30ddfc3467a44587c7d2e065a5da710937d0acba6792ac92f4d79d06d422e0e",
+    "f61c6bb2642198a3941b3690700e5a88bf77ea7e7f90aff95b94292bfefd17ab",
+    "e5f8988c316b0bffaa37e84a135eea17590aa69bb60b54eb5d494c2c8b723ec5",
 )
 
 

@@ -51,7 +51,7 @@ SHIPPED_CSV_SHA256 = {
     "quadratic_sweep.json":
         "1fd411bb6886b61961c30407401f404dc69d85a82d19ec65ac4b89c425bb0e9c",
     "dimension_sweep.json":
-        "f11827fca1df22af5f1921297943616d563ec36c27aca8d0aebcf4855d893fb6",
+        "8e781447dc04717b48ebf137b7d2bc56bd69c33b3e5db32a1440d3d7a57c58c9",
 }
 SHIPPED_SUMMARY_SHA256 = {
     "quadratic_sweep.json":
@@ -117,9 +117,9 @@ RANGE = ("--grid-lo", "-3", "--grid-hi", "3", "--grid-n", "61")
 #: answer came back) and now sizes the default lattice.
 ORACLE_SHA256 = {
     ("polyhedral", "auto", ()):
-        "735ea222f509e290a8712824e2a588b1ab305731d829c41fb12f75128a2a9b50",
+        "aff3f9fe69265a510f897caf14713690924f670714c9823381c405de90658453",
     ("polyhedral", "grid", ()):
-        "735ea222f509e290a8712824e2a588b1ab305731d829c41fb12f75128a2a9b50",
+        "aff3f9fe69265a510f897caf14713690924f670714c9823381c405de90658453",
     ("polyhedral", "auto", RANGE):
         "a00e13153544ff95e7eaeb97a3910b0219b461ca4c0803b5f1a87f4bf437f8a6",
     ("polyhedral", "grid", RANGE):
