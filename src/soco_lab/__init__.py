@@ -50,7 +50,6 @@ from .oracle import (
     offline_optimal,
     offline_optimal_grid,
     offline_optimal_quadratic,
-    solve_segment,
     solve_segments,
 )
 from .algorithms import (

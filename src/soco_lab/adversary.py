@@ -237,14 +237,12 @@ def transcript_to_spec(transcript: GameTranscript) -> dict:
 
 
 def grid_quantizer(grid: Grid) -> Callable:
-    """Default disclosure map: the lattice index vector of the decision."""
-    lo = np.asarray(grid.lo)
-    step = grid.spacing()
-    n = np.asarray(grid.n)
+    """Default disclosure map: the lattice index vector of the decision,
+    nearest per axis by the rule ``Grid.snap_rows`` snaps with
+    (``Grid.index_rows``), a decision outside the box taking the end index."""
 
     def psi(x) -> tuple[int, ...]:
-        idx = np.clip(np.round((np.asarray(x, dtype=float) - lo) / step), 0, n - 1)
-        return tuple(int(i) for i in idx)
+        return tuple(grid.index_rows(np.asarray(x, dtype=float)[None, :])[0].tolist())
 
     return psi
 

@@ -28,6 +28,7 @@ from .model import (
     HittingCost,
     Instance,
     as_point,
+    l2_norm,
     movement_cost,
     norm_movement,
 )
@@ -127,7 +128,7 @@ def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
             if p == 1:
                 r = np.abs(diff).sum(axis=-1)
             elif p == 2:
-                r = np.sqrt((diff * diff).sum(axis=-1))
+                r = l2_norm(diff)
             else:
                 r = np.abs(diff).max(axis=-1)
             return alpha * r
@@ -319,22 +320,25 @@ def estimate_condition_constants(instance: Instance, domain_radius: float,
 #  "hitting": {"family": ..., "params": {...}, "minimizers": [[...], ...]}}
 # ---------------------------------------------------------------------------
 
+def spec_params(params: dict) -> dict:
+    """Constructor parameters as written to JSON: arrays as lists, the rest
+    as given (so p = "inf" stays a string)."""
+    return {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in params.items()}
+
+
 def instance_to_spec(instance: Instance) -> dict:
     """Serialize an analytic-family instance to the JSON schema."""
     if instance.family_tag not in FAMILIES:
         raise ValueError(f"cannot serialize family {instance.family_tag!r}")
-    params = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-              for k, v in instance.hitting[0].params.items()}
-    mv_params = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                 for k, v in instance.movement.params.items()}
     return {
         "dim": instance.dim,
         "T": instance.horizon,
         "x0": instance.start.tolist(),
-        "movement": {"kind": instance.movement.kind, "params": mv_params},
+        "movement": {"kind": instance.movement.kind,
+                     "params": spec_params(instance.movement.params)},
         "hitting": {
             "family": instance.family_tag,
-            "params": params,
+            "params": spec_params(instance.hitting[0].params),
             "minimizers": instance.minimizers().tolist(),
         },
     }

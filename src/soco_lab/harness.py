@@ -311,20 +311,18 @@ def _build_instance(spec: dict, instance_id: str, seed: int) -> Instance:
 
 
 def _grid_lipschitz(instance: Instance, grid: Grid) -> float:
-    """Crude per-step slope bound on the grid box, for budget reporting."""
+    """Crude per-step slope bound on the grid box, for budget reporting.
+    Only ``polyhedral`` (p = 2 or inf in d >= 2), ``ripple`` and
+    ``strongly_convex`` (method ``grid``) reach it: ``glb`` and the other
+    ``polyhedral`` instances run on their breakpoint lattice, where every
+    anchor is a lattice point and the snap distance is 0."""
     width = float((np.asarray(grid.hi) - np.asarray(grid.lo)).max())
-    tag = instance.family_tag
     params = instance.hitting[0].params
-    if tag == "polyhedral":
+    if instance.family_tag == "polyhedral":
         per_step = params["alpha"] + 2.0
-    elif tag in ("strongly_convex", "ripple"):
+    else:
         per_step = params["m"] * width + params.get("eps", 0.0) * params.get("k", 0.0) \
             + 2.0 * width
-    elif tag == "glb":
-        per_step = float(np.sum(params["e0"]) + np.sum(params["mu"])
-                         + 2.0 * np.sum(params["beta"]))
-    else:
-        per_step = 2.0 * width
     return instance.horizon * per_step
 
 

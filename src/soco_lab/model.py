@@ -34,6 +34,25 @@ MOVEMENT_KINDS = ("norm_l1", "norm_l2", "norm_linf", "sq_l2_half", "rectified_li
 PENALTY = 1e12
 
 
+def l2_norm(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of the differences stacked on the last axis, without
+    the underflow and overflow of squaring: |d| in 1-D, and in d >= 2
+    sqrt(sum d^2), rescaled by max |d| where that sum is 0, subnormal or
+    infinite (a row of zeros stays 0)."""
+    if diff.shape[-1] == 1:
+        return np.abs(diff[..., 0])
+    flat = diff.reshape(-1, diff.shape[-1])
+    with np.errstate(over="ignore"):
+        sq = (flat * flat).sum(axis=-1)
+    norm = np.sqrt(sq)
+    odd = np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))
+    if odd.size:
+        scale = np.abs(flat[odd]).max(axis=-1)
+        scale[scale == 0.0] = 1.0
+        norm[odd] = scale * np.sqrt(((flat[odd] / scale[:, None]) ** 2).sum(axis=-1))
+    return norm.reshape(diff.shape[:-1])[()]
+
+
 def as_point(x, dim: int | None = None) -> Point:
     """Coerce ``x`` to a read-only 1-D float array, validating shape and finiteness."""
     p = np.asarray(x, dtype=float)
@@ -97,7 +116,7 @@ class MovementCost:
         if self.kind == "norm_l1":
             return np.abs(diff).sum(axis=-1)
         if self.kind == "norm_l2":
-            return np.sqrt((diff * diff).sum(axis=-1))
+            return l2_norm(diff)
         if self.kind == "norm_linf":
             return np.abs(diff).max(axis=-1)
         if self.kind == "sq_l2_half":

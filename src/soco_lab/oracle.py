@@ -121,18 +121,6 @@ def anchor_segments(anchors, T: int) -> list[tuple[int, int]]:
     return segments
 
 
-def solve_segment(instance: Instance, a: int, b: int,
-                  solver: WindowSolver) -> tuple[str, np.ndarray]:
-    """Solver tag and decisions for timesteps a+1 .. min(b, T) of the window
-    (a, b]: the solved interior, then the anchor v_b when b <= T.  A window
-    (a, a+1] with a < T is its anchor alone, tagged ``anchors``, unsolved."""
-    anchor = [cost.minimizer for cost in instance.hitting[b - 1:b]]   # v_b, if b <= T
-    if b == a + 1 <= instance.horizon:
-        return "anchors", np.vstack(anchor)
-    sol = solver(build_window(instance, a, b))
-    return sol.solver_tag, np.vstack([sol.free_points, *anchor])
-
-
 def solve_segments(instance: Instance, anchor_sets, solver: WindowSolver,
                    chained=None) -> tuple[np.ndarray, list[set[str]]]:
     """Decisions of the runs on each anchor set, shape (runs, T, d), and
@@ -142,12 +130,12 @@ def solve_segments(instance: Instance, anchor_sets, solver: WindowSolver,
     Every run starts as the minimizers, which puts each anchor in place.
     Windows with a free timestep are then solved in steps, one
     ``solve_batch`` call each.  Step 0 holds every distinct anchored window
-    (a, b] with b > a + 1, each solved exactly as ``solve_segment`` solves
-    it alone (a window that several runs share, as the phases of ``sfhc``,
-    ``dsfhc`` and ``rsfhc-a`` at one w, is solved once), and the first
-    window of each chained run.  Step k holds the k-th window of each
-    chained run: it starts at the run's previous point and has no right
-    anchor.  Free points go straight into their runs' rows."""
+    (a, b] with b > a + 1, each with the points it gets solved alone (a
+    window that several runs share, as the phases of ``sfhc``, ``dsfhc``
+    and ``rsfhc-a`` at one w, is solved once), and the first window of each
+    chained run.  Step k holds the k-th window of each chained run: it
+    starts at the run's previous point and has no right anchor.  Free
+    points go straight into their runs' rows."""
     T = instance.horizon
     runs = [anchor_segments(anchors, T) for anchors in anchor_sets]
     chained = [False] * len(runs) if chained is None else list(chained)

@@ -21,7 +21,9 @@ from .model import (
     MovementCost,
     Point,
     as_point,
+    movement_cost,
 )
+from .families import make_polyhedral, make_strongly_convex, spec_params
 from .windows import Grid
 from .oracle import OracleResult, offline_optimal_grid
 
@@ -313,7 +315,7 @@ def cbc_to_spec(instance: CbcInstance) -> dict:
                 if cost.family_tag not in ("polyhedral", "strongly_convex"):
                     raise ValueError("only analytic-family epigraphs serialize")
                 entry["family"] = cost.family_tag
-                entry["params"] = {k: float(v) for k, v in cost.params.items()}
+                entry["params"] = spec_params(cost.params)
                 entry["minimizer"] = cost.minimizer.tolist()
             else:
                 entry[key] = value.tolist() if isinstance(value, np.ndarray) else value
@@ -328,9 +330,6 @@ def cbc_to_spec(instance: CbcInstance) -> dict:
 
 def cbc_from_spec(spec: dict) -> CbcInstance:
     """Rebuild a chasing instance from its JSON body list."""
-    from .model import movement_cost
-    from .families import make_polyhedral, make_strongly_convex
-
     dim = int(spec["dim"])
     bodies = []
     for entry in spec["bodies"]:
@@ -354,7 +353,7 @@ def cbc_from_spec(spec: dict) -> CbcInstance:
             path = [entry["minimizer"]]
             if entry["family"] == "polyhedral":
                 inst = make_polyhedral(entry["params"]["alpha"], path,
-                                       p=int(entry["params"].get("p", 2)))
+                                       p=entry["params"].get("p", 2))
             else:
                 inst = make_strongly_convex(entry["params"]["m"], path)
             bodies.append(epigraph(inst.hitting[0], dim))

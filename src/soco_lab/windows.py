@@ -14,12 +14,14 @@ free variables of a small optimization solved by one of two backends:
 
 The lattice is the run's (``default_grid`` of the instance, or one the
 caller gives), never one made up per window: a ``WindowSolver`` built
-without a lattice solves quadratic windows only.  A lattice axis is either
-uniform or a list of coordinates.  The piecewise-linear families
-(``polyhedral`` p = 1 in any d and any p in 1-D, ``glb``) default to their
-breakpoint lattice -- the start, the minimizers and 0 for ``glb`` -- on
-which the DP, and every window anchored at lattice points, is exact; the
-other families default to 201 uniform points per axis.
+without a lattice solves quadratic windows only.  A lattice is the product
+of its per-axis sorted coordinates, evenly spaced or not, and every lattice
+snaps a point by one rule: per axis the nearest coordinate, the lower one on
+an exact tie.  The piecewise-linear families (``polyhedral`` p = 1 in any d
+and any p in 1-D, ``glb``) default to their breakpoint lattice -- the start,
+the minimizers and 0 for ``glb`` -- on which the DP, and every window
+anchored at lattice points, is exact; the other families default to 201
+evenly spaced points per axis.
 
 In d >= 2 a window whose costs (``HittingCost.axes``) and movement
 (``MovementCost.split``) separate by coordinate -- ``polyhedral`` p = 1,
@@ -88,7 +90,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -101,34 +102,37 @@ class UnsupportedProblemError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Product lattice, per axis either uniform -- n points spanning the
-    closed range [lo, hi] (``make``) -- or given by its sorted coordinates
-    (``from_axes``; ``coords`` holds them, lo and hi are the end ones).
+    """Product lattice: the sorted coordinates of each axis, ``coords``.
+    ``make`` spaces n points evenly over the closed range [lo, hi] per axis
+    (``np.linspace``); ``from_axes`` takes the coordinates given.  ``lo``,
+    ``hi`` and ``n`` -- the end coordinates and the count per axis -- are
+    derived from ``coords`` once, when the grid is built.
 
     A grid keys the stage memo, the cost tables and the lattice caches, so
-    its hash is computed once, when it is built."""
+    its hash is computed once too."""
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    n: tuple[int, ...]
-    coords: tuple[tuple[float, ...], ...] | None = None
+    coords: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.lo, self.hi, self.n, self.coords)))
+        lo, hi = tuple(c[0] for c in self.coords), tuple(c[-1] for c in self.coords)
+        # _box: ``snap_rows``' range per axis, with its 1e-9 slack
+        self.__dict__.update(lo=lo, hi=hi, n=tuple(map(len, self.coords)),
+                             _hash=hash(self.coords),
+                             _box=(np.subtract(lo, 1e-9), np.add(hi, 1e-9)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @classmethod
     def make(cls, lo, hi, n, dim: int = 1) -> "Grid":
-        lo = tuple(np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).tolist())
-        hi = tuple(np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).tolist())
-        n = tuple(int(x) for x in np.broadcast_to(np.asarray(n), (dim,)).tolist())
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).tolist()
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).tolist()
+        n = [int(x) for x in np.broadcast_to(np.asarray(n), (dim,)).tolist()]
         if not all(map(math.isfinite, lo + hi)):
             raise ValueError("grid needs finite lo and hi")
         if any(b <= a for a, b in zip(lo, hi)) or any(k < 2 for k in n):
             raise ValueError("grid needs lo < hi and n >= 2 per dimension")
-        return cls(lo, hi, n)
+        return cls(tuple(tuple(np.linspace(a, b, k).tolist()) for a, b, k in zip(lo, hi, n)))
 
     @classmethod
     def from_axes(cls, axes) -> "Grid":
@@ -140,12 +144,11 @@ class Grid:
             raise ValueError("grid needs at least one coordinate per axis")
         if not all(math.isfinite(x) for axis in coords for x in axis):
             raise ValueError("grid needs finite coordinates")
-        return cls(tuple(c[0] for c in coords), tuple(c[-1] for c in coords),
-                   tuple(map(len, coords)), coords)
+        return cls(coords)
 
     @property
     def dim(self) -> int:
-        return len(self.lo)
+        return len(self.coords)
 
     @property
     def size(self) -> int:
@@ -153,18 +156,15 @@ class Grid:
 
     def axis(self, j: int) -> "Grid":
         """The 1-D lattice along axis j."""
-        return Grid(self.lo[j:j + 1], self.hi[j:j + 1], self.n[j:j + 1],
-                    None if self.coords is None else self.coords[j:j + 1])
+        return Grid(self.coords[j:j + 1])
 
     def axes(self) -> tuple[np.ndarray, ...]:
         return _axes(self)
 
     def spacing(self) -> np.ndarray:
-        """Per-axis step of a uniform lattice; a coordinate lattice has none
-        and raises ValueError."""
-        if self.coords is not None:
-            raise ValueError("a coordinate lattice has no uniform spacing")
-        return np.array([(b - a) / (k - 1) for a, b, k in zip(self.lo, self.hi, self.n)])
+        """Per-axis largest gap between neighbouring coordinates (0 on a
+        one-point axis)."""
+        return np.array([np.diff(x).max(initial=0.0) for x in self.axes()])
 
     def points(self) -> np.ndarray:
         return _lattice(self)
@@ -175,52 +175,42 @@ class Grid:
         snapped = self.snap_rows(p[None, :])[0]
         return snapped, float(np.sqrt(((snapped - p) ** 2).sum()))
 
+    def index_rows(self, pts: np.ndarray) -> np.ndarray:
+        """Per-axis index of the nearest coordinate to each entry of the
+        stacked (n, d) array ``pts``: the lower one on an exact float tie of
+        the two distances, so a coordinate maps to its own index.  Entries
+        beyond an axis's ends take its end coordinate."""
+        return np.stack([_nearest(x, p) for x, p in zip(self.axes(), pts.T)], axis=-1)
+
     def snap_rows(self, pts: np.ndarray) -> np.ndarray:
         """Nearest lattice point to each row of the stacked (n, d) float
-        array ``pts``; the first coordinate outside the range, in row-major
-        order, raises ValueError.  A uniform axis rounds its index half to
-        even.  A coordinate axis takes the nearest coordinate, the lower one
-        on a tie: it splits at the midpoints of neighbouring coordinates (as
-        rounded to floats), and a point on a midpoint takes the lower one."""
-        low, high, snap = _snapper(self)
+        array ``pts``, per axis by ``index_rows``' rule; the first
+        coordinate more than 1e-9 outside the range, in row-major order,
+        raises ValueError."""
+        low, high = self._box
         outside = (pts < low) | (pts > high)
         if outside.any():
             i, j = np.argwhere(outside)[0]
             raise ValueError(f"point coordinate {pts[i, j]} outside grid range "
                              f"[{self.lo[j]}, {self.hi[j]}]")
-        return snap(pts)
+        out = np.empty(pts.shape)
+        for j, x in enumerate(self.axes()):
+            out[:, j] = x[_nearest(x, pts[:, j])]
+        return out
 
 
-@lru_cache(maxsize=32)
-def _snapper(grid: Grid) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """``snap_rows``'s range per axis, with its 1e-9 slack, and its map from
-    in-range rows to lattice points."""
-    lo = np.array(grid.lo)
-    low, high = lo - 1e-9, np.array(grid.hi) + 1e-9
-    low.setflags(write=False)
-    high.setflags(write=False)
-    if grid.coords is None:
-        step, top = grid.spacing(), np.array(grid.n) - 1
-
-        def snap(pts):
-            return lo + np.minimum(np.maximum(np.rint((pts - lo) / step), 0.0), top) * step
-    else:
-        cells = [(x, (x[1:] + x[:-1]) / 2) for x in grid.axes()]
-
-        def snap(pts):
-            out = np.empty(pts.shape)
-            for j, (x, mid) in enumerate(cells):
-                out[:, j] = x[np.searchsorted(mid, pts[:, j])]
-            return out
-    return low, high, snap
+def _nearest(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``Grid.index_rows`` on one sorted axis ``x``: each p lies in (or
+    beyond) a gap [x_k, x_k+1] and takes x_k+1 only when strictly nearer."""
+    if len(x) == 1:
+        return np.zeros(p.shape, dtype=np.intp)
+    k = np.searchsorted(x[1:-1], p)
+    return k + (p - x[k] > x[k + 1] - p)
 
 
 @lru_cache(maxsize=32)
 def _axes(grid: Grid) -> tuple[np.ndarray, ...]:
-    if grid.coords is not None:
-        axes = tuple(np.array(c) for c in grid.coords)
-    else:
-        axes = tuple(np.linspace(a, b, k) for a, b, k in zip(grid.lo, grid.hi, grid.n))
+    axes = tuple(np.array(c) for c in grid.coords)
     for axis in axes:
         axis.setflags(write=False)
     return axes

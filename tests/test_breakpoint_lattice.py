@@ -17,6 +17,7 @@ from soco_lab import (
     Grid,
     default_grid,
     grid_quantizer,
+    instance_to_spec,
     make_glb,
     make_polyhedral,
     offline_optimal,
@@ -50,9 +51,7 @@ def close(got, ref):
     return abs(got - ref) <= 1e-12 * abs(ref)
 
 
-#: coordinates; 1-D ``norm_l2`` movement squares differences, and below
-#: about 1e-154 the square underflows to 0, so tinier ones are left out
-coords = st.floats(-5.0, 5.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+coords = st.floats(-5.0, 5.0)
 paths = st.lists(coords, min_size=1, max_size=12)
 
 
@@ -116,6 +115,22 @@ def test_no_piecewise_linear_ratio_below_one():
     assert {r.tolerance_budget for r in rows} == {1e-8}
 
 
+def test_adjacent_float_minimizers_get_no_snap_budget():
+    # the upper of two adjacent-float minimizers is a lattice point too, so
+    # it snaps to itself and the row's budget stays 1e-8
+    a = float(np.nextafter(1.0, 2.0))
+    b = float(np.nextafter(a, 2.0))
+    inst = make_polyhedral(1.3, [[a], [b], [3.0]], p=1, start=[0.0])
+    assert Grid.from_axes([[0.0, a, b, 3.0]]).snap_rows(np.array([[a], [b]])).tolist() == \
+        [[a], [b]]
+    config = ExperimentConfig.from_dict({
+        "instances": [{"id": "adjacent", "instance": instance_to_spec(inst)}],
+        "algorithms": [{"name": "greedy"}, {"name": "dsfhc", "w": [2]}], "seeds": [1]})
+    rows, summary = run_suite(config)
+    assert summary["failures"] == 0
+    assert {r.tolerance_budget for r in rows} == {1e-8}
+
+
 def test_default_grid_kinds():
     path = np.array([[0.5, 2.0], [1.5, 2.0], [0.5, 3.0]])
     poly = make_polyhedral(1.0, path, p=1, start=[0.0, 2.0])
@@ -127,7 +142,7 @@ def test_default_grid_kinds():
     assert default_grid(make_polyhedral(1.0, path, p=2)).n == (201, 201)
     # an n asks for the uniform lattice on every family
     uniform = default_grid(poly, 11)
-    assert uniform.coords is None and uniform.n == (11, 11)
+    assert uniform == Grid.make([-3.0, -1.0], [4.5, 6.0], 11, dim=2)
     # in 1-D every norm is |x|: any p gets the breakpoints
     assert default_grid(make_polyhedral(1.0, path[:, :1], p=np.inf)).coords == \
         ((0.0, 0.5, 1.5),)
@@ -157,23 +172,27 @@ def test_coordinate_snap_is_nearest_ties_lower():
     assert np.array_equal(grid.snap_rows(rows), np.array(expected))
 
 
-def test_uniform_snap_rounds_half_to_even():
-    # Grid.make keeps rint: half steps go to the even index, where the same
-    # points as a coordinate lattice go to the lower coordinate
+def test_uniform_snap_matches_coordinate_snap():
+    # one rule on every lattice: Grid.make is its linspace coordinates, so it
+    # snaps exactly as from_axes on them, and exact half steps go lower
     uniform = Grid.make(-1.0, 1.0, 5)
-    coordinate = Grid.from_axes([uniform.axes()[0]])
+    assert uniform == Grid.from_axes([uniform.axes()[0]])
     halves = np.array([[-0.75], [-0.25], [0.25], [0.75]])
-    assert uniform.snap_rows(halves)[:, 0].tolist() == [-1.0, 0.0, 0.0, 1.0]
-    assert coordinate.snap_rows(halves)[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5]
+    assert uniform.snap_rows(halves)[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5]
+    uneven = Grid.make([-1.0, 0.0], [2.5, 0.7], [11, 8], dim=2)
+    coordinate = Grid.from_axes(uneven.axes())
+    rows = np.random.default_rng(5).uniform([-1.0, 0.0], [2.5, 0.7], (200, 2))
+    assert np.array_equal(uneven.snap_rows(rows), coordinate.snap_rows(rows))
 
 
-def test_coordinate_lattice_has_no_spacing():
-    grid = Grid.from_axes([[0.0, 1.0, 3.0]])
-    with pytest.raises(ValueError, match="no uniform spacing"):
-        grid.spacing()
-    with pytest.raises(ValueError, match="no uniform spacing"):
-        grid_quantizer(grid)
+def test_spacing_is_the_largest_gap_and_quantizer_takes_any_lattice():
+    grid = Grid.from_axes([[0.0, 1.0, 3.0], [2.0]])
+    assert grid.spacing().tolist() == [2.0, 0.0]
     assert Grid.make(0.0, 3.0, 4).spacing().tolist() == [1.0]
+    # nearest index, the lower one on a tie, the end one outside the box
+    psi = grid_quantizer(grid)
+    assert [psi([x, 2.5]) for x in (-1.0, 0.5, 0.6, 2.0, 2.5, 9.0)] == \
+        [(0, 0), (0, 0), (1, 0), (1, 0), (2, 0), (2, 0)]
 
 
 def test_coordinate_grids_hash_and_compare_by_value():
@@ -184,3 +203,42 @@ def test_coordinate_grids_hash_and_compare_by_value():
     assert b.points().tolist() == [[0.0, 1.0], [2.0, 1.0]]
     # a one-point axis snaps to its point
     assert a.snap_rows(np.array([[1.5, 1.0], [0.5, 1.0]])).tolist() == [[2.0, 1.0], [0.0, 1.0]]
+
+
+@st.composite
+def axis_coords(draw):
+    """Coordinates of one axis: a few floats, each followed by up to three
+    of its adjacent floats (``np.nextafter``)."""
+    out = []
+    for c in draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6)):
+        for _ in range(draw(st.integers(1, 4))):
+            out.append(c)
+            c = float(np.nextafter(c, np.inf))
+    return out
+
+
+def assert_points_snap_to_themselves(grid):
+    pts = grid.points()
+    assert np.array_equal(grid.snap_rows(pts), pts)
+
+
+@given(st.lists(axis_coords(), min_size=1, max_size=2))
+def test_from_axes_points_snap_to_themselves(axes):
+    grid = Grid.from_axes(axes)
+    assert_points_snap_to_themselves(grid)
+    # and the quantizer gives each point its own index
+    own = np.stack(np.unravel_index(np.arange(grid.size), grid.n), axis=-1)
+    assert np.array_equal(grid.index_rows(grid.points()), own)
+
+
+@given(st.floats(-1e6, 1e6), st.one_of(st.integers(1, 4), st.floats(1e-6, 1e3)),
+       st.integers(2, 60))
+def test_make_points_snap_to_themselves(lo, width, n):
+    # width: a count of adjacent floats, or a span
+    if isinstance(width, int):
+        hi = lo
+        for _ in range(width):
+            hi = float(np.nextafter(hi, np.inf))
+    else:
+        hi = lo + width
+    assert_points_snap_to_themselves(Grid.make(lo, hi, n))

@@ -225,6 +225,25 @@ def test_cli_reduce_epigraph(tmp_path, capsys):
     assert payload["start"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+def test_cli_reduce_round_trips_every_norm(tmp_path, capsys, p):
+    # p = inf used to be written as Infinity, which the duplicate mode then
+    # failed to read back
+    inst = make_polyhedral(1.0, [[1.0], [0.0]], p=p, start=[0.0])
+    path = tmp_path / "soco.json"
+    path.write_text(json.dumps(instance_to_spec(inst)))
+    assert main(["reduce", "--mode", "epigraph", "--instance", str(path)]) == 0
+    reduced = capsys.readouterr().out
+    lifted = tmp_path / "cbc.json"
+    lifted.write_text(reduced)
+    assert main(["reduce", "--mode", "duplicate", "--instance", str(lifted), "--w", "2"]) == 0
+    duplicated = capsys.readouterr().out
+    assert "Infinity" not in reduced + duplicated
+    bodies = json.loads(reduced)["bodies"]
+    assert json.loads(duplicated)["bodies"] == [b for b in bodies for _ in range(2)]
+    assert bodies[0]["params"] == {"alpha": 1.0, "p": p}
+
+
 def test_cli_verify_conditions(quad_instance_file, capsys):
     code = main(["verify-conditions", "--instance", str(quad_instance_file),
                  "--samples", "2000"])

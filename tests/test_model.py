@@ -147,6 +147,19 @@ def test_pairwise_matches_scalar(kind, rng):
             assert mat[i, j] == pytest.approx(c(new[i], old[j]), abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-205, 1e-160, 1.0, 1e160, 1e300])
+def test_l2_norm_survives_tiny_and_huge_differences(scale):
+    # sqrt of the sum of squares underflows to 0 below about 1e-154 and
+    # overflows above about 1e154; 1-D takes |d|, d >= 2 rescales
+    c = movement_cost("norm_l2")
+    assert c.of_difference(np.array([[-6.2 * scale]])).tolist() == [6.2 * scale]
+    got = c.of_difference(np.array([[3.0 * scale, -4.0 * scale], [0.0, 0.0]]))
+    assert got[0] == pytest.approx(5.0 * scale, rel=1e-15) and got[1] == 0.0
+    x = np.array([3.0 * scale, 4.0 * scale])
+    assert make_polyhedral(2.0, [[0.0, 0.0]], p=2).hitting[0](x) == pytest.approx(
+        10.0 * scale, rel=1e-15)
+
+
 def test_rectified_linear_is_asymmetric():
     c = movement_cost("rectified_linear", beta=[2.0])
     assert c([1.0], [0.0]) == pytest.approx(2.0)

@@ -18,7 +18,6 @@ from soco_lab import (
     offline_optimal_quadratic,
     padded_movement,
     run_greedy,
-    solve_segment,
     solve_segments,
 )
 from soco_lab.model import Instance
@@ -225,9 +224,8 @@ def test_anchors_are_written_not_solved(monkeypatch, family):
     every = constrained_offline(inst, AnchorSet.phase(0, 1, 7), solver)
     assert every.method == "anchors" and every.cost == run_greedy(inst).total
     assert np.array_equal(every.trajectory.points, inst.minimizers())
-    for a in range(7):
-        tag, points = solve_segment(inst, a, a + 1, solver)
-        assert tag == "anchors" and np.array_equal(points, inst.minimizers()[a:a + 1])
+    points, tags = solve_segments(inst, [range(1, 8)], solver)
+    assert tags == [set()] and np.array_equal(points[0], inst.minimizers())
 
 
 def test_constrained_method_of_several_solvers_is_mixed():
