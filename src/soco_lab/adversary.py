@@ -238,8 +238,8 @@ def transcript_to_spec(transcript: GameTranscript) -> dict:
 
 def grid_quantizer(grid: Grid) -> Callable:
     """Default disclosure map: the lattice index vector of the decision,
-    nearest per axis by the rule ``Grid.snap_rows`` snaps with
-    (``Grid.index_rows``), a decision outside the box taking the end index."""
+    nearest per axis by ``Grid.index_rows`` (``snap_rows``' rule); a finite
+    decision outside the box takes the end index, a non-finite one raises."""
 
     def psi(x) -> tuple[int, ...]:
         return tuple(grid.index_rows(np.asarray(x, dtype=float)[None, :])[0].tolist())

@@ -13,8 +13,9 @@ solve it.
 
 Since a plan is known before any window is solved, plans are solved in
 batches: ``solve_plans`` solves the runs of many plans as one
-``oracle.solve_segments`` call, and the harness solves every row of one
-(instance, seed) that way.  The ``run_*`` functions,
+``oracle.solve_segments`` call, and ``plan_costs`` also scores them as one
+``model.total_costs`` call, as the harness does for every row of one
+(instance, seed).  The ``run_*`` functions,
 ``sfhc_subroutine_costs`` and ``rsfhc_a_expected_cost`` solve one plan
 alone.  On a lattice, a batch runs one min-plus call per DP stage for all
 its windows instead of one per window, which matters because these windows
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Trajectory, evaluate_total_cost
+from .model import Instance, Trajectory, evaluate_total_cost, total_costs
 from .oracle import solve_segments
 from .windows import WindowSolver, solver_for
 
@@ -53,7 +54,7 @@ class AnchorSet:
         """Timesteps {k : k = h (mod w), 0 <= k <= T}."""
         if w < 1 or not 0 <= h < w:
             raise ValueError("need w >= 1 and 0 <= h < w")
-        return cls(tuple(k for k in range(T + 1) if k % w == h))
+        return cls(tuple(range(h, T + 1, w)))
 
     @classmethod
     def explicit(cls, times) -> "AnchorSet":
@@ -79,24 +80,25 @@ class Plan:
     combine: str = "run"
     chained: bool = False
 
+    def scored(self, points: np.ndarray) -> np.ndarray:
+        """The trajectories, (k, T, d), whose costs give the plan's cost,
+        from its runs' decisions ``points`` (runs, T, d): its one run, the
+        pointwise mean of its runs, or each run (``mean_costs``)."""
+        if self.combine == "run":
+            return points[:1]
+        return points.mean(axis=0)[None] if self.combine == "mean_points" else points
+
     def trajectory(self, instance: Instance, points: np.ndarray) -> Trajectory:
         """The scored decisions of a ``run`` or ``mean_points`` plan, from
         its runs' decisions ``points`` (runs, T, d)."""
         if self.combine == "mean_costs":
             raise ValueError("a mean of costs has no trajectory")
-        return evaluate_total_cost(instance, points[0] if self.combine == "run"
-                                   else points.mean(axis=0))
+        return evaluate_total_cost(instance, self.scored(points)[0])
 
     def cost(self, instance: Instance, points: np.ndarray) -> float:
         """The plan's cost from its runs' decisions ``points`` (runs, T, d)."""
-        if self.combine == "mean_costs":
-            return float(np.mean(run_costs(instance, points)))
-        return self.trajectory(instance, points).total
-
-
-def run_costs(instance: Instance, points: np.ndarray) -> list[float]:
-    """Total cost of each run of ``points`` (runs, T, d)."""
-    return [evaluate_total_cost(instance, run).total for run in points]
+        totals = total_costs(instance, self.scored(points)).tolist()
+        return float(np.mean(totals)) if self.combine == "mean_costs" else totals[0]
 
 
 def solve_plans(instance: Instance, plans,
@@ -109,6 +111,17 @@ def solve_plans(instance: Instance, plans,
     points, _ = solve_segments(instance, anchor_sets, solver or solver_for(instance), chained)
     ends = np.cumsum([0] + [len(plan.anchor_sets) for plan in plans])
     return [points[a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+
+def plan_costs(instance: Instance, plans, solver: WindowSolver | None = None) -> list[float]:
+    """Each plan's cost (``Plan.cost``), bit for bit, with the runs of all
+    plans solved as one ``solve_plans`` call and all their scored
+    trajectories totalled as one ``total_costs`` call."""
+    scored = list(map(Plan.scored, plans, solve_plans(instance, plans, solver)))
+    totals = total_costs(instance, np.concatenate(scored)).tolist() if plans else []
+    ends = np.cumsum([0] + [len(s) for s in scored]).tolist()
+    return [float(np.mean(totals[a:b])) if plan.combine == "mean_costs" else totals[a]
+            for plan, a, b in zip(plans, ends, ends[1:])]
 
 
 def sfhc_plan(w: int, h: int, T: int) -> Plan:
@@ -173,7 +186,7 @@ def sfhc_subroutine_costs(instance: Instance, w: int,
                           solver: WindowSolver | None = None) -> list[float]:
     """Total costs of the w phase subroutines."""
     plan = subroutine_mean_plan(w, instance.horizon)
-    return run_costs(instance, _alone(instance, plan, solver))
+    return total_costs(instance, _alone(instance, plan, solver)).tolist()
 
 
 def run_dsfhc(instance: Instance, w: int,
@@ -212,7 +225,7 @@ def gen_anchor_sequence(w: int, T: int, rng: np.random.Generator) -> AnchorSet:
     support = gap_support(w)
     times = [0]
     while times[-1] <= T:
-        times.append(times[-1] + int(rng.choice(support)))
+        times.append(times[-1] + support[int(rng.integers(0, len(support)))])
     return AnchorSet.explicit([t for t in times if t <= T])
 
 

@@ -37,7 +37,8 @@ from .harness import (
     check_instance_schema,
     format_rows,
     run_suite,
-    sweep_and_report,
+    summary_text,
+    write_report,
 )
 from .model import Instance, movement_cost
 from .oracle import ORACLE_METHODS, offline_optimal
@@ -106,12 +107,13 @@ def _cmd_rows(args) -> int:
             dict(raw, seeds={"master": args.seed, "count": len(config.seeds)}))
 
     config = _load(args.config, parse)
+    rows, summary = run_suite(config)
+    text = summary_text(summary)   # encoded once, for the summary file and stderr
     if args.command == "sweep":
-        _, summary = sweep_and_report(config, args.out, fmt=args.format)
+        write_report(rows, text, args.out, args.format)
     else:
-        rows, summary = run_suite(config)
         _emit(format_rows(rows, args.format), args.out)
-    sys.stderr.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    sys.stderr.write(text)
     return 0 if summary["all_within_bounds"] else 1
 
 
@@ -125,7 +127,10 @@ def _cmd_oracle(args) -> int:
         if args.grid_lo >= args.grid_hi:
             raise _InputError(f"--grid-lo must be below --grid-hi, "
                               f"not {args.grid_lo} >= {args.grid_hi}")
-        grid = Grid.make(args.grid_lo, args.grid_hi, args.grid_n or 201, dim=instance.dim)
+        try:
+            grid = Grid.make(args.grid_lo, args.grid_hi, args.grid_n or 201, dim=instance.dim)
+        except ValueError as exc:
+            raise _InputError(f"--grid-lo, --grid-hi and --grid-n give no lattice: {exc}") from exc
         try:
             grid.snap_rows(np.vstack([instance.start, instance.minimizers()]))
         except ValueError as exc:

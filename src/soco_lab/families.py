@@ -27,7 +27,6 @@ from .model import (
     PENALTY,
     HittingCost,
     Instance,
-    as_point,
     l2_norm,
     movement_cost,
     norm_movement,
@@ -98,6 +97,8 @@ def _hitting(hit, formula, pts: np.ndarray, separable: bool) -> tuple[HittingCos
     d >= 2 a separable cost carries its d 1-D costs, built once so lattice
     tables keyed by cost objects stay valid."""
     d, whole = pts.shape[1], slice(None)
+    pts = pts.copy()   # each minimizer is a read-only row of this copy
+    pts.setflags(write=False)
     f = formula(whole)
     if d == 1 or not separable:
         return tuple(hit(v, whole, f, None) for v in pts)
@@ -107,9 +108,8 @@ def _hitting(hit, formula, pts: np.ndarray, separable: bool) -> tuple[HittingCos
 
 
 def _cost(f, v, *args) -> HittingCost:
-    """The cost f(., v), carrying f as its formula; ``args`` are the
-    ``HittingCost`` fields from ``min_value`` to ``axes``."""
-    v = as_point(v)
+    """The cost f(., v), carrying f as its formula; ``v`` is a read-only row
+    of a checked path, ``args`` the fields from ``min_value`` to ``axes``."""
     return HittingCost(lambda x: f(np.asarray(x, dtype=float), v), v, *args, formula=f)
 
 

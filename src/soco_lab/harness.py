@@ -11,11 +11,11 @@ The rows of one (instance, seed) are computed together, on its built
 instance, lattice and window solver (with its stage memo).  Every row's
 plan is drawn first (``algorithms.Plan``: the anchor sets of its run, or
 of the phase mean its bound check asks for, greedy and ``afhc`` included);
-then every run of every row is solved as one ``algorithms.solve_plans``
-call and each row is scored from its slice, and the offline optimum is
-solved last on the same solver, so its first stages come from the memo.  A
-row whose plan cannot be drawn fails alone; if the joint solve raises, the
-plans are solved one by one, so each row reports its own error.  That
+then every run of every row is solved, and every row scored, as one
+``algorithms.plan_costs`` call, and the offline optimum is solved last on
+the same solver, so its first stages come from the memo.  A row whose plan
+cannot be drawn fails alone; if the joint call raises, the plans are
+solved one by one, so each row reports its own error.  That
 state is dropped before the next seed's, so memory does not grow with the
 seed count.
 
@@ -373,8 +373,9 @@ def _attempt(fn, *args):
 def _row_costs(instance: Instance, solver: WindowSolver, runs: list, seed: int,
                checks: list[str]) -> list:
     """Each row's cost, or its ``_Failure``: every row's plan is drawn, then
-    all plans are one solve.  A joint solve that raises is redone plan by
-    plan, so each row reports what it raises alone."""
+    all plans are one solve and one scoring (``algorithms.plan_costs``).  A
+    joint call that raises is redone plan by plan, so each row reports what
+    it raises alone."""
     T = instance.horizon
     plans = []
     for algo_spec, w in runs:
@@ -385,18 +386,12 @@ def _row_costs(instance: Instance, solver: WindowSolver, runs: list, seed: int,
             plans.append(_attempt(PLANS[name], w, T, seed))
 
     drawn = [plan for plan in plans if isinstance(plan, algs.Plan)]
-    solved = _attempt(algs.solve_plans, instance, drawn, solver) if drawn else []
-    if isinstance(solved, _Failure):
-        solved = [_attempt(algs.solve_plans, instance, [plan], solver) for plan in drawn]
-        solved = [s if isinstance(s, _Failure) else s[0] for s in solved]
-    solved = dict(zip(map(id, drawn), solved))
-
-    costs = []
-    for plan in plans:
-        points = solved[id(plan)] if isinstance(plan, algs.Plan) else plan
-        costs.append(points if isinstance(points, _Failure)
-                     else _attempt(plan.cost, instance, points))
-    return costs
+    costs = _attempt(algs.plan_costs, instance, drawn, solver) if drawn else []
+    if isinstance(costs, _Failure):
+        costs = [_attempt(algs.plan_costs, instance, [plan], solver) for plan in drawn]
+        costs = [c if isinstance(c, _Failure) else c[0] for c in costs]
+    costs = dict(zip(map(id, drawn), costs))
+    return [costs[id(plan)] if isinstance(plan, algs.Plan) else plan for plan in plans]
 
 
 def _row(instance_id: str, algorithm: str, w: int, seed: int, cost, oracle,
@@ -526,14 +521,23 @@ def format_rows(rows: list[ResultRow], fmt: str = "csv") -> str:
     return rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
 
 
-def sweep_and_report(config: ExperimentConfig, out_path: str,
-                     fmt: str = "csv") -> tuple[list[ResultRow], dict]:
-    """Run the suite and write the rows file plus a JSON summary next to it."""
-    rows, summary = run_suite(config)
+def summary_text(summary: dict) -> str:
+    """The JSON text of a summary, as the summary file holds it."""
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def write_report(rows: list[ResultRow], text: str, out_path: str, fmt: str = "csv"):
+    """Write the rows file, and the summary ``text`` next to it."""
     with open(out_path, "w") as fh:
         fh.write(format_rows(rows, fmt))
     root, _ = os.path.splitext(out_path)
     with open(root + ".summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def sweep_and_report(config: ExperimentConfig, out_path: str,
+                     fmt: str = "csv") -> tuple[list[ResultRow], dict]:
+    """Run the suite and write the rows file plus a JSON summary next to it."""
+    rows, summary = run_suite(config)
+    write_report(rows, summary_text(summary), out_path, fmt)
     return rows, summary

@@ -224,10 +224,13 @@ class Instance:
         for i, h in enumerate(self.hitting):
             if h.minimizer.shape[0] != self.dim:
                 raise ValueError(f"minimizer {i} has wrong dimension")
+        object.__setattr__(self, "_minimizers",
+                           _frozen(np.stack([h.minimizer for h in self.hitting])))
 
     def minimizers(self) -> np.ndarray:
-        """Stack of the T minimizer points, shape (T, d)."""
-        return _frozen(np.stack([h.minimizer for h in self.hitting]))
+        """Stack of the T minimizer points, shape (T, d): one read-only
+        array, stacked when the instance is built, on every call."""
+        return self._minimizers
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,18 +261,34 @@ def evaluate_total_cost(instance: Instance, points) -> Trajectory:
     if pts.shape != (instance.horizon, instance.dim):
         raise ValueError(
             f"points must have shape ({instance.horizon}, {instance.dim}), got {pts.shape}")
+    hit, move = _step_costs(instance, pts)
+    return Trajectory(_frozen(pts), _frozen(hit), _frozen(move), float(np.sum(hit + move)))
+
+
+def total_costs(instance: Instance, points: np.ndarray) -> np.ndarray:
+    """The total cost of each trajectory of the stack ``points``, shape
+    (k, T, d), in one pass: ``evaluate_total_cost(instance, p).total`` of
+    each, bit for bit."""
+    if points.shape[1:] != (instance.horizon, instance.dim):
+        raise ValueError(f"points must have shape (k, {instance.horizon}, {instance.dim}), "
+                         f"got {points.shape}")
+    hit, move = _step_costs(instance, points)
+    return np.sum(hit + move, axis=-1)
+
+
+def _step_costs(instance: Instance, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step hitting and movement costs of the trajectories stacked in
+    ``pts`` (..., T, d), each by the same float operations whatever the stack."""
     if not np.all(np.isfinite(pts)):
         raise ValueError("points contain non-finite values")
-
     formula = instance.hitting[0].formula
     if formula is not None and all(c.formula is formula for c in instance.hitting):
         hit = np.asarray(formula(pts, instance.minimizers()), dtype=float)
     else:
-        hit = np.array([cost(p) for cost, p in zip(instance.hitting, pts)])
-    move = instance.movement.of_difference(
-        np.diff(pts, axis=0, prepend=instance.start[None, :]))
-    total = float(np.sum(hit + move))
-    return Trajectory(_frozen(pts), _frozen(hit), _frozen(move), total)
+        hit = np.array([[cost(p) for cost, p in zip(instance.hitting, run)]
+                        for run in pts.reshape((-1,) + pts.shape[-2:])]).reshape(pts.shape[:-1])
+    start = np.broadcast_to(instance.start, pts.shape[:-2] + (1, instance.dim))
+    return hit, instance.movement.of_difference(np.diff(pts, axis=-2, prepend=start))
 
 
 def padded_movement(movement: np.ndarray) -> np.ndarray:

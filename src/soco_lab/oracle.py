@@ -134,38 +134,35 @@ def solve_segments(instance: Instance, anchor_sets, solver: WindowSolver,
     window that several runs share, as the phases of ``sfhc``, ``dsfhc``
     and ``rsfhc-a`` at one w, is solved once), and the first window of each
     chained run.  Step k holds the k-th window of each chained run: it
-    starts at the run's previous point and has no right anchor.  Free
-    points go straight into their runs' rows."""
+    starts at the last point of the run's previous window and has no right
+    anchor.  The free points are written into their runs' rows once, after
+    the last step."""
     T = instance.horizon
     runs = [anchor_segments(anchors, T) for anchors in anchor_sets]
     chained = [False] * len(runs) if chained is None else list(chained)
     anchored = list(dict.fromkeys(seg for segments, c in zip(runs, chained) if not c
                                   for seg in segments if seg[1] - seg[0] > 1))
+    chains = [r for r, c in enumerate(chained) if c]
+    heads = dict.fromkeys(chains, instance.start)   # the point each chained run reached
+    solved, written = {}, []   # (run, first free timestep, solution)
+    for k in range(max((len(runs[r]) for r in chains), default=1)):
+        keys = anchored if k == 0 else []
+        step = [(r, *runs[r][k]) for r in chains if k < len(runs[r])]
+        problems = [build_window(instance, a, b) for a, b in keys] + [
+            WindowProblem(a, b, heads[r], None, instance.hitting[a:min(b, T)], instance.movement)
+            for r, a, b in step]
+        sols = solver.solve_batch(problems) if problems else []
+        solved.update(zip(keys, sols))
+        for (r, a, _), sol in zip(step, sols[len(keys):]):
+            written.append((r, a, sol))
+            heads[r] = sol.free_points[-1]
+    written += [(r, seg[0], solved[seg]) for r, segments in enumerate(runs) if not chained[r]
+                for seg in segments if seg in solved]
     points = np.repeat(instance.minimizers()[None], len(runs), axis=0)   # anchors in place
     tags = [set() for _ in runs]
-
-    def write(r: int, problem, sol):
-        points[r, problem.tau1:problem.tau1 + problem.free_count] = sol.free_points
+    for r, a, sol in written:
+        points[r, a:a + len(sol.free_points)] = sol.free_points
         tags[r].add(sol.solver_tag)
-
-    solved = {}
-    steps = max((len(segments) for segments, c in zip(runs, chained) if c), default=1)
-    for k in range(steps):
-        keys = anchored if k == 0 else []
-        step = [(r, *segments[k]) for r, (segments, c) in enumerate(zip(runs, chained))
-                if c and k < len(segments)]
-        problems = [build_window(instance, a, b) for a, b in keys] + [
-            WindowProblem(a, b, points[r, a - 1] if a else instance.start, None,
-                          tuple(instance.hitting[a:min(b, T)]), instance.movement)
-            for r, a, b in step]
-        pairs = list(zip(problems, solver.solve_batch(problems) if problems else []))
-        solved.update(zip(keys, pairs))
-        for (r, _, _), pair in zip(step, pairs[len(keys):]):
-            write(r, *pair)
-    for r, segments in enumerate(runs):
-        for seg in () if chained[r] else segments:
-            if seg in solved:
-                write(r, *solved[seg])
     return points, tags
 
 

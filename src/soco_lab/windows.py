@@ -40,42 +40,30 @@ O(G^2) product, row-blocked on large lattices.  The joint DP breaks ties
 to the lowest flat lattice index (ij order, last axis fastest); the
 per-coordinate solve breaks them to the lowest index per coordinate.
 
-A 1-D stage keeps its back-pointer column; a joint 2-D stage keeps its
-values only, and backtracking recomputes the back-pointer at each point it
-visits (``_back_pointer``), from the previous stage's values by the same
-float operations, so it is the pointer a kept column would hold.  On the
-2-D lattice the column costs more than the values, and a window reads
-F - 1 pointers of it.  On a 1-D lattice one recomputed point costs about
-as much as the whole column, and columns are shared: about 262 windows
-per ``sweep-1d`` item backtrack through 45 to 73 shared stage calls.
-
 Windows are solved in batches (``solve_grid_dp_batch``,
-``WindowSolver.solve_batch``): windows that share a movement and lattice
-form one batch, whatever their free counts and right anchors.  The batch
-advances stage by stage over the windows that still need a stage, and
-each stage makes one prefix-min pass over a (G, B) value table, one
-column per distinct stage.  Each window then takes its final argmin, and
-the windows of one free count and anchoring backtrack together.  The
-harness puts every anchored window of one (instance, seed) into one batch,
-so the windows of all its algorithms and w share each stage's call.  The
-windows of an online algorithm are at most w stages on a few hundred
-points, so a per-window pass costs mostly numpy call overhead, which a
-batch pays once.  The dense product stays one column at a time inside the
-batch: its cost is arithmetic, and stacking it measured slower.  Every
-window's points equal the window solved alone, bit for bit;
-``solve_grid_dp`` is the batch of one.
+``WindowSolver.solve_batch``) of windows that share a movement and
+lattice, whatever their free counts and right anchors; the harness puts
+all windows of one (instance, seed) and step in one batch.  Beside its DP
+work -- one min-plus call per depth over the distinct stages missing
+there -- a batch pays one snap of its anchors, one final argmin and one
+gather of its points per call, and a memo walk and a backtracking walk by
+index per window.  A 1-D stage keeps its back-pointer column, read by
+index: one recomputed pointer costs about as much as the column, which
+windows share.  A joint 2-D stage keeps its values only, and backtracking
+recomputes each pointer it visits (``_back_pointer``) by the kernel's
+float operations: there a column costs more than the F - 1 pointers a
+window reads.  The dense product takes one column at a time: its cost is
+arithmetic.  Every window's points equal the window solved alone, bit for
+bit; ``solve_grid_dp`` is the batch of one.
 
-A lattice DP stage is solved once per cache.  Stage s of a window depends
-only on the lattice, the movement, the snapped left anchor and the costs
-of its first s + 1 timesteps, not on the right anchor, so the cache keeps
-each stage's columns under that key (the stage memo, a trie of cost
-prefixes per left anchor).  Windows that repeat or extend a solved one --
-the phase windows ``dsfhc``, ``sfhc`` and ``rsfhc-a`` share, (a, a+2]
-inside (a, a+4], the full-horizon oracle window, whose first stages are
-those of every window that starts at 0, ``afhc`` chains that restart from
-one lattice point -- reuse its stages, within a batch as across batches.  A ``WindowSolver`` owns its cache, so
-the memo lives as long as the solver: the harness keeps one per
-(instance, seed).
+Stage s of a window depends only on the lattice, the movement, the snapped
+left anchor and the costs of its first s + 1 timesteps, so a cache keeps
+each stage under that key (the stage memo, a trie of cost prefixes per
+left anchor), and a window that repeats or extends a solved one -- phase
+windows shared by ``dsfhc``, ``sfhc`` and ``rsfhc-a``, (a, a+2] inside
+(a, a+4], the oracle window, ``afhc`` chains that restart from one lattice
+point -- reuses its stages.  A ``WindowSolver`` owns its cache, and the
+harness keeps one per (instance, seed).
 
 Quadratic windows are solved in batches too (``solve_quadratic_batch``):
 windows that share a free count, right-anchoring and m values share the
@@ -127,12 +115,17 @@ class Grid:
     def make(cls, lo, hi, n, dim: int = 1) -> "Grid":
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)).tolist()
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)).tolist()
-        n = [int(x) for x in np.broadcast_to(np.asarray(n), (dim,)).tolist()]
+        n = np.broadcast_to(np.asarray(n), (dim,)).tolist()
+        if not all(float(k).is_integer() for k in n):
+            raise ValueError(f"grid needs an integer n per dimension, not {n}")
         if not all(map(math.isfinite, lo + hi)):
             raise ValueError("grid needs finite lo and hi")
         if any(b <= a for a, b in zip(lo, hi)) or any(k < 2 for k in n):
             raise ValueError("grid needs lo < hi and n >= 2 per dimension")
-        return cls(tuple(tuple(np.linspace(a, b, k).tolist()) for a, b, k in zip(lo, hi, n)))
+        coords = tuple(tuple(np.linspace(a, b, int(k)).tolist()) for a, b, k in zip(lo, hi, n))
+        if any(len(set(axis)) < len(axis) for axis in coords):
+            raise ValueError(f"grid range {lo} to {hi} holds fewer than n = {n} distinct floats")
+        return cls(coords)
 
     @classmethod
     def from_axes(cls, axes) -> "Grid":
@@ -179,18 +172,21 @@ class Grid:
         """Per-axis index of the nearest coordinate to each entry of the
         stacked (n, d) array ``pts``: the lower one on an exact float tie of
         the two distances, so a coordinate maps to its own index.  Entries
-        beyond an axis's ends take its end coordinate."""
+        beyond an axis's ends take its end coordinate; a NaN or infinite
+        entry raises ValueError."""
+        if not np.isfinite(pts).all():
+            raise ValueError("point coordinates must be finite")
         return np.stack([_nearest(x, p) for x, p in zip(self.axes(), pts.T)], axis=-1)
 
     def snap_rows(self, pts: np.ndarray) -> np.ndarray:
         """Nearest lattice point to each row of the stacked (n, d) float
         array ``pts``, per axis by ``index_rows``' rule; the first
-        coordinate more than 1e-9 outside the range, in row-major order,
-        raises ValueError."""
+        coordinate more than 1e-9 outside the range, or NaN, in row-major
+        order, raises ValueError."""
         low, high = self._box
-        outside = (pts < low) | (pts > high)
-        if outside.any():
-            i, j = np.argwhere(outside)[0]
+        inside = (pts >= low) & (pts <= high)
+        if not inside.all():
+            i, j = np.argwhere(~inside)[0]
             raise ValueError(f"point coordinate {pts[i, j]} outside grid range "
                              f"[{self.lo[j]}, {self.hi[j]}]")
         out = np.empty(pts.shape)
@@ -204,7 +200,7 @@ def _nearest(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     beyond) a gap [x_k, x_k+1] and takes x_k+1 only when strictly nearer."""
     if len(x) == 1:
         return np.zeros(p.shape, dtype=np.intp)
-    k = np.searchsorted(x[1:-1], p)
+    k = x[1:-1].searchsorted(p)
     return k + (p - x[k] > x[k + 1] - p)
 
 
@@ -270,7 +266,7 @@ def _breakpoint_axes(instance: Instance) -> list[np.ndarray] | None:
     return list(points.T)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class WindowProblem:
     """Costs for timesteps tau1+1 .. min(tau2, T) with pinned endpoints.
 
@@ -301,7 +297,7 @@ class WindowProblem:
                              tuple(c.axes[j] for c in self.costs), movement)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class WindowSolution:
     free_points: np.ndarray  # (free_count, d): timesteps tau1+1, tau1+2, ...
     solver_tag: str
@@ -368,11 +364,16 @@ def solve_quadratic_batch(problems) -> list[WindowSolution]:
     ``_solve_tridiagonal`` call over stacked right-hand sides; each column
     is solved on its own, so every window gets the points it gets alone.
     """
+    if not all(map(_is_quadratic, problems)):
+        raise UnsupportedProblemError(
+            "exact chain solve needs quadratic costs and sq_l2_half movement")
+    return _quadratic_batch(problems)
+
+
+def _quadratic_batch(problems) -> list[WindowSolution]:
+    """``solve_quadratic_batch`` of windows known to be quadratic."""
     groups: dict = {}
     for i, problem in enumerate(problems):
-        if not _is_quadratic(problem):
-            raise UnsupportedProblemError(
-                "exact chain solve needs quadratic costs and sq_l2_half movement")
         F = problem.free_count
         key = (F, problem.right_anchor is not None, problem.dim,
                tuple(c.params["m"] for c in problem.costs[:F]))
@@ -459,15 +460,16 @@ def _solve_tridiagonal(diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 _DENSE_TRANSITION_LIMIT = 2 * 10 ** 7
 
 
-def _axis_prices(movement: MovementCost, dim: int) -> list[tuple[float, float]] | None:
+@lru_cache(maxsize=32)
+def _axis_prices(movement: MovementCost, dim: int) -> tuple[tuple[float, float], ...] | None:
     """Per-axis (up, down) unit prices when the movement splits into linear
     1-D movements, else None.  Moving from x_j to x_i along an axis costs
     up * (x_i - x_j) when x_i > x_j and down * (x_j - x_i) otherwise."""
     axes = movement.split(dim)
     if axes is None or any(m.kind == "sq_l2_half" for m in axes):
         return None
-    return [(float(m.params["beta"][0]), 0.0) if m.kind == "rectified_linear"
-            else (1.0, 1.0) for m in axes]
+    return tuple((float(m.params["beta"][0]), 0.0) if m.kind == "rectified_linear"
+                 else (1.0, 1.0) for m in axes)
 
 
 def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float, down: float,
@@ -481,11 +483,12 @@ def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float, down: float,
     """
     n = x.shape[0]
     x = x.reshape((n,) + (1,) * (value.ndim - 1))
-    fkey = value - up * x
+    up_x, down_x = up * x, down * x
+    fkey = value - up_x
     frun = np.minimum.accumulate(fkey, axis=0)
-    bkey = (value + down * x)[::-1]
+    bkey = value[::-1] + down_x[::-1]   # made in reversed order, so it is contiguous
     brun = np.minimum.accumulate(bkey, axis=0)
-    fwd, bwd = frun + up * x, brun[::-1] - down * x
+    fwd, bwd = frun + up_x, brun[::-1] - down_x
     take_bwd = bwd < fwd
     best = np.where(take_bwd, bwd, fwd)
     if not back:
@@ -493,11 +496,11 @@ def _prefix_minplus(value: np.ndarray, x: np.ndarray, up: float, down: float,
 
     idx = np.arange(n).reshape(x.shape)
     rec = np.ones(value.shape, dtype=bool)
-    rec[1:] = fkey[1:] < frun[:-1]
-    fwd_arg = np.maximum.accumulate(np.where(rec, idx, 0), axis=0)
-    rec[1:] = bkey[1:] <= brun[:-1]
-    bwd_arg = (n - 1 - np.maximum.accumulate(np.where(rec, idx, 0), axis=0))[::-1]
-    return best, np.where(take_bwd, bwd_arg, fwd_arg)
+    np.less(fkey[1:], frun[:-1], out=rec[1:])
+    fwd_arg = np.maximum.accumulate(rec * idx, axis=0)
+    # a backward record, bkey[j] <= brun[j - 1], is where brun[j] == bkey[j]
+    bwd_arg = np.maximum.accumulate((bkey == brun) * idx, axis=0)
+    return best, np.where(take_bwd, (n - 1 - bwd_arg)[::-1], fwd_arg)
 
 
 def _prefix_point(rows: np.ndarray, x: np.ndarray, i: int, up: float,
@@ -516,7 +519,7 @@ def _prefix_point(rows: np.ndarray, x: np.ndarray, i: int, up: float,
 
 
 def _separable_minplus(value: np.ndarray, grid: Grid,
-                       prices: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray | None]:
+                       prices: tuple) -> tuple[np.ndarray, np.ndarray | None]:
     """Min-plus for a coordinate-separable movement: one prefix-min pass per
     axis, the last axis first.  Trailing dimensions of ``value`` (one per
     window of a batch) ride along.  Only a 1-D lattice returns back-pointers;
@@ -549,11 +552,6 @@ def _back_pointer(prev: np.ndarray, i: int, movement: MovementCost, grid: Grid) 
     return int(a0) * n1 + int(a1[a0])
 
 
-def _columns(arrays) -> np.ndarray:
-    """The (G,) arrays as the columns of a (G, B) array."""
-    return np.array(arrays).T
-
-
 class _GridEval:
     """Caches, per lattice: hitting-cost tables, dense movement transition
     matrices for the movements that do not separate by coordinate, and the
@@ -564,20 +562,22 @@ class _GridEval:
         self._moves: dict = {}
         self._stages: dict = {}
 
-    def cost_tables(self, grid: Grid):
-        """The hitting-cost table lookup of one lattice.  Tables are kept
-        under the cost object, which hashes by identity and is held by the
-        key, so no key can be reused by a new object."""
+    def cost_columns(self, costs: list[HittingCost], grid: Grid) -> np.ndarray:
+        """The hitting-cost tables of ``costs`` on one lattice, as the
+        columns of a (G, K) array, kept under the cost objects (held by the
+        key).  Missing tables are made together, in one call of a shared
+        ``formula`` when they have one: the float operations of each cost's
+        own call."""
         tables = self._costs.setdefault(grid, {})
-        pts = grid.points()
-
-        def table(cost: HittingCost) -> np.ndarray:
-            hit = tables.get(cost)
-            if hit is None:
-                hit = tables[cost] = cost.values(pts)
-            return hit
-
-        return table
+        new = [cost for cost in costs if cost not in tables]
+        if new:
+            new, pts, f = list(dict.fromkeys(new)), grid.points(), new[0].formula
+            if f is not None and all(cost.formula is f for cost in new):
+                values = f(pts[None], np.stack([cost.minimizer for cost in new])[:, None])
+            else:
+                values = [cost.values(pts) for cost in new]
+            tables.update(zip(new, values))
+        return np.array([tables[cost] for cost in costs]).T
 
     def transition(self, movement: MovementCost, grid: Grid) -> np.ndarray | None:
         """Dense transition matrix, or None when it would not fit.  Kept
@@ -596,57 +596,54 @@ class _GridEval:
                grid: Grid) -> list[list[tuple]]:
         """The DP stages of each window of a batch that shares a movement:
         per window, one (value column, back-pointer column, children) node
-        per free timestep.  The back-pointer column is None on the first
-        stage and on the joint 2-D lattice, where ``_back_pointer``
-        recomputes the pointers backtracking reads.
-
-        Stage s of a window depends only on the lattice, the movement, the
-        snapped left anchor ``lefts[b]`` and the costs of its first s + 1
-        timesteps, so the memo is a trie per left anchor: a node's children
-        are keyed by the next cost.  The cost objects hash by identity and
-        the trie holds them, so no key can be reused by a new object.  The
-        batch advances stage by stage over the windows that still need one;
-        stage s makes one min-plus call over the distinct nodes it lacks, so
-        windows that share a left anchor and a cost prefix share the work.
+        per free timestep; the back-pointer column is None on the first
+        stage and on the joint 2-D lattice.  The memo is a trie per snapped
+        left anchor ``lefts[b]``, a node's children keyed by the next cost
+        object (held by the trie, so no key is reused by a new object).
+        Each window walks the nodes the memo holds; the missing ones are
+        made depth by depth, one min-plus call per depth over the distinct
+        nodes missing there, which windows with a shared prefix share.
         """
         movement = batch[0].movement
         by_left = self._stages.setdefault((grid, movement), {})
-        table, pts = self.cost_tables(grid), grid.points()
-        costs = [p.costs for p in batch]
-        need = [p.free_count for p in batch]
-        paths = [[] for _ in batch]
-        # (window, the children of its last node) for every window that
-        # still needs a stage
-        active = [(b, by_left.setdefault(lefts[b].tobytes(), {}))
-                  for b in range(len(batch)) if need[b]]
-        s = 0
-        while active:
-            todo = {}
-            for b, children in active:
-                cost = costs[b][s]
-                if cost not in children:
-                    todo.setdefault((id(children), cost), (b, children, cost))
+        pts, keys, width = grid.points(), lefts.tobytes(), lefts.itemsize * lefts.shape[1]
+        paths, missing = [], {}   # depth -> (window, its costs, the children lacking one)
+        for b, problem in enumerate(batch):
+            path, costs = [], problem.costs[:problem.free_count]
+            children = by_left.setdefault(keys[b * width:(b + 1) * width], {})
+            for cost in costs:
+                node = children.get(cost)
+                if node is None:
+                    missing.setdefault(len(path), []).append((b, costs, children))
+                    break
+                path.append(node)
+                children = node[2]
+            paths.append(path)
+        s = min(missing, default=0)
+        while missing:
+            waiting = missing.pop(s, [])
+            todo = {(id(children), costs[s]): (b, children, costs[s])
+                    for b, costs, children in waiting}
             if todo:
                 todo = list(todo.values())
                 if s == 0:
                     value, back = movement.pairwise(pts, lefts[[b for b, _, _ in todo]]), None
                 else:
-                    value, back = self.minplus(_columns([paths[b][-1][0] for b, _, _ in todo]),
-                                               movement, grid)
+                    parents = np.array([paths[b][-1][0] for b, _, _ in todo]).T
+                    value, back = self.minplus(parents, movement, grid)
                     if back is not None:
                         back.setflags(write=False)
-                value = value + _columns([table(cost) for _, _, cost in todo])
+                value = value + self.cost_columns([cost for _, _, cost in todo], grid)
                 value.setflags(write=False)
-                for i, (_, children, cost) in enumerate(todo):
-                    children[cost] = (value[:, i], None if back is None else back[:, i], {})
-            s += 1
-            still = []
-            for b, children in active:
-                node = children[costs[b][s - 1]]
+                for (_, children, cost), v, pointers in zip(
+                        todo, value.T, [None] * len(todo) if back is None else back.T):
+                    children[cost] = (v, pointers, {})
+            for b, costs, children in waiting:
+                node = children[costs[s]]
                 paths[b].append(node)
-                if need[b] > s:
-                    still.append((b, node[2]))
-            active = still
+                if s + 1 < len(costs):
+                    missing.setdefault(s + 1, []).append((b, costs, node[2]))
+            s += 1
         return paths
 
     def minplus(self, value: np.ndarray, movement: MovementCost,
@@ -711,12 +708,12 @@ def solve_grid_dp_batch(problems, grid: Grid,
     index per coordinate; any other by the joint DP (d <= 2, <= 1e6
     points), ties to the lowest flat index.
     """
-    cache = cache or _GridEval()
+    cache, d = cache or _GridEval(), grid.dim
     batches: dict = {}
     for i, problem in enumerate(problems):
-        if grid.dim != problem.dim:
+        if problem.dim != d:
             raise ValueError("grid dimension does not match problem")
-        key = (problem.movement, _split_moves(problem) is not None)
+        key = (problem.movement, d > 1 and _split_moves(problem) is not None)
         batches.setdefault(key, []).append(i)
     out = [None] * len(problems)
     for members in batches.values():
@@ -728,10 +725,10 @@ def solve_grid_dp_batch(problems, grid: Grid,
 
 def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[np.ndarray]:
     """Free points of each window of a batch that shares movement and kind
-    of solve.  The windows of one free count and anchoring take the final
-    argmin and backtrack together: by array gathers from the back-pointer
-    columns on a 1-D lattice, by one recomputed back-pointer per window and
-    step on the joint 2-D lattice."""
+    of solve.  Every window takes its final argmin in one call, then walks
+    its own back-pointers by index: through its nodes' kept columns on a
+    1-D lattice, by one recomputed back-pointer per step on the joint 2-D
+    lattice.  One gather turns all windows' indices into points."""
     first = batch[0]
     d = first.dim
     moves = _split_moves(first)
@@ -748,39 +745,33 @@ def _grid_dp(batch: list[WindowProblem], grid: Grid, cache: _GridEval) -> list[n
         raise ValueError(
             f"grid has {grid.size} points (> 1e6); reduce n per dimension "
             f"(currently {grid.n})")
-    anchors, left_at, groups = [], [], {}
-    for b, p in enumerate(batch):
+    anchors, left_at = [], []
+    for p in batch:
         left_at.append(len(anchors))
         anchors.append(p.left_anchor)
         if p.right_anchor is not None:
             anchors.append(p.right_anchor)
-        groups.setdefault((p.free_count, p.right_anchor is not None), []).append(b)
     snapped = grid.snap_rows(np.array(anchors))
     paths = cache.stages(batch, snapped[left_at], grid)
 
-    pts = grid.points()
-    out = [None] * len(batch)
-    for (F, anchored), members in groups.items():
-        if F == 0:
-            for b in members:
-                out[b] = np.empty((0, d))
-            continue
-        value = _columns([paths[b][-1][0] for b in members])
-        if anchored:
-            rights = snapped[[left_at[b] + 1 for b in members]]
-            value = value + first.movement.pairwise(rights, pts).T
-        idx = np.empty((len(members), F), dtype=np.int64)
-        idx[:, -1] = np.argmin(value, axis=0)
-        cols = np.arange(len(members))
-        for s in range(F - 1, 0, -1):
-            if d == 1:
-                back = _columns([paths[b][s][1] for b in members])
-                idx[:, s - 1] = back[idx[:, s], cols]
-            else:
-                idx[:, s - 1] = [_back_pointer(paths[b][s - 1][0], i, first.movement, grid)
-                                 for b, i in zip(members, idx[:, s])]
-        for b, points in zip(members, pts[idx]):
-            out[b] = points
+    # every window's final argmin in one call, then its own backtracking walk
+    live = [b for b, path in enumerate(paths) if path]
+    value = np.array([paths[b][-1][0] for b in live]).T
+    right = [k for k, b in enumerate(live) if batch[b].right_anchor is not None]
+    if right:
+        value[:, right] += first.movement.pairwise(snapped[[left_at[live[k]] + 1 for k in right]],
+                                                   grid.points()).T
+    idx = []
+    for b, i in zip(live, value.argmin(axis=0).tolist() if live else ()):
+        path, walk = paths[b], [i]
+        for s in range(len(path) - 1, 0, -1):
+            i = path[s][1][i] if d == 1 else _back_pointer(path[s - 1][0], i, first.movement, grid)
+            walk.append(i)
+        idx += reversed(walk)
+    points, out, at = grid.points()[idx], [], 0
+    for path in paths:
+        out.append(points[at:at + len(path)])
+        at += len(path)
     return out
 
 
@@ -803,23 +794,14 @@ class WindowSolver:
         """Solutions in order; the quadratic windows are solved together
         (``solve_quadratic_batch``), and so are the lattice windows
         (``solve_grid_dp_batch``)."""
-        quadratic, lattice = [], []
-        for i, problem in enumerate(problems):
-            if _is_quadratic(problem):
-                quadratic.append(i)
-            elif self.grid is None:
-                family = "/".join(sorted({c.family_tag for c in problem.costs}))
-                raise UnsupportedProblemError(f"a {family} window needs a lattice")
-            else:
-                lattice.append(i)
-        out = [None] * len(problems)
-        for i, sol in zip(quadratic, solve_quadratic_batch([problems[i] for i in quadratic])):
-            out[i] = sol
-        if lattice:
-            sols = solve_grid_dp_batch([problems[i] for i in lattice], self.grid, self.cache)
-            for i, sol in zip(lattice, sols):
-                out[i] = sol
-        return out
+        quadratic = [_is_quadratic(p) for p in problems]
+        lattice = [p for p, q in zip(problems, quadratic) if not q]
+        if lattice and self.grid is None:
+            family = "/".join(sorted({c.family_tag for c in lattice[0].costs}))
+            raise UnsupportedProblemError(f"a {family} window needs a lattice")
+        exact = iter(_quadratic_batch([p for p, q in zip(problems, quadratic) if q]))
+        dp = iter(solve_grid_dp_batch(lattice, self.grid, self.cache) if lattice else ())
+        return [next(exact if q else dp) for q in quadratic]
 
 
 def solver_for(instance: Instance) -> WindowSolver:

@@ -34,12 +34,14 @@ from soco_lab import (
 from soco_lab.algorithms import (
     afhc_plan,
     dsfhc_plan,
+    plan_costs,
     rsfhc_a_plan,
     rsfhc_b_plan,
     sfhc_plan,
     subroutine_mean_plan,
 )
 from soco_lab.adversary import RandomWalk, minimizer_path
+from soco_lab.windows import _GridEval
 
 from monolithic import monolithic_optimum
 
@@ -364,6 +366,9 @@ BATCHED_CALLER_CASES = {
     "ripple": lambda path, x0: make_ripple(0.5, 1.0, 4.0, path, start=x0),
     "strongly_convex": lambda path, x0: make_strongly_convex(2.0, path, start=x0),
     "glb-2d": lambda path, x0: make_glb([1.0, 0.5], [2.0, 1.0], [3.0, 2.5], path, start=x0),
+    # l2 costs and movement do not split by coordinate: the joint 2-D DP,
+    # whose backtracking recomputes each back-pointer
+    "polyhedral-p2-2d": lambda path, x0: make_polyhedral(1.3, path, p=2, start=x0),
 }
 
 
@@ -372,6 +377,16 @@ def batched_caller_instance(case, T=17, seed=3):
     dim = 2 if case.endswith("2d") else 1
     path = np.abs(np.cumsum(0.7 * rng.standard_normal((T + 1, dim)), axis=0))
     return BATCHED_CALLER_CASES[case](path[1:], path[0])
+
+
+def case_solver(inst):
+    """A fresh solver on the case's lattice: the default one, or for the
+    joint 2-D case an explicit 21 x 21 lattice over the anchors' box (the
+    default there is 201 x 201)."""
+    if inst.dim == 1 or inst.hitting[0].params.get("p") != 2:
+        return solver_for(inst)
+    anchors = np.vstack([inst.start, inst.minimizers()])
+    return WindowSolver(Grid.make(anchors.min(axis=0), anchors.max(axis=0), 21, dim=2))
 
 
 def afhc_per_phase_reference(instance, w, solver):
@@ -398,14 +413,14 @@ def afhc_per_phase_reference(instance, w, solver):
 def test_phase_batch_equals_per_phase_runs(case, w):
     # the w phases solved as one batch give each phase's own run, bit for bit
     inst = batched_caller_instance(case)
-    solver = solver_for(inst)
+    solver = case_solver(inst)
     per_phase = [run_sfhc(inst, w, h, solver) for h in range(w)]
     assert sfhc_subroutine_costs(inst, w, solver) == [t.total for t in per_phase]
     ref = evaluate_total_cost(inst, np.stack([t.points for t in per_phase]).mean(axis=0))
     got = run_dsfhc(inst, w, solver)
     assert np.array_equal(got.points, ref.points) and got.total == ref.total
     afhc = run_afhc(inst, w, solver)
-    ref = afhc_per_phase_reference(inst, w, solver_for(inst))
+    ref = afhc_per_phase_reference(inst, w, case_solver(inst))
     assert np.array_equal(afhc.points, ref.points) and afhc.total == ref.total
 
 
@@ -417,10 +432,10 @@ def test_afhc_lockstep_equals_each_w_alone(case, ws):
     inst = batched_caller_instance(case)
     plans = [afhc_plan(w, inst.horizon) for w in ws]
     runs = [plan.trajectory(inst, points)
-            for plan, points in zip(plans, solve_plans(inst, plans, solver_for(inst)))]
+            for plan, points in zip(plans, solve_plans(inst, plans, case_solver(inst)))]
     assert len(runs) == len(ws)
     for w, got in zip(ws, runs):
-        ref = afhc_per_phase_reference(inst, w, solver_for(inst))
+        ref = afhc_per_phase_reference(inst, w, case_solver(inst))
         assert np.array_equal(got.points, ref.points) and got.total == ref.total
     with pytest.raises(ValueError, match="w must be >= 1"):
         [afhc_plan(w, inst.horizon) for w in [2, 0]]
@@ -437,14 +452,35 @@ def test_plans_solved_together_equal_each_alone(case):
     plans = [sfhc_plan(2, 0, T), dsfhc_plan(2, T), dsfhc_plan(5, T), sfhc_plan(3, 1, T),
              rsfhc_b_plan(6, T, rng), subroutine_mean_plan(4, T), rsfhc_a_plan(4, T, rng),
              afhc_plan(3, T), afhc_plan(5, T)]
-    together = solve_plans(inst, plans, solver_for(inst))
+    together = solve_plans(inst, plans, case_solver(inst))
     for plan, got in zip(plans, together):
-        alone = solve_plans(inst, [plan], solver_for(inst))[0]
+        alone = solve_plans(inst, [plan], case_solver(inst))[0]
         assert got.shape == (len(plan.anchor_sets), T, inst.dim)
         assert np.array_equal(got, alone)
     assert together[0].shape[0] == 1 and np.array_equal(together[0][0], together[1][0])
-    assert plans[1].cost(inst, together[1]) == run_dsfhc(inst, 2).total
-    assert plans[5].cost(inst, together[5]) == rsfhc_a_expected_cost(inst, 4)
+    assert plans[1].cost(inst, together[1]) == run_dsfhc(inst, 2, case_solver(inst)).total
+    assert plans[5].cost(inst, together[5]) == rsfhc_a_expected_cost(inst, 4, case_solver(inst))
+    # scored together, each plan costs what it costs alone
+    costs = plan_costs(inst, plans, case_solver(inst))
+    assert costs == [plan.cost(inst, got) for plan, got in zip(plans, together)]
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_CALLER_CASES))
+def test_plans_solved_again_make_no_minplus_call(monkeypatch, case):
+    # every stage of a second solve of the same plans on the same solver
+    # comes from the stage memo: no min-plus call, the same arrays
+    inst = batched_caller_instance(case)
+    T, solver = inst.horizon, case_solver(inst)
+    plans = [dsfhc_plan(3, T), afhc_plan(2, T), afhc_plan(4, T),
+             rsfhc_b_plan(5, T, np.random.default_rng(1))]
+    first = solve_plans(inst, plans, solver)
+    calls = []
+    minplus = _GridEval.minplus
+    monkeypatch.setattr(_GridEval, "minplus",
+                        lambda self, *args: calls.append(1) or minplus(self, *args))
+    again = solve_plans(inst, plans, solver)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_batched_callers_reject_off_lattice_anchor():

@@ -234,11 +234,16 @@ def test_from_axes_points_snap_to_themselves(axes):
 @given(st.floats(-1e6, 1e6), st.one_of(st.integers(1, 4), st.floats(1e-6, 1e3)),
        st.integers(2, 60))
 def test_make_points_snap_to_themselves(lo, width, n):
-    # width: a count of adjacent floats, or a span
+    # width: a count of adjacent floats, or a span; a range whose n evenly
+    # spaced floats are not all distinct is refused
     if isinstance(width, int):
         hi = lo
         for _ in range(width):
             hi = float(np.nextafter(hi, np.inf))
     else:
         hi = lo + width
+    if len(set(np.linspace(lo, hi, n).tolist())) < n:
+        with pytest.raises(ValueError, match="distinct floats"):
+            Grid.make(lo, hi, n)
+        return
     assert_points_snap_to_themselves(Grid.make(lo, hi, n))

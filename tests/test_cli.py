@@ -339,6 +339,9 @@ BAD_FLAGS = [
     (["verify-conditions", "--radius", "inf"], "--radius must be finite, not inf"),
     (["oracle", "--grid-lo", "nan", "--grid-hi", "2"], "--grid-lo must be finite, not nan"),
     (["oracle", "--grid-lo", "-2", "--grid-hi", "inf"], "--grid-hi must be finite, not inf"),
+    (["oracle", "--grid-lo", "1", "--grid-hi", "1.0000000000000002", "--grid-n", "4"],
+     "--grid-lo, --grid-hi and --grid-n give no lattice: grid range [1.0] to "
+     "[1.0000000000000002] holds fewer than n = [4] distinct floats"),
 ]
 
 

@@ -19,6 +19,7 @@ from soco_lab import (
     movement_cost,
     padded_movement,
 )
+from soco_lab.model import total_costs
 from soco_lab.windows import build_window, window_objective
 
 ALL_KINDS = ["norm_l1", "norm_l2", "norm_linf", "sq_l2_half", "rectified_linear"]
@@ -75,6 +76,33 @@ def test_instance_validation():
         Instance(1, 2, [0.0], (cost,), movement_cost("norm_l2"))
     with pytest.raises(ValueError):
         Instance(2, 1, [0.0, 0.0], (cost,), movement_cost("norm_l2"))
+
+
+def test_minimizers_are_one_read_only_array():
+    # stacked once when the instance is built, and handed out as is; a
+    # family's minimizers are read-only rows of one copy of the path
+    path = np.array([[0.5], [1.5], [-1.0]])
+    inst = make_polyhedral(1.0, path, p=1)
+    stack = inst.minimizers()
+    assert stack is inst.minimizers() and not stack.flags.writeable
+    assert stack.tolist() == path.tolist()
+    with pytest.raises(ValueError):
+        stack[0, 0] = 2.0
+    for cost in inst.hitting:
+        with pytest.raises(ValueError):
+            cost.minimizer[0] = 2.0
+    path[0, 0] = 9.0   # the caller's array stays the caller's
+    assert inst.minimizers()[0, 0] == 0.5 and path.flags.writeable
+
+
+def test_total_costs_equal_each_trajectory_scored_alone():
+    inst = make_polyhedral(1.0, [[0.5], [1.5], [-1.0]], p=1)
+    runs = np.random.default_rng(0).normal(size=(4, 3, 1))
+    assert total_costs(inst, runs).tolist() == [evaluate_total_cost(inst, r).total for r in runs]
+    with pytest.raises(ValueError, match="shape"):
+        total_costs(inst, runs[0])
+    with pytest.raises(ValueError, match="non-finite"):
+        total_costs(inst, np.full((1, 3, 1), np.nan))
 
 
 def test_point_validation():

@@ -31,6 +31,7 @@ from soco_lab import (
     solve_quadratic_chain,
     window_objective,
 )
+from soco_lab.adversary import grid_quantizer
 from soco_lab.windows import (
     UnsupportedProblemError,
     _back_pointer,
@@ -48,6 +49,39 @@ def test_grid_rejects_non_finite_bounds():
     for lo, hi in ((0.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             Grid.make(lo, hi, 5)
+
+
+def test_grid_make_rejects_a_range_too_narrow_for_n_distinct_floats():
+    # 1.0 and the next float above it hold 2 floats, not 4: the lattice
+    # would repeat coordinates
+    with pytest.raises(ValueError, match=r"fewer than n = \[4\] distinct floats"):
+        Grid.make(1.0, 1.0000000000000002, 4)
+    with pytest.raises(ValueError, match=r"fewer than n = \[3, 3\] distinct floats"):
+        Grid.make([0.0, 1.0], [1.0, float(np.nextafter(1.0, 2.0))], 3, dim=2)
+    assert Grid.make(1.0, 1.0000000000000002, 2).coords == ((1.0, 1.0000000000000002),)
+
+
+def test_grid_make_rejects_a_non_integer_n():
+    for n in (2.7, [5, 3.5], np.nan, np.inf):
+        with pytest.raises(ValueError, match="integer n"):
+            Grid.make([0.0, 0.0], [1.0, 1.0], n, dim=2)
+    assert Grid.make(0.0, 1.0, 3.0) == Grid.make(0.0, 1.0, 3)
+
+
+def test_nan_coordinates_are_refused_not_snapped():
+    # NaN fails every comparison, so it is tested as not inside the box; at
+    # the parent it snapped to coordinate n - 2 and took index 3
+    grid = Grid.make(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="point coordinate nan outside grid range"):
+        grid.snap_rows(np.array([[np.nan]]))
+    with pytest.raises(ValueError, match=r"point coordinate nan outside"):
+        grid.snap_rows(np.array([[0.5], [np.nan]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            grid.index_rows(np.array([[0.5], [bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            grid_quantizer(grid)([bad])
+    assert grid_quantizer(grid)([7.0]) == (4,) and grid_quantizer(grid)([0.5]) == (2,)
 
 
 def test_build_window_interior():
