@@ -6,6 +6,9 @@ provides the two constructions that tie body chasing to hitting-cost
 optimization: duplicating each body w times (so a window-w algorithm can be
 replayed without predictions), and lifting each hitting cost to its
 epigraph in one extra dimension, alternated with the zero plane.
+
+Every body projects exactly, in closed form; epigraphs hold only costs
+for which that holds (``epigraph``, ``_project_epigraph``).
 """
 
 from __future__ import annotations
@@ -21,15 +24,12 @@ from .model import (
     MovementCost,
     Point,
     as_point,
+    l2_norm,
     movement_cost,
 )
 from .families import make_polyhedral, make_strongly_convex, spec_params
 from .windows import Grid
 from .oracle import OracleResult, offline_optimal_grid
-
-
-class ProjectionError(RuntimeError):
-    """A body projection solver failed to converge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +60,7 @@ class ConvexBody:
         raise ValueError(f"unknown body variant {self.variant!r}")
 
     def project(self, p) -> Point:
-        """Euclidean projection onto the body (approximate for epigraphs)."""
+        """Euclidean projection onto the body, exact for every variant."""
         p = np.asarray(p, dtype=float)
         if self.contains(p, tol=0.0):
             return as_point(p)
@@ -118,64 +118,65 @@ def zero_plane(dim: int) -> ConvexBody:
 
 
 def epigraph(cost: HittingCost, dim: int) -> ConvexBody:
-    """The set {(x, y) : y >= f(x)} in dimension dim = d + 1."""
+    """The set {(x, y) : y >= f(x)} in dimension dim = d + 1, for the costs
+    whose epigraph projection is exact: ``polyhedral`` with p in {1, 2, inf}
+    and ``strongly_convex``.  Any other cost raises ValueError."""
+    if not (cost.family_tag == "strongly_convex" or cost.family_tag == "polyhedral"
+            and cost.params.get("p") in (1, 2, np.inf, "inf")):
+        raise ValueError(f"no exact epigraph projection for family {cost.family_tag!r}")
     return ConvexBody("epigraph", dim, {"cost": cost})
 
 
 def _project_epigraph(cost: HittingCost, p: np.ndarray) -> Point:
-    """Squared-distance projection onto an epigraph boundary.
+    """Euclidean projection of a point (x, q) outside the epigraph of
+    alpha ||x - v||_p or (m/2) ||x - v||^2, in closed form; u = x - v.
 
-    Scaled-abs costs get the exact wedge formula; otherwise a coarse scan
-    plus a local polish, which is enough for desk-scale accuracy because
-    every downstream inequality is re-verified at the produced points.
-    The polish imports ``scipy.optimize`` where it runs, so the module,
-    and every command that reaches only the wedge formula, loads no scipy.
+    p = 2, any p in 1-D (where every norm is |u|) and the quadratic are
+    radial: the point is v + (u/|u|) r.  p = inf clips u to [-s, s]^d
+    (``_linf_radius``).  p = 1 follows by Moreau's decomposition: the polar
+    of its cone is minus the p = inf cone of slope 1/alpha, so the point is
+    (u, q) plus the projection of (-u, -q) onto that cone; its height is
+    then taken as f, on the boundary.
     """
-    x0, q = p[:-1], float(p[-1])
-    if cost.family_tag == "polyhedral" and x0.shape[0] == 1 and cost.params.get("p", 2) in (1, 2):
-        alpha = cost.params["alpha"]
-        v = float(cost.minimizer[0])
-        u = float(x0[0]) - v
-        sign = 1.0 if u >= 0 else -1.0
-        u *= sign
-        t = (u + alpha * q) / (1.0 + alpha * alpha)
-        if t <= 0:
-            return as_point([v, 0.0])
-        return as_point([v + sign * t, alpha * t])
+    v, q = cost.minimizer, float(p[-1])
+    u = p[:-1] - v
+    params, alpha = cost.params, cost.params.get("alpha")
+    if cost.family_tag == "polyhedral" and u.size > 1 and params["p"] != 2:
+        if params["p"] == 1:
+            s = _linf_radius(-u, -q, 1.0 / alpha)
+            y = u + np.clip(-u, -s, s)
+            return as_point(np.append(v + y, alpha * np.abs(y).sum()))
+        s = _linf_radius(u, q, alpha)
+        return as_point(np.append(v + np.clip(u, -s, s), alpha * s))
+    n = float(l2_norm(u))
+    if cost.family_tag == "polyhedral":
+        r = (n + alpha * q) / (1.0 + alpha * alpha)
+        height = alpha * r
+    else:
+        # r is the root of (m^2/2) r^3 + (1 - m q) r - n; the cubic is convex
+        # on r > 0 and positive at r = n, so Newton from n falls to it
+        m = params["m"]
+        a, b, r = 0.5 * m * m, 1.0 - m * q, n
+        while (nxt := r - (a * r ** 3 + b * r - n) / (3.0 * a * r * r + b)) < r:
+            r = nxt
+        height = 0.5 * m * r * r
+    if r <= 0:
+        return as_point(np.append(v, 0.0))
+    return as_point(np.append(v + (u / n) * r, height))
 
-    d = x0.shape[0]
-    if d == 1:
-        from scipy.optimize import minimize_scalar
 
-        v = float(cost.minimizer[0])
-        radius = abs(float(x0[0]) - v) + abs(q) + 1.0
+def _linf_radius(w: np.ndarray, tau: float, beta: float) -> float:
+    """The radius s of the projection (clip(w, -s, s), beta s) of (w, tau)
+    onto the cone {(y, t) : t >= beta ||y||_inf}.
 
-        def sqdist(x):
-            return (x - float(x0[0])) ** 2 + (cost([x]) - q) ** 2
-
-        xs = np.linspace(v - radius, v + radius, 201)
-        best = xs[int(np.argmin([sqdist(x) for x in xs]))]
-        h = radius / 100.0
-        res = minimize_scalar(sqdist, bounds=(best - h, best + h), method="bounded",
-                              options={"xatol": 1e-12})
-        xstar = float(res.x)
-        return as_point([xstar, cost([xstar])])
-
-    from scipy.optimize import minimize
-
-    def sqdist(x):
-        return float(((x - x0) ** 2).sum() + (cost(x) - q) ** 2)
-
-    spread = float(np.abs(x0 - cost.minimizer).max()) + abs(q) + 1.0
-    axes = [np.linspace(c - spread, c + spread, 21) for c in cost.minimizer]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    seed = mesh[int(np.argmin([sqdist(x) for x in mesh]))]
-    res = minimize(sqdist, seed, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 5000})
-    if not res.success and res.fun > sqdist(seed) + 1e-9:
-        raise ProjectionError("epigraph projection polish failed")
-    x = np.asarray(res.x, dtype=float)
-    return as_point(np.concatenate([x, [cost(x)]]))
+    With a = |w| sorted decreasing, s = max(0, s_k) for
+    s_k = (beta tau + a_1 + ... + a_k) / (beta^2 + k), where k counts the
+    a_j above s: exactly the j with a_j > s_j, a prefix.
+    """
+    a = np.sort(np.abs(w))[::-1]
+    s = (beta * tau + np.concatenate([[0.0], np.cumsum(a)])) / (
+        beta * beta + np.arange(a.size + 1))
+    return max(0.0, float(s[np.count_nonzero(a > s[1:])]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +239,6 @@ def epigraph_reduce(instance: Instance) -> CbcInstance:
     plane, starting from (x_0, 0)."""
     if instance.movement.kind not in ("norm_l1", "norm_l2", "norm_linf"):
         raise ValueError("epigraph reduction is defined for norm movement costs")
-    if instance.family_tag == "ripple":
-        raise ValueError("epigraph reduction needs convex hitting costs")
     d = instance.dim + 1
     bodies = []
     for cost in instance.hitting:

@@ -7,6 +7,8 @@ criteria draw minimizer paths on the oracle lattice, so anchor snapping is
 exact and tolerances reduce to float slack.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -286,12 +288,18 @@ def test_a09_semi_adaptive_game_bound():
             f"(margin {margin.mean():.3f} vs 3se {3 * stderr:.3f})")
 
 
+#: sha256 of the ten 1-D chains' chase points and chasing optima, in seed
+#: order: the exact 1-D wedge projection keeps these bits
+A10_CHAINS_SHA256 = "43e3cfff1b8b68085e727ca0171981b198626efd13c9e574de607eb184f61ebc"
+
+
 def test_a10_epigraph_reduction_composition():
     # 10 polyhedral instances (d=1, l1 movement): lifted-optimum chasing cost
     # <= 2 opt; mapped greedy-chaser cost <= 2 chase cost; composed factor
     # <= 4 * empirical chasing ratio -- all within 1e-9
     xgrid = Grid.make(-3.0, 3.0, 61, dim=1)    # spacing 0.1
     lift_grid = Grid.make([-3.0, 0.0], [3.0, 6.0], [61, 61], dim=2)
+    digest = hashlib.sha256()
     for seed in range(10):
         rng = np.random.default_rng(1500 + seed)
         path = minimizer_path(RandomWalk(0.5), 5, 1, rng, base=np.zeros(1))
@@ -312,7 +320,26 @@ def test_a10_epigraph_reduction_composition():
         assert chasing_opt <= lifted_cost + 1e-9
         empirical_ratio = chase_cost / chasing_opt if chasing_opt > 0 else 1.0
         assert mapped_cost <= 4 * empirical_ratio * opt.cost + 1e-9
-    _report("A10 epigraph reduction: factor-2 inequalities and composed 4C chain")
+        digest.update(chase_points.tobytes())
+        digest.update(np.float64(chasing_opt).tobytes())
+    assert digest.hexdigest() == A10_CHAINS_SHA256
+
+    # one d = 3 chain, whose epigraphs project by the p = 1 (Moreau) formula
+    # and whose offline optimum is exact on its breakpoint lattice: the two
+    # factor-2 inequalities.  The composed 4C line is left out: it needs the
+    # chasing optimum in d + 1 = 4 dimensions, for which there is no oracle
+    rng = np.random.default_rng(1510)
+    path = minimizer_path(RandomWalk(0.5), 5, 3, rng, base=np.zeros(3))
+    soco = make_polyhedral(1.0, path, p=1, start=np.zeros(3))
+    opt = offline_optimal_grid(soco)
+    _, lifted_cost = embed_soco_opt_in_cbc(opt.trajectory.points, soco)
+    assert lifted_cost <= 2 * opt.cost + 1e-9
+    reduced = epigraph_reduce(soco)
+    chase_points, chase_cost = run_cbc_greedy_projection(reduced)
+    mapped = map_cbc_to_soco(chase_points, reduced, soco)
+    assert evaluate_total_cost(soco, mapped).total <= 2 * chase_cost + 1e-9
+    _report("A10 epigraph reduction: factor-2 inequalities and composed 4C chain "
+            "(d = 1), factor-2 inequalities (d = 3)")
 
 
 def test_a11_duplication_preserves_optimum():

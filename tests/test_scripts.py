@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts and shipped configs, so an API
 change cannot break them silently."""
 
+import ast
 import hashlib
 import json
 import os
@@ -153,9 +154,9 @@ def test_oracle_cli_output_is_byte_stable(tmp_path):
 
 
 #: Runs every start-up path the lab's short commands take, then prints the
-#: scipy modules loaded.  scipy stays a dependency of the projection polish
-#: in ``reductions``; any other use imports it inside the function that
-#: needs it, so these commands never pay its import.
+#: scipy modules loaded.  scipy is a test-only dependency and no module of
+#: the package imports it (``test_package_imports_no_scipy``); this probe
+#: also catches a load through another package.
 NO_SCIPY_PROBE = """
 import contextlib, io, json, sys
 from soco_lab.cli import main
@@ -183,3 +184,20 @@ def test_short_commands_load_no_scipy(tmp_path):
     ]
     stdout = run("-c", NO_SCIPY_PROBE, json.dumps(commands))
     assert json.loads(stdout.splitlines()[-1]) == []
+
+
+def test_package_imports_no_scipy():
+    # scipy is in the test extra only: every import statement of every
+    # module of the package, at any depth, must name something else
+    found = []
+    for path in sorted((ROOT / "src" / "soco_lab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
