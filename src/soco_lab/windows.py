@@ -35,10 +35,18 @@ Each lattice DP stage is a min-plus product of the value table with the
 movement cost.  When the movement splits into linear 1-D movements
 (``norm_l1`` and ``rectified_linear`` in any d, every norm in 1-D) it is
 a forward and a backward prefix-min per lattice axis, O(G) for G lattice
-points.  ``sq_l2_half`` and 2-D ``norm_l2``/``norm_linf`` take the dense
-O(G^2) product, row-blocked on large lattices.  The joint DP breaks ties
-to the lowest flat lattice index (ij order, last axis fastest); the
-per-coordinate solve breaks them to the lowest index per coordinate.
+points.  ``sq_l2_half`` on a 1-D lattice -- a 1-D window or one axis of a
+separable one -- takes a bracketed product (``_bracketed_minplus``): its
+cost matrix is Monge, so each row's lowest argmin lies between those of
+about sqrt(G) sampled rows, and every other row searches only that
+bracket, O(G (sqrt(G) + W)) per column for a bracket of W points.  A
+guard on the columns' magnitude makes it the dense product's bits; an
+infinite or huge value, or a bracket wider than G/3, takes the dense
+product.  That dense O(G^2) product also serves 2-D
+``norm_l2``/``norm_linf``, row-blocked on large lattices.  The joint DP
+breaks ties to the lowest flat lattice index (ij order, last axis
+fastest); the per-coordinate solve breaks them to the lowest index per
+coordinate.
 
 Windows are solved in batches (``solve_grid_dp_batch``,
 ``WindowSolver.solve_batch``) of windows that share a movement and
@@ -53,8 +61,9 @@ windows share.  A joint 2-D stage keeps its values only, and backtracking
 recomputes each pointer it visits (``_back_pointer``) by the kernel's
 float operations: there a column costs more than the F - 1 pointers a
 window reads.  The dense product takes one column at a time: its cost is
-arithmetic.  Every window's points equal the window solved alone, bit for
-bit; ``solve_grid_dp`` is the batch of one.
+arithmetic; the bracketed product takes all columns at once.  Every
+window's points equal the window solved alone, bit for bit;
+``solve_grid_dp`` is the batch of one.
 
 Stage s of a window depends only on the lattice, the movement, the snapped
 left anchor and the costs of its first s + 1 timesteps, so a cache keeps
@@ -456,8 +465,14 @@ def _solve_tridiagonal(diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 #: Largest dense transition matrix kept in memory (entries); bigger grids
-#: fall back to a row-blocked min-plus sweep.
+#: fall back to a row-blocked min-plus sweep.  The bracketed 1-D kernel
+#: (``_bracketed_minplus``) keeps its sampled rows and every temporary
+#: within it too.
 _DENSE_TRANSITION_LIMIT = 2 * 10 ** 7
+
+#: ``_bracketed_minplus``' guard factor: 32 unit roundoffs (u = 2^-53),
+#: twice the 16 u that four computed entries can lose.
+_MONGE_SLACK = 32 * 2.0 ** -53
 
 
 @lru_cache(maxsize=32)
@@ -534,6 +549,91 @@ def _separable_minplus(value: np.ndarray, grid: Grid,
     return best.reshape(value.shape), None
 
 
+def _bracket(grid: Grid) -> tuple | None:
+    """The fixed part of ``_bracketed_minplus`` on a 1-D lattice, or None
+    where it cannot run: (K, the sampled rows' window of each block of K
+    rows, the coordinates of ceil(G / K) blocks of K rows -- the last block
+    padded with row G-1 --, the half-squared costs from every K-th row and
+    the last to all G points, t_max, h^2).  K is about sqrt(G), larger when
+    G times the number of sampled rows would exceed
+    ``_DENSE_TRANSITION_LIMIT``; None when two rows would, or when h^2 is
+    below 2^-1020, where the costs' rounding is no longer relative."""
+    x, G = grid.axes()[0], grid.size
+    fit = _DENSE_TRANSITION_LIMIT // G - 1
+    hh = float(np.diff(x).min()) ** 2 if G >= 3 else 0.0
+    if fit < 1 or hh < 2.0 ** -1020:
+        return None
+    K = max(math.isqrt(G), -(-(G - 1) // fit))
+    rows = np.append(np.arange(0, G - 1, K), G - 1)
+    d = x[rows, None] - x[None, :]
+    blocks = -(-G // K)
+    window = np.minimum(np.arange(blocks), len(rows) - 2)
+    padded = x[np.minimum(np.arange(blocks * K), G - 1)].reshape(blocks, K, 1)
+    return K, window, padded, 0.5 * (d * d), 0.5 * float(x[-1] - x[0]) ** 2, hh
+
+
+def _bracketed_minplus(cols: np.ndarray, x: np.ndarray,
+                       bracket: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+    """The dense product's (best, lowest argmin) for half-squared movement
+    on the sorted 1-D coordinates ``x``, for each column of the (G, B)
+    array ``cols``, from O(G (sqrt(G) + W)) entries per column; None where
+    that is not certain to be the dense product's bits.
+
+    Each sampled row of ``bracket`` (every K-th row and the last) takes its
+    lowest argmin A_k over all G points.  Every row between sampled rows k
+    and k+1 then searches only the W points from min(A_k, G - W), where
+    W = max(A_{k+1} - A_k) + 1 over all blocks and columns, and takes the
+    lowest index there.  Every entry is computed as ``pairwise`` + column
+    computes it, 0.5 * (d * d) + c_j with d = x_i - x_j.
+
+    Why it is exact.  For i < i' and j < j' the exact costs T satisfy
+    T(i,j) + T(i',j') - T(i,j') - T(i',j) = -(x_i' - x_i)(x_j' - x_j) <= -h^2,
+    h the smallest gap between coordinates, and adding c_j to column j
+    keeps that sum.  Each computed entry fl(fl(0.5 d^2) + c_j) is within
+    4u (t_max + max|c|) of its exact value, u = 2^-53.  So when every c is
+    finite and 32u (t_max + max|c|) < h^2, the computed matrix is strictly
+    Monge; its lowest argmins never decrease from row to row, so each row's
+    lies in [A_k, A_{k+1}] inside its window, and every entry of the window
+    below it is strictly larger.  Values and argmins are then the dense
+    product's, bit for bit.
+
+    The guard failing (an inf, a NaN or a huge c), 3W > G, where the
+    windows save little, and a block of K rows by W candidates over
+    ``_DENSE_TRANSITION_LIMIT`` entries return None: the caller takes the
+    dense product.  The sampled rows and every temporary are chunked to at
+    most that many entries, beside copies the size of ``cols``; no (G, G)
+    array is made."""
+    K, window, padded, head, t_max, hh = bracket
+    if not _MONGE_SLACK * (t_max + np.abs(cols).max()) < hh:   # NaN fails too
+        return None
+    (G, B), limit = cols.shape, _DENSE_TRANSITION_LIMIT
+    cols = np.ascontiguousarray(cols.T)   # (B, G): a column per row
+    A = np.empty((B, head.shape[0]), dtype=np.intp)
+    step = max(1, limit // head.size)
+    for c in range(0, B, step):
+        A[c:c + step] = (head + cols[c:c + step, None, :]).argmin(axis=-1)
+    W = int((A[:, 1:] - A[:, :-1]).max()) + 1
+    if 3 * W > G or K * W > limit:
+        return None
+    start = np.minimum(A[:, window], G - W)[..., None]   # (B, blocks, 1)
+    best, arg = np.empty((B, len(window), K)), np.empty((B, len(window), K), dtype=np.int64)
+    cb = min(B, limit // (K * W))
+    bb = limit // (cb * K * W)
+    for c in range(0, B, cb):
+        flat, at = cols[c:c + cb].ravel(), np.arange(0, min(cb, B - c) * G, G)[:, None, None]
+        for q in range(0, len(window), bb):
+            chunk = (slice(c, c + cb), slice(q, q + bb))
+            j = start[chunk] + np.arange(W)   # (cb, bb, W): a block's candidates
+            d = padded[q:q + bb] - x.take(j)[:, :, None, :]   # (cb, bb, K, W)
+            d *= d
+            d *= 0.5
+            d += flat.take(j + at)[:, :, None, :]
+            a = d.argmin(axis=-1)
+            arg[chunk] = start[chunk] + a
+            best[chunk] = d.reshape(-1, W)[np.arange(a.size), a.ravel()].reshape(a.shape)
+    return best.reshape(B, -1)[:, :G].T, arg.reshape(B, -1)[:, :G].T
+
+
 def _back_pointer(prev: np.ndarray, i: int, movement: MovementCost, grid: Grid) -> int:
     """The lowest flat index j minimizing prev[j] + c(p_i, p_j) on the joint
     2-D lattice: the back-pointer ``_GridEval.minplus`` does not keep,
@@ -554,12 +654,14 @@ def _back_pointer(prev: np.ndarray, i: int, movement: MovementCost, grid: Grid) 
 
 class _GridEval:
     """Caches, per lattice: hitting-cost tables, dense movement transition
-    matrices for the movements that do not separate by coordinate, and the
-    stage memo, every DP stage solved so far."""
+    matrices for the movements that do not separate by coordinate, the
+    bracketed kernel's sampled rows (``_bracket``), and the stage memo,
+    every DP stage solved so far."""
 
     def __init__(self):
         self._costs: dict = {}
         self._moves: dict = {}
+        self._brackets: dict = {}
         self._stages: dict = {}
 
     def cost_columns(self, costs: list[HittingCost], grid: Grid) -> np.ndarray:
@@ -651,17 +753,32 @@ class _GridEval:
         """(best value, argmin prev index) of value[j] + c(p_i, p_j) per i.
 
         ``value`` is (G,) or (G, B), one column per window.  The prefix-min
-        kernel takes all columns in one pass; the dense product takes one
-        column at a time, since its cost is arithmetic, not call overhead.
-        Only a 1-D lattice gets its back-pointers here; on the joint 2-D
-        lattice the second entry is None, and ``_back_pointer`` recomputes
-        the pointer at each point backtracking visits.
+        and the bracketed kernels take all columns in one pass; the dense
+        product (``_dense_minplus``) takes one column at a time, since its
+        cost is arithmetic, not call overhead.  ``sq_l2_half`` on a 1-D
+        lattice takes the bracketed kernel, whose sampled rows are kept per
+        lattice, and the dense product only where that declines.  Only a
+        1-D lattice gets its back-pointers here; on the joint 2-D lattice
+        the second entry is None, and ``_back_pointer`` recomputes the
+        pointer at each point backtracking visits.
         """
         prices = _axis_prices(movement, grid.dim)
         if prices is not None:
             return _separable_minplus(value, grid, prices)
+        cols, found = value.reshape(grid.size, -1), None
+        if movement.kind == "sq_l2_half" and grid.dim == 1:
+            if grid not in self._brackets:
+                self._brackets[grid] = _bracket(grid)
+            if self._brackets[grid] is not None:
+                found = _bracketed_minplus(cols, grid.axes()[0], self._brackets[grid])
+        best, arg = found or self._dense_minplus(cols, movement, grid)
+        return best.reshape(value.shape), None if arg is None else arg.reshape(value.shape)
+
+    def _dense_minplus(self, cols: np.ndarray, movement: MovementCost,
+                       grid: Grid) -> tuple[np.ndarray, np.ndarray | None]:
+        """``minplus`` of the (G, B) columns by the dense product, one
+        column at a time; argmins on a 1-D lattice only."""
         trans, pts, G = self.transition(movement, grid), grid.points(), grid.size
-        cols = value.reshape(G, -1)
         best = np.empty(cols.shape)
         arg = np.empty(cols.shape, dtype=np.int64) if grid.dim == 1 else None
         # row blocks: the cached matrix is one of all G rows, else the
@@ -677,7 +794,7 @@ class _GridEval:
                 else:
                     arg[rows, b] = np.argmin(step, axis=1)
                     best[rows, b] = step[np.arange(step.shape[0]), arg[rows, b]]
-        return best.reshape(value.shape), None if arg is None else arg.reshape(value.shape)
+        return best, arg
 
 
 def _split_moves(problem: WindowProblem) -> tuple[MovementCost, ...] | None:

@@ -296,7 +296,7 @@ A10_CHAINS_SHA256 = "43e3cfff1b8b68085e727ca0171981b198626efd13c9e574de607eb184f
 def test_a10_epigraph_reduction_composition():
     # 10 polyhedral instances (d=1, l1 movement): lifted-optimum chasing cost
     # <= 2 opt; mapped greedy-chaser cost <= 2 chase cost; composed factor
-    # <= 4 * empirical chasing ratio -- all within 1e-9
+    # <= 4 * empirical chasing ratio -- all within 1e-12
     xgrid = Grid.make(-3.0, 3.0, 61, dim=1)    # spacing 0.1
     lift_grid = Grid.make([-3.0, 0.0], [3.0, 6.0], [61, 61], dim=2)
     digest = hashlib.sha256()
@@ -308,18 +308,18 @@ def test_a10_epigraph_reduction_composition():
         opt = offline_optimal_grid(soco, xgrid)
 
         lifted, lifted_cost = embed_soco_opt_in_cbc(opt.trajectory.points, soco)
-        assert lifted_cost <= 2 * opt.cost + 1e-9
+        assert lifted_cost <= 2 * opt.cost + 1e-12
 
         reduced = epigraph_reduce(soco)
         chase_points, chase_cost = run_cbc_greedy_projection(reduced)
         mapped = map_cbc_to_soco(chase_points, reduced, soco)
         mapped_cost = evaluate_total_cost(soco, mapped).total
-        assert mapped_cost <= 2 * chase_cost + 1e-9
+        assert mapped_cost <= 2 * chase_cost + 1e-12
 
         chasing_opt = cbc_opt_grid(reduced, lift_grid).cost
-        assert chasing_opt <= lifted_cost + 1e-9
+        assert chasing_opt <= lifted_cost + 1e-12
         empirical_ratio = chase_cost / chasing_opt if chasing_opt > 0 else 1.0
-        assert mapped_cost <= 4 * empirical_ratio * opt.cost + 1e-9
+        assert mapped_cost <= 4 * empirical_ratio * opt.cost + 1e-12
         digest.update(chase_points.tobytes())
         digest.update(np.float64(chasing_opt).tobytes())
     assert digest.hexdigest() == A10_CHAINS_SHA256
@@ -333,11 +333,11 @@ def test_a10_epigraph_reduction_composition():
     soco = make_polyhedral(1.0, path, p=1, start=np.zeros(3))
     opt = offline_optimal_grid(soco)
     _, lifted_cost = embed_soco_opt_in_cbc(opt.trajectory.points, soco)
-    assert lifted_cost <= 2 * opt.cost + 1e-9
+    assert lifted_cost <= 2 * opt.cost + 1e-12
     reduced = epigraph_reduce(soco)
     chase_points, chase_cost = run_cbc_greedy_projection(reduced)
     mapped = map_cbc_to_soco(chase_points, reduced, soco)
-    assert evaluate_total_cost(soco, mapped).total <= 2 * chase_cost + 1e-9
+    assert evaluate_total_cost(soco, mapped).total <= 2 * chase_cost + 1e-12
     _report("A10 epigraph reduction: factor-2 inequalities and composed 4C chain "
             "(d = 1), factor-2 inequalities (d = 3)")
 
@@ -359,7 +359,7 @@ def test_a11_duplication_preserves_optimum():
                                                       abs=1e-9)
         pts, dup_cost = run_cbc_greedy_projection(dup)
         ext = extract_unduplicated_solution(pts, w, 6)
-        assert cbc_cost(inst, ext) <= dup_cost + 1e-9
+        assert cbc_cost(inst, ext) <= dup_cost + 1e-12
     _report("A11 duplication preserves the chasing optimum (10 instances)")
 
 

@@ -366,6 +366,8 @@ BATCHED_CALLER_CASES = {
     "ripple": lambda path, x0: make_ripple(0.5, 1.0, 4.0, path, start=x0),
     "strongly_convex": lambda path, x0: make_strongly_convex(2.0, path, start=x0),
     "glb-2d": lambda path, x0: make_glb([1.0, 0.5], [2.0, 1.0], [3.0, 2.5], path, start=x0),
+    # splits per axis into 1-D sq_l2_half windows: the bracketed min-plus
+    "ripple-2d": lambda path, x0: make_ripple(0.5, 1.0, 4.0, path, start=x0),
     # l2 costs and movement do not split by coordinate: the joint 2-D DP,
     # whose backtracking recomputes each back-pointer
     "polyhedral-p2-2d": lambda path, x0: make_polyhedral(1.3, path, p=2, start=x0),

@@ -13,6 +13,7 @@ from soco_lab import (
 from soco_lab.cli import build_parser, main
 from soco_lab.reductions import cbc_to_spec, CbcInstance, interval
 from soco_lab.model import movement_cost
+from soco_lab.windows import _GridEval
 
 
 @pytest.fixture
@@ -77,6 +78,32 @@ def test_cli_sweep_reproducible(config_file, tmp_path):
     assert main(["sweep", "--config", str(config_file), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a.summary.json").exists()
+
+
+def test_ripple_sweep_takes_no_dense_minplus(tmp_path, monkeypatch):
+    # a 1-D ripple sweep (m 2, eps 0.3, k 2, T 40, random-walk step 0.5,
+    # all six algorithms, the three bound checks) solves every lattice
+    # stage by the bracketed kernel: with the dense product raising, every
+    # row still succeeds and the sweep exits 0
+    def dense(*args):
+        raise AssertionError("dense min-plus product called")
+
+    monkeypatch.setattr(_GridEval, "_dense_minplus", dense)
+    config = {
+        "instances": [{"id": "ripple", "generate": {
+            "family": "ripple", "params": {"m": 2.0, "eps": 0.3, "k": 2.0}, "T": 40, "d": 1,
+            "path": {"model": "random_walk", "step": 0.5}}}],
+        "algorithms": [{"name": "greedy"}, {"name": "sfhc", "w": [2, 4, 6]},
+                       {"name": "dsfhc", "w": [2, 4, 6]}, {"name": "rsfhc-a", "w": [2, 4, 6]},
+                       {"name": "rsfhc-b", "w": [4, 6]}, {"name": "afhc", "w": [2, 4, 6]}],
+        "seeds": [7, 1301, 20260],
+        "oracle": {"method": "auto"},
+        "checks": ["greedy_bound", "prediction_bound", "semi_adaptive_bound"],
+    }
+    path, out = tmp_path / "ripple.json", tmp_path / "ripple.csv"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 15
 
 
 def test_cli_run_nonzero_on_failure(tmp_path):

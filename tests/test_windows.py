@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,9 +33,12 @@ from soco_lab import (
     window_objective,
 )
 from soco_lab.adversary import grid_quantizer
+import soco_lab.windows as windows_mod
 from soco_lab.windows import (
     UnsupportedProblemError,
     _back_pointer,
+    _bracket,
+    _bracketed_minplus,
     _GridEval,
     _solve_tridiagonal,
 )
@@ -266,6 +270,89 @@ def test_separable_minplus_matches_dense(case, integer_valued, seed):
     assert np.max(np.abs(dense[np.arange(grid.size), arg] - ref)) <= 1e-12
     if integer_valued:
         assert np.array_equal(arg, dense.argmin(axis=1))
+
+
+BRACKET_CASES = ["even", "uneven", "integer", "inf", "huge"]
+
+
+@given(st.sampled_from(BRACKET_CASES), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_bracketed_minplus_matches_dense(case, B, seed):
+    # the bracketed sq_l2_half kernel against the dense reference
+    # pairwise(pts, pts) + v, values and lowest argmins bit for bit:
+    # non-convex columns (a bowl plus a cosine ripple, as ``ripple`` stages
+    # hold) on evenly and unevenly spaced lattices, and integer columns on a
+    # unit lattice, which tie exactly.  It declines exactly where its guard
+    # fails (an inf or a huge entry must make it fail) or the sampled rows'
+    # argmins give a window too wide, and ``minplus`` is the dense product
+    # either way
+    rng = np.random.default_rng(seed)
+    G = int(rng.integers(3, 300))
+    if case == "uneven":
+        grid = Grid.from_axes([rng.uniform(-4.0, 4.0, G)])
+    elif case == "even":
+        lo = rng.uniform(-5.0, 0.0)
+        grid = Grid.make(lo, lo + rng.uniform(1.0, 10.0), G)
+    else:
+        grid = Grid.make(0.0, G - 1.0, G)
+    x, G = grid.axes()[0], grid.size
+    bowl = 0.5 * rng.uniform(0.05, 3.0, B) * (x[:, None] - rng.uniform(x[0], x[-1], B)) ** 2
+    if case == "integer":
+        value = np.round(bowl) + rng.integers(0, 3, (G, B))
+    else:
+        value = bowl + rng.uniform(0.0, 2.0, B) * np.cos(rng.uniform(0.5, 6.0, B) * x[:, None])
+    if case in ("inf", "huge"):
+        value[rng.integers(G), rng.integers(B)] = np.inf if case == "inf" else 1e17
+    movement, pts = movement_cost("sq_l2_half"), grid.points()
+    dense = movement.pairwise(pts, pts)[:, :, None] + value[None]
+    ref_arg = dense.argmin(axis=1)
+    ref_best = np.take_along_axis(dense, ref_arg[:, None], axis=1)[:, 0]
+
+    bracket = _bracket(grid)
+    got = None if bracket is None else _bracketed_minplus(value, x, bracket)
+    h = np.diff(x).min()
+    guard = (np.isfinite(value).all()
+             and 32 * 2.0 ** -53 * (0.5 * (x[-1] - x[0]) ** 2 + np.abs(value).max()) < h * h)
+    if case in ("inf", "huge"):
+        assert not guard
+    if bracket is None or not guard:
+        assert got is None
+    else:
+        K = bracket[0]
+        sampled = ref_arg[np.append(np.arange(0, G - 1, K), G - 1)]
+        W = int(np.diff(sampled, axis=0).max()) + 1
+        if 3 * W > G:
+            assert got is None
+        else:
+            assert np.array_equal(got[0], ref_best) and np.array_equal(got[1], ref_arg)
+    best, arg = _GridEval().minplus(value, movement, grid)
+    assert np.array_equal(best, ref_best) and np.array_equal(arg, ref_arg)
+
+
+def test_bracketed_minplus_bounds_its_temporaries(monkeypatch):
+    # with a small limit the sampled rows go one column at a time and the
+    # windows a few blocks at a time: the result is the unchunked one, and
+    # the memory the call takes stays within two limit-sized temporaries
+    # (one chunk's and the next's, while it is made) beside copies the size
+    # of its input (an unchunked window block would take 1.5 MB here)
+    grid = Grid.make(-3.0, 3.0, 1001)
+    x = grid.axes()[0]
+    value = (0.025 * (x[:, None] - np.linspace(-1.0, 1.5, 6)) ** 2
+             + 0.1 * np.cos(3.0 * x[:, None]))
+    ref = _bracketed_minplus(value, x, _bracket(grid))
+    limit = 40000
+    monkeypatch.setattr(windows_mod, "_DENSE_TRANSITION_LIMIT", limit)
+    bracket = _bracket(grid)
+    assert bracket[3].size * 6 > limit   # the sampled rows of six columns must chunk
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = _bracketed_minplus(value, x, bracket)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ref is not None and got is not None
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert peak <= 8 * (2 * limit + 4 * value.size) + 2 ** 16
 
 
 def _zero_on(targets):
