@@ -24,7 +24,6 @@ from .families import (
     instance_from_spec,
     instance_to_spec,
     make_glb,
-    make_instance,
     make_polyhedral,
     make_ripple,
     make_strongly_convex,

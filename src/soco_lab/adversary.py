@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import FAMILIES, FamilyParams, Glb, make_instance
+from .families import FAMILIES, FamilyParams, cost_to_spec, make_strongly_convex
 from .model import HittingCost, Instance, MovementCost, Point, as_point, evaluate_total_cost
 from .windows import Grid, WindowProblem, WindowSolver
 from .oracle import anchor_segments
@@ -97,11 +97,11 @@ def generate_oblivious_instance(family: FamilyParams, path_model: PathModel,
                                 T: int, d: int, rng: np.random.Generator,
                                 start=None) -> Instance:
     """Fixed cost sequence drawn up front: the oblivious adversary."""
-    nonneg = isinstance(family, Glb)
-    path = minimizer_path(path_model, T, d, rng, nonnegative=nonneg)
-    if start is None and not nonneg:
-        start = np.zeros(d)
-    return make_instance(family, path, start=start)
+    record = next((r for r in FAMILIES.values() if type(family) is r.params), None)
+    if record is None:
+        raise ValueError(f"unknown family params {family!r}")
+    path = minimizer_path(path_model, T, d, rng, nonnegative=record.orthant)
+    return record.make(path=path, start=start, **vars(family))
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +214,8 @@ class GameTranscript:
 
 def transcript_to_spec(transcript: GameTranscript) -> dict:
     """Serialize a transcript for replay; costs must be analytic-family."""
-    costs = []
-    for cost in transcript.revealed_costs:
-        if cost.family_tag not in FAMILIES:
-            raise ValueError(f"cannot serialize cost family {cost.family_tag!r}")
-        costs.append({"family": cost.family_tag,
-                      "params": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                                 for k, v in cost.params.items()},
-                      "minimizer": cost.minimizer.tolist()})
     return {
-        "revealed_costs": costs,
+        "revealed_costs": [cost_to_spec(cost) for cost in transcript.revealed_costs],
         "reveal_clock": list(transcript.reveal_clock),
         "adversary_commits": transcript.adversary_commits.tolist(),
         "commit_clock": list(transcript.commit_clock),
@@ -401,13 +393,7 @@ class SpikeAdversary:
         m = self.m
         commit = (m * v + self._last_commit) / (m + 1.0)
         self._last_commit = commit
-
-        def fn(x, _v=v):
-            diff = np.asarray(x, dtype=float) - _v
-            return 0.5 * m * (diff * diff).sum(axis=-1)
-
-        cost = HittingCost(fn, as_point(v), 0.0, 0.0, "strongly_convex", {"m": m})
-        return cost, commit
+        return make_strongly_convex(m, v[None, :]).hitting[0], commit
 
     def open(self):
         return [self._design(t) for t in range(1, self.w)]

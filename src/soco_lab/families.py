@@ -20,6 +20,7 @@ are exact in closed form, so every bound check can use known constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -86,10 +87,6 @@ def _require_finite(**params):
             raise ValueError(f"{name} must be finite, not {np.asarray(value).tolist()}")
 
 
-def _default_start(dim: int) -> np.ndarray:
-    return np.zeros(dim)
-
-
 def _hitting(hit, formula, pts: np.ndarray, separable: bool) -> tuple[HittingCost, ...]:
     """``hit(v, sel, f, axes)`` per minimizer v, ``sel`` selecting coordinates
     of the family's parameters and ``f = formula(sel)`` the family's f(x, v)
@@ -113,13 +110,19 @@ def _cost(f, v, *args) -> HittingCost:
     return HittingCost(lambda x: f(np.asarray(x, dtype=float), v), v, *args, formula=f)
 
 
+def _instance(hitting, start, movement, lam: float) -> Instance:
+    """The instance of one family's costs, started at the origin by default."""
+    d = hitting[0].minimizer.shape[0]
+    return Instance(d, len(hitting), np.zeros(d) if start is None else start, hitting,
+                    movement, lam=lam, family_tag=hitting[0].family_tag)
+
+
 def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
     """Scaled-norm hitting costs with lp movement; eta = 1, lam = alpha/2."""
     _require_finite(alpha=alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     pts = _as_path(path)
-    d = pts.shape[1]
     movement = norm_movement(p)
 
     def formula(sel):
@@ -137,10 +140,7 @@ def make_polyhedral(alpha: float, path, p: int = 2, start=None) -> Instance:
     def hit(v, sel, f, axes):
         return _cost(f, v, 0.0, None, "polyhedral", {"alpha": alpha, "p": p}, axes)
 
-    hitting = _hitting(hit, formula, pts, separable=p == 1)
-    start = _default_start(d) if start is None else start
-    return Instance(d, len(hitting), start, hitting, movement,
-                    lam=alpha / 2.0, family_tag="polyhedral")
+    return _instance(_hitting(hit, formula, pts, separable=p == 1), start, movement, alpha / 2.0)
 
 
 def make_strongly_convex(m: float, path, start=None) -> Instance:
@@ -149,7 +149,6 @@ def make_strongly_convex(m: float, path, start=None) -> Instance:
     if m <= 0:
         raise ValueError("m must be positive")
     pts = _as_path(path)
-    d = pts.shape[1]
 
     def formula(sel):
         def f(x, v):
@@ -160,10 +159,8 @@ def make_strongly_convex(m: float, path, start=None) -> Instance:
     def hit(v, sel, f, axes):
         return _cost(f, v, 0.0, 0.0, "strongly_convex", {"m": m}, axes)
 
-    hitting = _hitting(hit, formula, pts, separable=True)
-    start = _default_start(d) if start is None else start
-    return Instance(d, len(hitting), start, hitting, movement_cost("sq_l2_half"),
-                    lam=m / 2.0, family_tag="strongly_convex")
+    return _instance(_hitting(hit, formula, pts, separable=True), start,
+                     movement_cost("sq_l2_half"), m / 2.0)
 
 
 def make_glb(e0, beta, mu, path, start=None) -> Instance:
@@ -204,14 +201,10 @@ def make_glb(e0, beta, mu, path, start=None) -> Instance:
                      {"e0": e, "beta": beta[sel], "mu": mu[sel]}, axes)
 
     hitting = _hitting(hit, formula, pts, separable=True)
-    start = _default_start(d) if start is None else start
-    start = np.asarray(start, dtype=float)
-    if np.any(start < 0):
+    if start is not None and np.any(np.asarray(start, dtype=float) < 0):
         raise ValueError("glb start point must be in the nonnegative orthant")
-    lam = 0.5 * float(np.min(e0 / beta))
-    return Instance(d, len(hitting), start, hitting,
-                    movement_cost("rectified_linear", beta=beta),
-                    lam=lam, family_tag="glb")
+    return _instance(hitting, start, movement_cost("rectified_linear", beta=beta),
+                     0.5 * float(np.min(e0 / beta)))
 
 
 def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
@@ -225,7 +218,6 @@ def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
     if m < 0 or eps < 0 or k <= 0:
         raise ValueError("need m >= 0, eps >= 0, k > 0")
     pts = _as_path(path)
-    d = pts.shape[1]
     alpha = max(0.0, eps * k * k - m)
 
     def formula(sel):
@@ -239,28 +231,46 @@ def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
     def hit(v, sel, f, axes):
         return _cost(f, v, 0.0, alpha, "ripple", {"m": m, "eps": eps, "k": k}, axes)
 
-    hitting = _hitting(hit, formula, pts, separable=True)
-    start = _default_start(d) if start is None else start
-    return Instance(d, len(hitting), start, hitting, movement_cost("sq_l2_half"),
-                    lam=m / 2.0 if m > 0 else 0.0, family_tag="ripple")
+    return _instance(_hitting(hit, formula, pts, separable=True), start,
+                     movement_cost("sq_l2_half"), m / 2.0 if m > 0 else 0.0)
 
 
-#: Family name -> (parameter dataclass, constructor).  The constructor takes
-#: the dataclass fields as keywords, plus ``path`` and ``start``.
+def _quadratic_slope(params: dict, width: float) -> float:
+    return params["m"] * width + params.get("eps", 0.0) * params.get("k", 0.0) + 2.0 * width
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the package may ask about one family; ``NO_FAMILY`` answers for a
+    cost of none.  README's "Adding a family" names each field's readers."""
+
+    params: type | None = None                   # the parameter dataclass
+    make: Callable[..., Instance] | None = None  # its fields as keywords, path, start
+    orthant: bool = False                        # decisions are nonnegative
+    quadratic: bool = False                      # the closed-form solves apply
+    # (params, d): every DP value function is convex piecewise linear per axis
+    piecewise_linear: Callable[[dict, int], bool] = lambda params, d: False
+    epigraph: Callable[[dict], bool] = lambda params: False  # it projects exactly
+    slope: Callable[[dict, float], float] | None = None  # (params, width): slope bound
+
+
+#: Family name (the ``family_tag`` of its instances and costs) -> record.
 FAMILIES = {
-    "polyhedral": (Polyhedral, make_polyhedral),
-    "strongly_convex": (StronglyConvex, make_strongly_convex),
-    "glb": (Glb, make_glb),
-    "ripple": (Ripple, make_ripple),
+    "polyhedral": Family(Polyhedral, make_polyhedral,
+                         piecewise_linear=lambda params, d: d == 1 or params["p"] == 1,
+                         epigraph=lambda params: params.get("p") in (1, 2, np.inf, "inf"),
+                         slope=lambda params, width: params["alpha"] + 2.0),
+    "strongly_convex": Family(StronglyConvex, make_strongly_convex, quadratic=True,
+                              epigraph=lambda params: True, slope=_quadratic_slope),
+    "glb": Family(Glb, make_glb, orthant=True, piecewise_linear=lambda params, d: True),
+    "ripple": Family(Ripple, make_ripple, slope=_quadratic_slope),
 }
+NO_FAMILY = Family()
 
 
-def make_instance(family: FamilyParams, path, start=None) -> Instance:
-    """Dispatch on a family-params dataclass."""
-    for params_cls, make in FAMILIES.values():
-        if type(family) is params_cls:
-            return make(path=path, start=start, **vars(family))
-    raise ValueError(f"unknown family params {family!r}")
+def family_of(obj) -> Family:
+    """The record of an instance's or a cost's family, ``NO_FAMILY`` if none."""
+    return FAMILIES.get(obj.family_tag, NO_FAMILY)
 
 
 def estimate_condition_constants(instance: Instance, domain_radius: float,
@@ -279,7 +289,7 @@ def estimate_condition_constants(instance: Instance, domain_radius: float,
     if domain_radius <= 0:
         raise ValueError("domain_radius must be positive")
     d, c = instance.dim, instance.movement
-    clip_orthant = instance.family_tag == "glb"
+    clip_orthant = family_of(instance).orthant
 
     lam_hat = np.inf
     t_idx = rng.integers(0, instance.horizon, size=samples)
@@ -326,6 +336,21 @@ def spec_params(params: dict) -> dict:
     return {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in params.items()}
 
 
+def cost_to_spec(cost: HittingCost) -> dict:
+    """One family cost as JSON: its family, parameters and minimizer."""
+    if cost.family_tag not in FAMILIES:
+        raise ValueError(f"cannot serialize cost family {cost.family_tag!r}")
+    return {"family": cost.family_tag, "params": spec_params(cost.params),
+            "minimizer": cost.minimizer.tolist()}
+
+
+def cost_from_spec(entry: dict) -> HittingCost:
+    """The cost of a ``cost_to_spec`` entry, built by its family's constructor."""
+    if entry["family"] not in FAMILIES:
+        raise ValueError(f"unknown family {entry['family']!r}")
+    return FAMILIES[entry["family"]].make(path=[entry["minimizer"]], **entry["params"]).hitting[0]
+
+
 def instance_to_spec(instance: Instance) -> dict:
     """Serialize an analytic-family instance to the JSON schema."""
     if instance.family_tag not in FAMILIES:
@@ -354,7 +379,7 @@ def instance_from_spec(spec: dict) -> Instance:
         raise ValueError("minimizers must have shape (T, dim)")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    inst = FAMILIES[family][1](path=path, start=start, **params)
+    inst = FAMILIES[family].make(path=path, start=start, **params)
     declared = spec["movement"]["kind"]
     if declared != inst.movement.kind:
         raise ValueError(

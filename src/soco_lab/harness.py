@@ -40,7 +40,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import algorithms as algs
-from .families import FAMILIES, instance_from_spec
+from .families import FAMILIES, family_of, instance_from_spec
 from .adversary import Constant, RandomWalk, Spikes, generate_oblivious_instance
 from .model import Instance, competitive_ratio
 from .oracle import ORACLE_METHODS, offline_optimal
@@ -226,7 +226,7 @@ def check_instance_schema(spec, where: str = "instance") -> dict:
     where, keys = where + ".hitting", ("family", "params", "minimizers")
     hitting = _keys(spec["hitting"], where, keys, keys)
     _known(hitting["family"], FAMILIES, "family", where)
-    _fields(hitting["params"], where + ".params", FAMILIES[hitting["family"]][0])
+    _fields(hitting["params"], where + ".params", FAMILIES[hitting["family"]].params)
     return spec
 
 
@@ -246,7 +246,7 @@ def _check_instance_spec(spec, where: str):
         if key in gen:
             _integer(gen[key], f"key {key!r} in {where}")
     _known(gen["family"], FAMILIES, "family", where)
-    _fields(gen.get("params", {}), where + ".params", FAMILIES[gen["family"]][0])
+    _fields(gen.get("params", {}), where + ".params", FAMILIES[gen["family"]].params)
     where += ".path"
     path = _keys(gen.get("path", {"model": "random_walk"}), where, required=("model",))
     _known(path["model"], _PATHS, "path model", where)
@@ -300,9 +300,8 @@ def _build_instance(spec: dict, instance_id: str, seed: int) -> Instance:
     if "instance" in spec:
         return instance_from_spec(spec["instance"])
     gen = spec["generate"]
-    params_cls, _ = FAMILIES[gen["family"]]
-    family = params_cls(**{k: (tuple(v) if isinstance(v, list) else v)
-                           for k, v in gen.get("params", {}).items()})
+    family = FAMILIES[gen["family"]].params(**{k: (tuple(v) if isinstance(v, list) else v)
+                                               for k, v in gen.get("params", {}).items()})
     path_spec = dict(gen.get("path", {"model": "random_walk"}))
     path_model = _PATHS[path_spec.pop("model")](**path_spec)
     rng = np.random.default_rng(derive_seed(seed, "instance", instance_id))
@@ -311,19 +310,13 @@ def _build_instance(spec: dict, instance_id: str, seed: int) -> Instance:
 
 
 def _grid_lipschitz(instance: Instance, grid: Grid) -> float:
-    """Crude per-step slope bound on the grid box, for budget reporting.
-    Only ``polyhedral`` (p = 2 or inf in d >= 2), ``ripple`` and
-    ``strongly_convex`` (method ``grid``) reach it: ``glb`` and the other
-    ``polyhedral`` instances run on their breakpoint lattice, where every
-    anchor is a lattice point and the snap distance is 0."""
+    """Crude per-step slope bound on the grid box, the family record's
+    ``slope``, for budget reporting.  Only ``polyhedral`` (p = 2 or inf in
+    d >= 2), ``ripple`` and ``strongly_convex`` (method ``grid``) reach it:
+    a ``piecewise_linear`` record's instances run on their breakpoint
+    lattice, where every anchor is a lattice point and the snap is 0."""
     width = float((np.asarray(grid.hi) - np.asarray(grid.lo)).max())
-    params = instance.hitting[0].params
-    if instance.family_tag == "polyhedral":
-        per_step = params["alpha"] + 2.0
-    else:
-        per_step = params["m"] * width + params.get("eps", 0.0) * params.get("k", 0.0) \
-            + 2.0 * width
-    return instance.horizon * per_step
+    return instance.horizon * family_of(instance).slope(instance.hitting[0].params, width)
 
 
 def _select_check(checks, algorithm: str, w: int):

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import family_of
 from .model import Instance, Trajectory, evaluate_total_cost
 from .windows import (
     Grid,
@@ -61,8 +62,8 @@ class OracleResult:
 
 
 def offline_optimal_quadratic(instance: Instance) -> OracleResult:
-    """Closed-form optimum for the quadratic family over the full horizon."""
-    if instance.family_tag != "strongly_convex" or instance.movement.kind != "sq_l2_half":
+    """Closed-form optimum for a ``quadratic`` family over the full horizon."""
+    if not family_of(instance).quadratic or instance.movement.kind != "sq_l2_half":
         raise ValueError("exact quadratic oracle needs the strongly_convex family")
     problem = build_window(instance, 0, instance.horizon + 1)
     sol = solve_quadratic_chain(problem)
@@ -91,12 +92,12 @@ def offline_optimal(instance: Instance, grid: Grid | None = None,
     """The offline optimum by one of ``ORACLE_METHODS``; ``grid`` is the
     lattice of the DP (``default_grid`` when None), and ``solver`` a window
     solver on it whose caches the DP shares (``offline_optimal_grid``).
-    ``exact_quadratic`` off the quadratic family and an unknown method
-    raise ValueError."""
+    ``auto`` takes the closed form when the family record says
+    ``quadratic``; ``exact_quadratic`` off it and an unknown method raise."""
     if method not in ORACLE_METHODS:
         raise ValueError(f"unknown oracle method {method!r}; expected one of {ORACLE_METHODS}")
     if method == "exact_quadratic" or (
-            method == "auto" and instance.family_tag == "strongly_convex"):
+            method == "auto" and family_of(instance).quadratic):
         return offline_optimal_quadratic(instance)
     return offline_optimal_grid(instance, grid, solver)
 

@@ -27,7 +27,7 @@ from .model import (
     l2_norm,
     movement_cost,
 )
-from .families import make_polyhedral, make_strongly_convex, spec_params
+from .families import cost_from_spec, cost_to_spec, family_of
 from .windows import Grid
 from .oracle import OracleResult, offline_optimal_grid
 
@@ -119,11 +119,13 @@ def zero_plane(dim: int) -> ConvexBody:
 
 def epigraph(cost: HittingCost, dim: int) -> ConvexBody:
     """The set {(x, y) : y >= f(x)} in dimension dim = d + 1, for the costs
-    whose epigraph projection is exact: ``polyhedral`` with p in {1, 2, inf}
-    and ``strongly_convex``.  Any other cost raises ValueError."""
-    if not (cost.family_tag == "strongly_convex" or cost.family_tag == "polyhedral"
-            and cost.params.get("p") in (1, 2, np.inf, "inf")):
+    whose family record's ``epigraph`` holds, so that their projection is
+    exact: ``polyhedral`` with p in {1, 2, inf} and ``strongly_convex``.
+    Any other cost, or another dim, raises ValueError."""
+    if not family_of(cost).epigraph(cost.params):
         raise ValueError(f"no exact epigraph projection for family {cost.family_tag!r}")
+    if dim != (d := cost.minimizer.shape[0]) + 1:
+        raise ValueError(f"the epigraph of a {d}-D cost has dimension {d + 1}, not {dim}")
     return ConvexBody("epigraph", dim, {"cost": cost})
 
 
@@ -141,7 +143,8 @@ def _project_epigraph(cost: HittingCost, p: np.ndarray) -> Point:
     v, q = cost.minimizer, float(p[-1])
     u = p[:-1] - v
     params, alpha = cost.params, cost.params.get("alpha")
-    if cost.family_tag == "polyhedral" and u.size > 1 and params["p"] != 2:
+    quadratic = family_of(cost).quadratic
+    if not quadratic and u.size > 1 and params["p"] != 2:
         if params["p"] == 1:
             s = _linf_radius(-u, -q, 1.0 / alpha)
             y = u + np.clip(-u, -s, s)
@@ -149,7 +152,7 @@ def _project_epigraph(cost: HittingCost, p: np.ndarray) -> Point:
         s = _linf_radius(u, q, alpha)
         return as_point(np.append(v + np.clip(u, -s, s), alpha * s))
     n = float(l2_norm(u))
-    if cost.family_tag == "polyhedral":
+    if not quadratic:
         r = (n + alpha * q) / (1.0 + alpha * alpha)
         height = alpha * r
     else:
@@ -310,12 +313,7 @@ def cbc_to_spec(instance: CbcInstance) -> dict:
         entry = {"variant": body.variant}
         for key, value in body.data.items():
             if key == "cost":
-                cost: HittingCost = value
-                if cost.family_tag not in ("polyhedral", "strongly_convex"):
-                    raise ValueError("only analytic-family epigraphs serialize")
-                entry["family"] = cost.family_tag
-                entry["params"] = spec_params(cost.params)
-                entry["minimizer"] = cost.minimizer.tolist()
+                entry.update(cost_to_spec(value))
             else:
                 entry[key] = value.tolist() if isinstance(value, np.ndarray) else value
         bodies.append(entry)
@@ -349,13 +347,7 @@ def cbc_from_spec(spec: dict) -> CbcInstance:
         elif variant == "zero_plane":
             bodies.append(zero_plane(dim))
         elif variant == "epigraph":
-            path = [entry["minimizer"]]
-            if entry["family"] == "polyhedral":
-                inst = make_polyhedral(entry["params"]["alpha"], path,
-                                       p=entry["params"].get("p", 2))
-            else:
-                inst = make_strongly_convex(entry["params"]["m"], path)
-            bodies.append(epigraph(inst.hitting[0], dim))
+            bodies.append(epigraph(cost_from_spec(entry), dim))
         else:
             raise ValueError(f"unknown body variant {variant!r}")
     return CbcInstance(dim, np.asarray(spec["start"], dtype=float), tuple(bodies),

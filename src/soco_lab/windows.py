@@ -90,6 +90,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .families import FAMILIES, NO_FAMILY, family_of
 from .model import HittingCost, Instance, MovementCost, Point
 
 
@@ -233,14 +234,13 @@ def _lattice(grid: Grid) -> np.ndarray:
 def default_grid(instance: Instance, n: int | None = None) -> Grid:
     """The run's lattice.
 
-    With no ``n``, the piecewise-linear families -- ``glb`` and
-    ``polyhedral`` p = 1 in any d, ``polyhedral`` of any p in 1-D -- get
-    their breakpoint lattice (``_breakpoint_axes``), on which the lattice DP
-    is exact.  Every other instance, and every instance when ``n`` is
-    given, gets a uniform lattice of ``n`` points per axis (201 by default)
-    over the bounding box of the start point and all minimizers, widened on
-    every side by twice its largest span (at least 1), and cut at 0 for
-    ``glb``, whose decisions are nonnegative."""
+    With no ``n``, an instance whose family record says
+    ``piecewise_linear`` gets its breakpoint lattice (``_breakpoint_axes``),
+    on which the lattice DP is exact.  Every other instance, and every
+    instance when ``n`` is given, gets a uniform lattice of ``n`` points per
+    axis (201 by default) over the bounding box of the start point and all
+    minimizers, widened on every side by twice its largest span (at least
+    1), and cut at 0 for a family whose record says ``orthant``."""
     if n is None:
         axes = _breakpoint_axes(instance)
         if axes is not None:
@@ -250,27 +250,26 @@ def default_grid(instance: Instance, n: int | None = None) -> Grid:
     lo, hi = anchors.min(axis=0), anchors.max(axis=0)
     span = max(float((hi - lo).max()), 1.0)
     lo, hi = lo - 2.0 * span, hi + 2.0 * span
-    if instance.family_tag == "glb":
+    if family_of(instance).orthant:
         lo = np.maximum(lo, 0.0)
     return Grid.make(lo, hi, n, dim=instance.dim)
 
 
 def _breakpoint_axes(instance: Instance) -> list[np.ndarray] | None:
-    """Per-axis breakpoints of a separable convex piecewise-linear instance
-    with l1 or ramp movement, else None: the start coordinate, every
-    minimizer coordinate, and 0, the orthant's edge, for ``glb``.
+    """Per-axis breakpoints of an instance whose family record says
+    ``piecewise_linear``, else None: the start coordinate, every minimizer
+    coordinate, and 0, the orthant's edge, when the record says ``orthant``.
 
     Every DP value function of such an instance is convex and piecewise
     linear per axis, with kinks only at these points, so the lattice DP on
     their product is exact, and so is every window whose anchors are
     lattice points.  That covers ``glb`` and ``polyhedral`` p = 1 in any d,
     and ``polyhedral`` of any p in 1-D, where each norm is |x|."""
-    tag = instance.family_tag
-    if not (tag == "glb" or tag == "polyhedral"
-            and (instance.dim == 1 or instance.hitting[0].params["p"] == 1)):
+    family = family_of(instance)
+    if not family.piecewise_linear(instance.hitting[0].params, instance.dim):
         return None
     points = np.vstack([instance.start[None, :], instance.minimizers()])
-    if tag == "glb":
+    if family.orthant:
         points = np.vstack([points, np.zeros((1, instance.dim))])
     return list(points.T)
 
@@ -352,8 +351,9 @@ def window_objective(problem: WindowProblem, free_points) -> float:
 # ---------------------------------------------------------------------------
 
 def _is_quadratic(problem: WindowProblem) -> bool:
+    # one lookup per cost per window: no ``family_of`` call, no record built
     return (problem.movement.kind == "sq_l2_half"
-            and all(c.family_tag == "strongly_convex" for c in problem.costs))
+            and all(FAMILIES.get(c.family_tag, NO_FAMILY).quadratic for c in problem.costs))
 
 
 def solve_quadratic_chain(problem: WindowProblem) -> WindowSolution:

@@ -178,6 +178,32 @@ def test_cli_broken_chasing_instance_exits_two_on_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"soco-lab: error: {path}: missing key 'bodies'\n"
 
 
+def _epigraph_body_list(tmp_path, dim, entry):
+    path = tmp_path / "cbc.json"
+    path.write_text(json.dumps({"dim": dim, "start": [0.0] * dim,
+                                "movement": {"kind": "norm_l2", "params": {}},
+                                "bodies": [dict(entry, variant="epigraph")]}))
+    return path
+
+
+@pytest.mark.parametrize("dim, entry, reason", [
+    # each used to load as a strongly_convex epigraph with the entry's m
+    (2, {"family": "ripple", "params": {"m": 1, "eps": 0.1, "k": 2}, "minimizer": [1]},
+     "no exact epigraph projection for family 'ripple'"),
+    (2, {"family": "glb", "params": {"m": 1, "e0": [1], "beta": [1], "mu": [2]},
+         "minimizer": [1]}, "unexpected keyword argument 'm'"),
+    # used to load, then project (0, 0, 0) to (0.5, 0.5, 0.7071) by broadcasting
+    (3, {"family": "polyhedral", "params": {"alpha": 1.0, "p": 2}, "minimizer": [1]},
+     "the epigraph of a 1-D cost has dimension 2, not 3"),
+])
+def test_cli_bad_epigraph_body_exits_two_on_one_line(tmp_path, capsys, dim, entry, reason):
+    path = _epigraph_body_list(tmp_path, dim, entry)
+    assert main(["reduce", "--mode", "duplicate", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"soco-lab: error: {path}: ") and reason in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("edit, reason", BROKEN_INSTANCES)
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_broken_inline_instance_is_a_config_error(tmp_path, capsys, command, edit,

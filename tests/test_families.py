@@ -13,7 +13,23 @@ from soco_lab import (
     make_ripple,
     make_strongly_convex,
 )
-from soco_lab.families import EstimationError
+from soco_lab.adversary import RandomWalk, generate_oblivious_instance
+from soco_lab.families import (
+    FAMILIES,
+    NO_FAMILY,
+    EstimationError,
+    Glb,
+    Polyhedral,
+    Ripple,
+    StronglyConvex,
+    cost_from_spec,
+    cost_to_spec,
+    family_of,
+)
+from soco_lab.model import PENALTY, HittingCost, as_point
+from soco_lab.oracle import offline_optimal
+from soco_lab.reductions import epigraph
+from soco_lab.windows import default_grid
 
 
 def test_polyhedral_values_and_constants():
@@ -218,3 +234,79 @@ def test_instance_spec_validates_shapes():
     spec["hitting"]["minimizers"] = [[0.0]]
     with pytest.raises(ValueError):
         instance_from_spec(spec)
+
+
+#: Parameters to check each registered family on, per dimension d; a family
+#: added to FAMILIES without an entry here fails the record test by name.
+RECORD_SAMPLES = {
+    "polyhedral": lambda d: [Polyhedral(1.5, p) for p in (1, 2, np.inf)],
+    "strongly_convex": lambda d: [StronglyConvex(2.0)],
+    "glb": lambda d: [Glb((1.0,) * d, (2.0, 0.5)[:d], (1.5, 3.0)[:d])],
+    "ripple": lambda d: [Ripple(1.0, 0.3, 2.0), Ripple(0.0, 0.5, 3.0)],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_record_matches_what_its_instances_do(name, d):
+    # each fact of the record against the behaviour it stands for, so a
+    # family registered with a wrong fact fails here
+    record = FAMILIES[name]
+    for i, params in enumerate(RECORD_SAMPLES[name](d)):
+        rng = np.random.default_rng(100 * d + i)
+        inst = generate_oblivious_instance(params, RandomWalk(0.7), 6, d, rng,
+                                           start=np.full(d, 0.25))
+        assert type(params) is record.params and inst.family_tag == name
+        assert family_of(inst) is record
+        assert all(family_of(c) is record for c in inst.hitting)
+        cost_params = inst.hitting[0].params
+        # piecewise_linear: the default lattice is the breakpoint lattice
+        points = np.vstack([inst.start, inst.minimizers()] + [np.zeros(d)] * record.orthant)
+        breakpoints = [sorted(set(axis.tolist())) for axis in points.T]
+        grid = default_grid(inst)
+        is_breakpoint = [list(axis) for axis in grid.coords] == breakpoints
+        assert is_breakpoint == record.piecewise_linear(cost_params, d)
+        assert is_breakpoint or grid == default_grid(inst, 201)
+        if is_breakpoint:   # exact there: no finer lattice does better
+            fine = offline_optimal(inst, default_grid(inst, 41), "grid").cost
+            assert offline_optimal(inst, grid, "grid").cost <= fine + 1e-9
+        # orthant: the uniform lattice is cut at 0 and the paths stay in it
+        lo = np.asarray(default_grid(inst, 21).lo)
+        assert bool((lo >= 0).all()) == record.orthant
+        paths = [generate_oblivious_instance(params, RandomWalk(0.7), 50, d,
+                                             np.random.default_rng(seed)).minimizers()
+                 for seed in range(10)]
+        assert all((path >= 0).all() for path in paths) == record.orthant
+        assert (inst.hitting[0](-0.5 * np.ones(d)) >= PENALTY) == record.orthant
+        # quadratic: the auto oracle takes the closed form
+        method = offline_optimal(inst, default_grid(inst, 11), "auto").method
+        assert (method == "exact_quadratic") == record.quadratic
+        if record.quadratic:   # the closed form is the optimum
+            lattice = offline_optimal(inst, default_grid(inst, 41), "grid").cost
+            assert offline_optimal(inst, method="auto").cost <= lattice + 1e-9
+        # epigraph: the body is built exactly when the record says so
+        try:
+            epigraph(inst.hitting[0], d + 1)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == record.epigraph(cost_params)
+        # the JSON of one cost rebuilds it, bit for bit
+        pts = rng.uniform(0.0, 3.0, (25, d))
+        for cost in inst.hitting:
+            again = cost_from_spec(json.loads(json.dumps(cost_to_spec(cost))))
+            assert again.family_tag == name and again.params.keys() == cost.params.keys()
+            assert np.array_equal(again.minimizer, cost.minimizer)
+            assert np.array_equal(again.values(pts), cost.values(pts))
+            assert again(pts[0]) == cost(pts[0])
+
+
+def test_a_cost_of_no_family_gets_the_blank_record():
+    custom = HittingCost(lambda x: float(np.abs(x).sum()), as_point([0.0]))
+    assert family_of(custom) is NO_FAMILY and NO_FAMILY.params is None
+    assert not (NO_FAMILY.orthant or NO_FAMILY.quadratic
+                or NO_FAMILY.piecewise_linear({}, 1) or NO_FAMILY.epigraph({}))
+    with pytest.raises(ValueError, match="cannot serialize cost family 'custom'"):
+        cost_to_spec(custom)
+    with pytest.raises(ValueError, match="unknown family 'custom'"):
+        cost_from_spec({"family": "custom", "params": {}, "minimizer": [0.0]})

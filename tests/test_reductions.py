@@ -133,6 +133,20 @@ def test_epigraph_refuses_costs_without_exact_projection():
             epigraph(cost, 2)
 
 
+def test_epigraph_refuses_a_dimension_other_than_d_plus_one():
+    # a 3-D body list with a 1-D minimizer used to load, and greedy
+    # projection then mapped (0, 0, 0) to (0.5, 0.5, 0.7071) by broadcasting
+    cost = make_polyhedral(1.0, [[1.0]]).hitting[0]
+    for dim in (1, 3):
+        with pytest.raises(ValueError, match=f"1-D cost has dimension 2, not {dim}"):
+            epigraph(cost, dim)
+    spec = cbc_to_spec(CbcInstance(2, np.zeros(2), (epigraph(cost, 2),),
+                                   movement_cost("norm_l2")))
+    spec.update(dim=3, start=[0.0] * 3)
+    with pytest.raises(ValueError, match="not 3"):
+        cbc_from_spec(spec)
+
+
 def squared_gap(cost, point, x):
     """Squared distance from ``point`` to the boundary point (x, f(x))."""
     return float(((x - point[:-1]) ** 2).sum() + (cost(x) - point[-1]) ** 2)

@@ -201,3 +201,33 @@ def test_package_imports_no_scipy():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+FAMILY_PARAMS = {"Polyhedral", "StronglyConvex", "Glb", "Ripple"}
+
+
+def test_family_facts_come_from_the_family_record():
+    # outside families.py a module asks ``families.FAMILIES`` about a
+    # family: no comparison of a ``.family_tag`` with a string, and no
+    # isinstance against a family's parameter class
+    found = []
+    for path in sorted((ROOT / "src" / "soco_lab").rglob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                tagged = any(isinstance(x, ast.Attribute) and x.attr == "family_tag"
+                             for x in operands)
+                strings = [x for x in ast.walk(node)
+                           if isinstance(x, ast.Constant) and isinstance(x.value, str)]
+                if tagged and strings:
+                    found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                names = {x.id if isinstance(x, ast.Name) else x.attr
+                         for x in ast.walk(node.args[1])
+                         if isinstance(x, (ast.Name, ast.Attribute))}
+                if names & FAMILY_PARAMS:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
