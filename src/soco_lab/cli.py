@@ -252,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-lo", type=float, default=None)
     p.add_argument("--grid-hi", type=float, default=None)
     p.add_argument("--grid-n", type=int, default=None,
-                   help="points per axis of a uniform lattice (default: the family's "
-                        "breakpoint lattice, else 201)")
+                   help="evenly spaced points per axis beside the anchors (start and "
+                        "minimizers); with --grid-lo/--grid-hi, points per axis of a "
+                        "uniform lattice (default: the breakpoint lattice, else 201)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_oracle)
 

@@ -235,10 +235,6 @@ def make_ripple(m: float, eps: float, k: float, path, start=None) -> Instance:
                      movement_cost("sq_l2_half"), m / 2.0 if m > 0 else 0.0)
 
 
-def _quadratic_slope(params: dict, width: float) -> float:
-    return params["m"] * width + params.get("eps", 0.0) * params.get("k", 0.0) + 2.0 * width
-
-
 @dataclass(frozen=True)
 class Family:
     """What the package may ask about one family; ``NO_FAMILY`` answers for a
@@ -246,24 +242,23 @@ class Family:
 
     params: type | None = None                   # the parameter dataclass
     make: Callable[..., Instance] | None = None  # its fields as keywords, path, start
-    orthant: bool = False                        # decisions are nonnegative
+    orthant: bool = False                        # decisions are nonnegative; 0 is an anchor
     quadratic: bool = False                      # the closed-form solves apply
-    # (params, d): every DP value function is convex piecewise linear per axis
+    # (params, d): every DP value function is convex piecewise linear per axis,
+    # kinked only at anchor coordinates, so the anchors alone are an exact lattice
     piecewise_linear: Callable[[dict, int], bool] = lambda params, d: False
     epigraph: Callable[[dict], bool] = lambda params: False  # it projects exactly
-    slope: Callable[[dict, float], float] | None = None  # (params, width): slope bound
 
 
 #: Family name (the ``family_tag`` of its instances and costs) -> record.
 FAMILIES = {
     "polyhedral": Family(Polyhedral, make_polyhedral,
                          piecewise_linear=lambda params, d: d == 1 or params["p"] == 1,
-                         epigraph=lambda params: params.get("p") in (1, 2, np.inf, "inf"),
-                         slope=lambda params, width: params["alpha"] + 2.0),
+                         epigraph=lambda params: params.get("p") in (1, 2, np.inf, "inf")),
     "strongly_convex": Family(StronglyConvex, make_strongly_convex, quadratic=True,
-                              epigraph=lambda params: True, slope=_quadratic_slope),
+                              epigraph=lambda params: True),
     "glb": Family(Glb, make_glb, orthant=True, piecewise_linear=lambda params, d: True),
-    "ripple": Family(Ripple, make_ripple, slope=_quadratic_slope),
+    "ripple": Family(Ripple, make_ripple),
 }
 NO_FAMILY = Family()
 

@@ -40,11 +40,11 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import algorithms as algs
-from .families import FAMILIES, family_of, instance_from_spec
+from .families import FAMILIES, instance_from_spec
 from .adversary import Constant, RandomWalk, Spikes, generate_oblivious_instance
 from .model import Instance, competitive_ratio
 from .oracle import ORACLE_METHODS, offline_optimal
-from .windows import Grid, WindowSolver, default_grid
+from .windows import WindowSolver, default_grid
 
 
 def splitmix64(x: int) -> int:
@@ -309,16 +309,6 @@ def _build_instance(spec: dict, instance_id: str, seed: int) -> Instance:
         family, path_model, int(gen["T"]), int(gen.get("d", 1)), rng)
 
 
-def _grid_lipschitz(instance: Instance, grid: Grid) -> float:
-    """Crude per-step slope bound on the grid box, the family record's
-    ``slope``, for budget reporting.  Only ``polyhedral`` (p = 2 or inf in
-    d >= 2), ``ripple`` and ``strongly_convex`` (method ``grid``) reach it:
-    a ``piecewise_linear`` record's instances run on their breakpoint
-    lattice, where every anchor is a lattice point and the snap is 0."""
-    width = float((np.asarray(grid.hi) - np.asarray(grid.lo)).max())
-    return instance.horizon * family_of(instance).slope(instance.hitting[0].params, width)
-
-
 def _select_check(checks, algorithm: str, w: int):
     for name in checks:
         fn, kind, applies = BOUNDS[name]
@@ -328,27 +318,15 @@ def _select_check(checks, algorithm: str, w: int):
 
 
 def _prepare(spec: dict, instance_id: str, seed: int) -> dict:
-    """The instance, lattice and window solver shared by the rows of one
-    (instance, seed)."""
+    """The instance and the window solver, on its default lattice, shared by
+    the rows of one (instance, seed)."""
     instance = _build_instance(spec, instance_id, seed)
-    grid = default_grid(instance)
-    return {"instance": instance, "grid": grid, "solver": WindowSolver(grid)}
+    return {"instance": instance, "solver": WindowSolver(default_grid(instance))}
 
 
-def _opt_and_budget(instance: Instance, oracle_spec: dict, grid: Grid,
-                    solver: WindowSolver) -> tuple[float, float]:
-    """Offline optimum, and the ratio's tolerance budget for lattice
-    snapping: 1e-8, plus a slope bound times the snap distance when an
-    anchor is off the lattice (never on a breakpoint lattice)."""
-    res = offline_optimal(instance, grid, oracle_spec.get("method", "auto"), solver=solver)
-    if res.method == "exact_quadratic":
-        return res.cost, 1e-8
-    opt, budget = res.cost, 1e-8
-    anchors = np.vstack([instance.minimizers(), instance.start])
-    snap = float(np.sqrt(((grid.snap_rows(anchors) - anchors) ** 2).sum(axis=1)).max())
-    if snap > 0:
-        budget += snap * _grid_lipschitz(instance, grid) / max(opt, 1e-12)
-    return opt, budget
+#: The ratio's tolerance on every row.  Every anchor is a point of the run's
+#: lattice (``default_grid``), so no snap distance adds to it.
+TOLERANCE_BUDGET = 1e-8
 
 
 class _Failure(str):
@@ -389,10 +367,10 @@ def _row_costs(instance: Instance, solver: WindowSolver, runs: list, seed: int,
 
 def _row(instance_id: str, algorithm: str, w: int, seed: int, cost, oracle,
          instance: Instance, checks: list[str]) -> ResultRow:
-    """One row from its cost and the (optimum, budget) of its instance and
+    """One row from its cost and the offline optimum of its instance and
     seed, either of which may be a ``_Failure``."""
     def scored() -> ResultRow:
-        opt, budget = oracle
+        opt, budget = oracle, TOLERANCE_BUDGET
         report = competitive_ratio(cost, opt)
         bound_fn, _ = _select_check(checks, algorithm, w)
         if bound_fn is None:
@@ -428,7 +406,8 @@ def _seed_rows(spec: dict, runs: list, seed: int, config: ExperimentConfig) -> l
         costs = _row_costs(instance, solver, runs, seed, config.checks)
         oracle = None
         if not all(isinstance(cost, _Failure) for cost in costs):
-            oracle = _attempt(_opt_and_budget, instance, config.oracle, shared["grid"], solver)
+            oracle = _attempt(lambda: offline_optimal(
+                instance, solver.grid, config.oracle.get("method", "auto"), solver=solver).cost)
     return [_row(instance_id, algo_spec["name"], w, seed, cost, oracle, instance,
                  config.checks) for (algo_spec, w), cost in zip(runs, costs)]
 

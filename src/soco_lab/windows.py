@@ -17,11 +17,12 @@ caller gives), never one made up per window: a ``WindowSolver`` built
 without a lattice solves quadratic windows only.  A lattice is the product
 of its per-axis sorted coordinates, evenly spaced or not, and every lattice
 snaps a point by one rule: per axis the nearest coordinate, the lower one on
-an exact tie.  The piecewise-linear families (``polyhedral`` p = 1 in any d
-and any p in 1-D, ``glb``) default to their breakpoint lattice -- the start,
-the minimizers and 0 for ``glb`` -- on which the DP, and every window
-anchored at lattice points, is exact; the other families default to 201
-evenly spaced points per axis.
+an exact tie.  Every default lattice holds each axis's anchor coordinates
+-- the start's, the minimizers' and 0 for ``glb`` --, so no anchor is ever
+snapped.  The piecewise-linear families (``polyhedral`` p = 1 in any d and
+any p in 1-D, ``glb``) default to those alone, their breakpoint lattice, on
+which the DP, and every window anchored at lattice points, is exact; the
+other families add 201 evenly spaced coordinates per axis.
 
 In d >= 2 a window whose costs (``HittingCost.axes``) and movement
 (``MovementCost.split``) separate by coordinate -- ``polyhedral`` p = 1,
@@ -232,46 +233,41 @@ def _lattice(grid: Grid) -> np.ndarray:
 
 
 def default_grid(instance: Instance, n: int | None = None) -> Grid:
-    """The run's lattice.
+    """The run's lattice, built per axis, so every anchor is a lattice point.
 
-    With no ``n``, an instance whose family record says
-    ``piecewise_linear`` gets its breakpoint lattice (``_breakpoint_axes``),
-    on which the lattice DP is exact.  Every other instance, and every
-    instance when ``n`` is given, gets a uniform lattice of ``n`` points per
-    axis (201 by default) over the bounding box of the start point and all
-    minimizers, widened on every side by twice its largest span (at least
-    1), and cut at 0 for a family whose record says ``orthant``."""
-    if n is None:
-        axes = _breakpoint_axes(instance)
-        if axes is not None:
-            return Grid.from_axes(axes)
-        n = 201
-    anchors = np.vstack([instance.minimizers(), instance.start[None, :]])
-    lo, hi = anchors.min(axis=0), anchors.max(axis=0)
-    span = max(float((hi - lo).max()), 1.0)
-    lo, hi = lo - 2.0 * span, hi + 2.0 * span
-    if family_of(instance).orthant:
-        lo = np.maximum(lo, 0.0)
-    return Grid.make(lo, hi, n, dim=instance.dim)
-
-
-def _breakpoint_axes(instance: Instance) -> list[np.ndarray] | None:
-    """Per-axis breakpoints of an instance whose family record says
-    ``piecewise_linear``, else None: the start coordinate, every minimizer
-    coordinate, and 0, the orthant's edge, when the record says ``orthant``.
-
-    Every DP value function of such an instance is convex and piecewise
-    linear per axis, with kinks only at these points, so the lattice DP on
-    their product is exact, and so is every window whose anchors are
-    lattice points.  That covers ``glb`` and ``polyhedral`` p = 1 in any d,
-    and ``polyhedral`` of any p in 1-D, where each norm is |x|."""
+    Axis j holds its anchor coordinates: the start's, every minimizer's, and
+    0, the orthant's edge, when the family record says ``orthant``.  With no
+    ``n`` and a record that says ``piecewise_linear`` that is all: every DP
+    value function is then convex and piecewise linear per axis with kinks
+    only there, so the lattice DP, and every window anchored at lattice
+    points, is exact (``glb`` and ``polyhedral`` p = 1 in any d,
+    ``polyhedral`` of any p in 1-D, where each norm is |x|).  Otherwise the
+    axis also holds ``n`` (201 by default) evenly spaced coordinates over
+    the range of its start and minimizer coordinates, widened on each side
+    by twice that range (at least 1) and cut at 0 for an ``orthant`` record,
+    less those within half a spacing of an anchor: a coordinate that close
+    adds little, and one a rounding error away breaks
+    ``_bracketed_minplus``' Monge guard."""
     family = family_of(instance)
-    if not family.piecewise_linear(instance.hitting[0].params, instance.dim):
-        return None
     points = np.vstack([instance.start[None, :], instance.minimizers()])
+    anchors = np.vstack([points, np.zeros((1, instance.dim))]) if family.orthant else points
+    if n is None and family.piecewise_linear(instance.hitting[0].params, instance.dim):
+        return Grid.from_axes(anchors.T)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    span = np.maximum(hi - lo, 1.0)
+    lo, hi = lo - 2.0 * span, hi + 2.0 * span
     if family.orthant:
-        points = np.vstack([points, np.zeros((1, instance.dim))])
-    return list(points.T)
+        lo = np.maximum(lo, 0.0)
+    count = 201 if n is None else n
+    even = Grid.make(lo, hi, count, dim=instance.dim).coords
+    axes = []
+    for x, a, h in zip(map(np.array, even), anchors.T, (hi - lo) / (count - 1)):
+        a = np.unique(a)
+        k = a.searchsorted(x)   # the nearest anchor is a[k - 1] or a[k]
+        gap = np.minimum(np.abs(x - a[np.maximum(k - 1, 0)]),
+                         np.abs(x - a[np.minimum(k, len(a) - 1)]))
+        axes.append(np.concatenate([a, x[gap >= 0.5 * h]]))
+    return Grid.from_axes(axes)
 
 
 @dataclass(eq=False)

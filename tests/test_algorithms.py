@@ -384,7 +384,7 @@ def batched_caller_instance(case, T=17, seed=3):
 def case_solver(inst):
     """A fresh solver on the case's lattice: the default one, or for the
     joint 2-D case an explicit 21 x 21 lattice over the anchors' box (the
-    default there is 201 x 201)."""
+    default there is about 201 x 201)."""
     if inst.dim == 1 or inst.hitting[0].params.get("p") != 2:
         return solver_for(inst)
     anchors = np.vstack([inst.start, inst.minimizers()])

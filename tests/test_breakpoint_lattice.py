@@ -1,10 +1,13 @@
-"""The breakpoint lattice of the piecewise-linear families.
+"""Default lattices, and the breakpoint lattice of the piecewise-linear
+families.
 
-``default_grid`` gives ``polyhedral`` (p = 1 in any d, any p in 1-D) and
-``glb`` the product of their per-axis breakpoints: the start, the
-minimizers and, for ``glb``, 0.  The lattice DP on it is the exact offline
-optimum, checked here against a small reference DP of this file's own, and
-no competitive ratio taken against it falls below 1.
+Every default lattice holds each axis's anchor coordinates: the start, the
+minimizers and, for ``glb``, 0.  ``default_grid`` gives ``polyhedral``
+(p = 1 in any d, any p in 1-D) and ``glb`` those alone, their breakpoint
+lattice; every other lattice adds evenly spaced coordinates per axis.  The
+lattice DP on the breakpoint lattice is the exact offline optimum, checked
+here against a small reference DP of this file's own, and no competitive
+ratio taken against it falls below 1.
 """
 
 import numpy as np
@@ -21,8 +24,15 @@ from soco_lab import (
     make_glb,
     make_polyhedral,
     offline_optimal,
+    run_afhc,
+    run_dsfhc,
     run_suite,
+    solver_for,
 )
+from soco_lab.adversary import RandomWalk, generate_oblivious_instance
+from soco_lab.families import FAMILIES, Glb, Polyhedral, Ripple, family_of
+
+from test_families import RECORD_SAMPLES
 
 
 def reference_opt(x0, v, cost, move, kinks=()):
@@ -138,14 +148,121 @@ def test_default_grid_kinds():
     assert grid.coords == ((0.0, 0.5, 1.5), (2.0, 3.0)) and grid.size == 6
     glb = make_glb([1.0, 1.0], [1.0, 1.0], [2.0, 2.0], path, start=[0.5, 2.0])
     assert default_grid(glb).coords == ((0.0, 0.5, 1.5), (0.0, 2.0, 3.0))
-    # p = 2 in d >= 2 does not separate: the uniform joint lattice stays
-    assert default_grid(make_polyhedral(1.0, path, p=2)).n == (201, 201)
-    # an n asks for the uniform lattice on every family
-    uniform = default_grid(poly, 11)
-    assert uniform == Grid.make([-3.0, -1.0], [4.5, 6.0], 11, dim=2)
+    # p = 2 in d >= 2 does not separate: its anchors and 201 evenly spaced
+    # coordinates per axis, less those within half a spacing of an anchor
+    joint = make_polyhedral(1.0, path, p=2)
+    assert default_grid(joint).coords == rule_axes(joint)
+    assert default_grid(joint).n == tuple(map(len, rule_axes(joint)))
+    # an n adds n evenly spaced coordinates per axis on every family, over
+    # the axis's own range: [0, 1.5] widened by 3 and [2, 3] by 2; 0.75 is
+    # within half a spacing of the anchor 0.5
+    assert default_grid(poly, 11).coords == (
+        (-3.0, -2.25, -1.5, -0.75, 0.0, 0.5, 1.5, 2.25, 3.0, 3.75, 4.5),
+        (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0))
     # in 1-D every norm is |x|: any p gets the breakpoints
     assert default_grid(make_polyhedral(1.0, path[:, :1], p=np.inf)).coords == \
         ((0.0, 0.5, 1.5),)
+
+
+def even_range(inst, j, n=None):
+    """(lo, hi, count) of axis j's evenly spaced coordinates by
+    ``default_grid``'s rule: the range of the axis's start and minimizer
+    coordinates, widened on each side by twice it (at least 1) and cut at 0
+    on the orthant; count is n, 201 when None."""
+    points = [float(inst.start[j]), *inst.minimizers()[:, j].tolist()]
+    span = max(max(points) - min(points), 1.0)
+    lo, hi = min(points) - 2.0 * span, max(points) + 2.0 * span
+    if family_of(inst).orthant:
+        lo = max(lo, 0.0)
+    return lo, hi, 201 if n is None else n
+
+
+def rule_axes(inst, n=None):
+    """``default_grid``'s coordinates by its rule, one axis at a time in
+    plain Python: the axis's anchors (start, minimizers, 0 on the orthant),
+    and unless the record says ``piecewise_linear`` and no n is given, the
+    evenly spaced coordinates of ``even_range`` that lie at least half a
+    spacing from every anchor."""
+    record = family_of(inst)
+    axes = []
+    for j in range(inst.dim):
+        anchors = {float(inst.start[j]), *inst.minimizers()[:, j].tolist(),
+                   *[0.0] * record.orthant}
+        if n is None and record.piecewise_linear(inst.hitting[0].params, inst.dim):
+            axes.append(tuple(sorted(anchors)))
+            continue
+        lo, hi, count = even_range(inst, j, n)
+        h = (hi - lo) / (count - 1)
+        kept = {x for x in np.linspace(lo, hi, count).tolist()
+                if min(abs(x - a) for a in anchors) >= h / 2}
+        axes.append(tuple(sorted(anchors | kept)))
+    return tuple(axes)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.floats(0.001, 3.0),
+       st.one_of(st.none(), st.integers(2, 300)), st.floats(0.01, 100.0))
+def test_default_grid_holds_its_anchors_by_axis(name, d, seed, T, step, n, scale):
+    for params in RECORD_SAMPLES[name](d):
+        rng = np.random.default_rng(seed)
+        inst = generate_oblivious_instance(params, RandomWalk(step), T, d, rng,
+                                           start=rng.uniform(0.0, 2.0, d))
+        grid = default_grid(inst, n)
+        assert grid.coords == rule_axes(inst, n)
+        # every anchor snaps to itself, bit for bit
+        record = family_of(inst)
+        anchors = np.vstack([inst.start, inst.minimizers()] + [np.zeros(d)] * record.orthant)
+        assert np.array_equal(grid.snap_rows(anchors), anchors)
+        if n is None and record.piecewise_linear(inst.hitting[0].params, d):
+            continue
+        for j, x in enumerate(grid.axes()):
+            a = np.unique(anchors[:, j])
+            even = np.setdiff1d(x, a)
+            lo, hi, count = even_range(inst, j, n)
+            # the evenly spaced coordinates kept lie at least h/2 from every anchor
+            assert (np.abs(even[:, None] - a[None, :]) >= (hi - lo) / (count - 1) / 2).all()
+            if d == 1:   # and are the parent's uniform lattice's own, bit for bit
+                assert set(even.tolist()) <= set(Grid.make(lo, hi, count).coords[0])
+        if d > 1:
+            # axis j depends on axis j's anchors only: rescale axis 0's path
+            path, start = inst.minimizers().copy(), inst.start.copy()
+            path[:, 0] *= scale
+            start[0] *= scale
+            other = record.make(path=path, start=start, **vars(params))
+            assert default_grid(other, n).coords[1:] == grid.coords[1:]
+
+
+#: 4-D separable instances: each is the sum of its four 1-D axis instances
+SEPARABLE_4D = {
+    "ripple": Ripple(0.5, 1.0, 4.0),
+    "polyhedral": Polyhedral(1.3, 1),
+    "glb": Glb((1.0, 0.5, 1.5, 1.0), (2.0, 1.0, 0.5, 1.5), (1.5, 2.5, 3.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE_4D))
+def test_separable_4d_runs_are_the_sums_of_their_axis_runs(name):
+    # every axis of the 4-D lattice is the 1-D lattice of its axis instance,
+    # so the offline optimum and every run split over the axes; a lattice
+    # range shared across axes (the largest span) broke this for ripple
+    params = SEPARABLE_4D[name]
+    rng = np.random.default_rng(4)
+    inst = generate_oblivious_instance(params, RandomWalk(1.0), 20, 4, rng,
+                                       start=rng.uniform(0.0, 1.0, 4))
+
+    def totals(instance):
+        solver = solver_for(instance)
+        return [offline_optimal(instance, solver=solver).cost,
+                run_dsfhc(instance, 4, solver).total, run_afhc(instance, 2, solver).total]
+
+    parts = []
+    for j in range(4):
+        fields = {k: v[j:j + 1] if isinstance(v, tuple) else v for k, v in vars(params).items()}
+        parts.append(totals(FAMILIES[name].make(path=inst.minimizers()[:, j:j + 1],
+                                                start=inst.start[j:j + 1], **fields)))
+    whole, summed = np.array(totals(inst)), np.sum(parts, axis=0)
+    assert (np.abs(whole - summed) <= 1e-12 * np.abs(summed)).all(), (whole, summed)
 
 
 def nearest_lower(axis, x):

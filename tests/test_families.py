@@ -241,7 +241,7 @@ def test_instance_spec_validates_shapes():
 RECORD_SAMPLES = {
     "polyhedral": lambda d: [Polyhedral(1.5, p) for p in (1, 2, np.inf)],
     "strongly_convex": lambda d: [StronglyConvex(2.0)],
-    "glb": lambda d: [Glb((1.0,) * d, (2.0, 0.5)[:d], (1.5, 3.0)[:d])],
+    "glb": lambda d: [Glb((1.0,) * d, ((2.0, 0.5) * d)[:d], ((1.5, 3.0) * d)[:d])],
     "ripple": lambda d: [Ripple(1.0, 0.3, 2.0), Ripple(0.0, 0.5, 3.0)],
 }
 

@@ -44,6 +44,8 @@ from soco_lab import (
     sfhc_subroutine_costs,
 )
 
+from test_breakpoint_lattice import rule_axes
+
 
 def quad_config(seeds=(1, 2), ws=(2, 4), checks=("greedy_bound", "prediction_bound")):
     return ExperimentConfig.from_dict({
@@ -474,6 +476,40 @@ def test_prediction_bound_checks_the_phase_mean_not_one_sfhc_phase():
     assert summary["all_within_bounds"]
 
 
+#: (family, params) of each 1-D instance of the ``sweep-1d`` benchmark workload
+SWEEP_1D_FAMILIES = [
+    ("polyhedral", {"alpha": 1.0, "p": 1}),
+    ("glb", {"e0": [1.0], "beta": [1.0], "mu": [3.0]}),
+    ("ripple", {"m": 2.0, "eps": 0.3, "k": 2.0}),
+    ("strongly_convex", {"m": 2.0}),
+]
+
+
+def test_a_wrong_bound_fails_ripple_rows(monkeypatch):
+    # every anchor is a lattice point, so no row adds a snap budget to its
+    # bound, and a bound too tight for the ripple rows fails them: with a
+    # budget of snap distance x T x slope / OPT (47.6 here) every row passed
+    _, _, applies = BOUNDS["prediction_bound"]
+    monkeypatch.setitem(BOUNDS, "prediction_bound",
+                        (lambda instance, w: 1.0, "algorithm", applies))
+    rows, summary = run_suite(ExperimentConfig.from_dict({
+        "instances": [{"id": family, "generate": {
+            "family": family, "params": params, "T": 40, "d": 1,
+            "path": {"model": "random_walk", "step": 0.5}}}
+            for family, params in SWEEP_1D_FAMILIES],
+        "algorithms": [{"name": "greedy"}, {"name": "sfhc", "w": [2, 4, 6]},
+                       {"name": "dsfhc", "w": [2, 4, 6]}, {"name": "rsfhc-a", "w": [2, 4, 6]},
+                       {"name": "rsfhc-b", "w": [4, 6]}, {"name": "afhc", "w": [2, 4, 6]}],
+        "seeds": [1],
+        "oracle": {"method": "auto"},
+        "checks": ["greedy_bound", "prediction_bound", "semi_adaptive_bound"]}))
+    assert summary["failures"] == 0 and len(rows) == 4 * 15
+    assert {r.tolerance_budget for r in rows} == {1e-8}
+    ripple = [r for r in rows if r.instance_id == "ripple" and r.algorithm == "dsfhc"]
+    assert all(r.bound_value == 1.0 for r in ripple)
+    assert not all(r.within_bound for r in ripple)
+
+
 def test_seed_state_dropped_before_next_seed_and_rows_in_config_order(monkeypatch):
     # the rows of one (instance, seed) are computed together; its solver,
     # and so its stage memo, is gone before the next seed's is built, while
@@ -502,7 +538,7 @@ def test_seed_state_dropped_before_next_seed_and_rows_in_config_order(monkeypatc
 # ---------------------------------------------------------------------------
 
 #: case -> (family, params, d).  polyhedral p = 2 couples the coordinates,
-#: and its joint 2-D DP on the default 201 x 201 lattice takes minutes, so
+#: and its joint 2-D DP on the default lattice (about 201 x 201) takes minutes, so
 #: it runs in 1-D only.
 ROW_CASES = {
     "polyhedral-p1-1d": ("polyhedral", {"alpha": 1.2, "p": 1}, 1),
@@ -519,7 +555,7 @@ ROW_CASES = {
 
 def reference_row(spec, algorithm, w, seed, config) -> ResultRow:
     """One row computed alone on a fresh solver and a fresh oracle, with the
-    snap budget summed point by point: the row-by-row harness."""
+    snap distance checked point by point: the row-by-row harness."""
     instance_id = spec["id"]
     try:
         inst = harness._build_instance(spec, instance_id, seed)
@@ -540,12 +576,9 @@ def reference_row(spec, algorithm, w, seed, config) -> ResultRow:
                 "afhc": lambda: run_afhc(inst, w, solver),
             }[algorithm]().total
         res = offline_optimal(inst, grid, config.oracle.get("method", "auto"))
+        # every anchor is a lattice point, so the budget is 1e-8 alone
+        assert max(grid.snap(p)[1] for p in [inst.start, *inst.minimizers()]) == 0
         opt, budget = res.cost, 1e-8
-        if res.method != "exact_quadratic":
-            snap = max(grid.snap(h.minimizer)[1] for h in inst.hitting)
-            snap = max(snap, grid.snap(inst.start)[1])
-            if snap > 0:
-                budget += snap * harness._grid_lipschitz(inst, grid) / max(opt, 1e-12)
         ratio = competitive_ratio(cost, opt).ratio
         if bound_fn is None:
             bound_value, within = math.inf, True
@@ -613,8 +646,9 @@ def _counting(monkeypatch, cls, name, counts, items=None):
 #: 201-point uniform lattice, and jointly 74/73 (polyhedral) and 70/71
 #: (glb).  On the breakpoint lattice an ``afhc`` chain that restarts from a
 #: minimizer restarts from the left anchor of the phase windows that start
-#: there, so it shares their stages more often.
-MINPLUS_CALLS = {"polyhedral": [68, 73], "glb": [45, 45], "ripple": [71, 73]}
+#: there, so it shares their stages more often.  So does ``ripple``'s since
+#: its lattice holds its anchors: it took 71/73 on 201 evenly spaced points.
+MINPLUS_CALLS = {"polyhedral": [68, 73], "glb": [45, 45], "ripple": [70, 72]}
 
 #: Windows handed to ``solve_batch`` per (instance, seed) of
 #: ``work_gate_config``, for seeds 1301 and 7 (the ``rsfhc-b`` draws
@@ -666,13 +700,14 @@ def test_work_per_instance_and_seed(monkeypatch, family, params):
 ])
 def test_work_gate_lattice_size(family, params):
     # the piecewise-linear families run on their distinct breakpoints -- the
-    # start, 40 minimizers and 0 for glb -- instead of 201 uniform points
+    # start, 40 minimizers and 0 for glb --; ripple adds the 201 evenly
+    # spaced points less those within half a spacing of a breakpoint
     for seed in (1301, 7):
         inst = harness._build_instance(work_gate_config(family, params, seed).instances[0],
                                        family, seed)
         size = default_grid(inst).size
         if family == "ripple":
-            assert size == 201
+            assert size == len(rule_axes(inst)[0]) > 201
         else:
             points = {0.0, *inst.minimizers()[:, 0].tolist(), *inst.start.tolist()}
             assert size == len(points) <= 42
@@ -759,8 +794,8 @@ def lattice_pin_config():
 #: writes for ``lattice_pin_config``.  A change to these bytes must be
 #: explained to the last ulp before the values here are updated.
 LATTICE_PIN_SHA256 = (
-    "f61c6bb2642198a3941b3690700e5a88bf77ea7e7f90aff95b94292bfefd17ab",
-    "e5f8988c316b0bffaa37e84a135eea17590aa69bb60b54eb5d494c2c8b723ec5",
+    "df058578585617b81c7351c9d28f8fa7ac875943fc8ded087f24013a0cc5c800",
+    "f93cc5b9f659b3429d6296208522582d012842c659110054aa5fa6754de0b701",
 )
 
 

@@ -52,13 +52,13 @@ SHIPPED_CSV_SHA256 = {
     "quadratic_sweep.json":
         "1fd411bb6886b61961c30407401f404dc69d85a82d19ec65ac4b89c425bb0e9c",
     "dimension_sweep.json":
-        "8e781447dc04717b48ebf137b7d2bc56bd69c33b3e5db32a1440d3d7a57c58c9",
+        "76ca48f83b550f56d5392fafa623614ded285d650b452c5c6b107403e457ad25",
 }
 SHIPPED_SUMMARY_SHA256 = {
     "quadratic_sweep.json":
         "e951342dea3938bc978a4c58dddeb80e8549ccbe4f2b3975e19392bbb8fd06d2",
     "dimension_sweep.json":
-        "39792dba913a10221a9878366f524713b5255fd6462826a0d9d50d7d19f91af0",
+        "f53da00d25acf56b4dad87cf5038006274c296665af577879415969b6aa740d4",
 }
 
 
@@ -115,7 +115,11 @@ RANGE = ("--grid-lo", "-3", "--grid-hi", "3", "--grid-n", "61")
 #: Every value but one was taken before the three oracle dispatchers became
 #: ``offline_optimal``, so merging them moved no output.  The exception is
 #: ``--grid-n 11`` with no range: it used to be ignored (the 201-point
-#: answer came back) and now sizes the default lattice.
+#: answer came back) and now sizes the default lattice.  Two moved when every
+#: default lattice came to hold the start and the minimizers: ``--grid-n 11``
+#: on ``polyhedral``, now the exact optimum (the ``auto`` digest), and
+#: ``strongly_convex`` ``grid``, where the minimizer 0.29422 replaced the
+#: evenly spaced 0.28932 beside it (cost 0.107262 -> 0.107375).
 ORACLE_SHA256 = {
     ("polyhedral", "auto", ()):
         "aff3f9fe69265a510f897caf14713690924f670714c9823381c405de90658453",
@@ -126,11 +130,11 @@ ORACLE_SHA256 = {
     ("polyhedral", "grid", RANGE):
         "a00e13153544ff95e7eaeb97a3910b0219b461ca4c0803b5f1a87f4bf437f8a6",
     ("polyhedral", "grid", ("--grid-n", "11")):
-        "063a4231832e90012c39422f87c4c795a3d2261810d0ec10cb1f7d18b60a61ca",
+        "aff3f9fe69265a510f897caf14713690924f670714c9823381c405de90658453",
     ("strongly_convex", "auto", ()):
         "05153d5e001f117e9468eedacb8cf6d43ba31e69da505261123f85df9755d9aa",
     ("strongly_convex", "grid", ()):
-        "81752246a6c719b674de2170d1272461f472601bb73aa743a6fb669e2191a845",
+        "364aace9c996c173cf49f7b53cd20ddc58e3570b14c86c0eee3cdc0c821feabb",
     ("strongly_convex", "exact_quadratic", ()):
         "05153d5e001f117e9468eedacb8cf6d43ba31e69da505261123f85df9755d9aa",
     ("strongly_convex", "auto", RANGE):
